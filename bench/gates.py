@@ -8,9 +8,7 @@ checked against `reference.json` by the rule of its kind:
 - ``exact``: quadrature columns, relative tolerance EXACT_RTOL, which is
   on the scale of the CLI's default ``quad_tol`` (1e-6);
 - ``mc``: Monte Carlo means, within Z_BOUND combined standard errors of
-  a high-trial reference mean drawn from a seed no run uses;
-- ``ks``: KS distances to a fitted law, within the
-  Dvoretzky-Kiefer-Wolfowitz band of both the run and the reference.
+  a high-trial reference mean drawn from a seed no run uses.
 
 Half a unit in the last printed digit is always allowed, because the CLI
 rounds. Deviations are returned as diagnostics; a run passes when every
@@ -20,15 +18,12 @@ key is present, has a reference, and lies within its bound.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from decimal import Decimal
 
 CLOSED_RTOL = 1e-9
 EXACT_RTOL = 1e-5
 Z_BOUND = 5.0
-# DKW: P(sup|F_n - F| > lam / sqrt(n)) <= 2 exp(-2 lam^2), 7.5e-6 at 2.5
-DKW_LAMBDA = 2.5
 
 
 @dataclass(frozen=True)
@@ -63,35 +58,12 @@ def parse_csv(text: str, trials: int, seed: int) -> dict[str, Printed]:
     return out
 
 
-_NUM = r"([-+0-9.eE]+)"
-_COMPARE_ROW = re.compile(
-    rf"^(er|op)(?:\[[^\]]*\])?: approx = {_NUM}(?:  exact = {_NUM})?  mc = {_NUM} \+- {_NUM}$"
-)
-_COMPARE_KS = re.compile(rf"^(ks_total_vs_fit|ks_inphase_vs_fit) = {_NUM}$")
-
-
-def parse_compare(text: str) -> dict[str, Printed]:
-    """Keyed values of `cumasim compare` output."""
-    out: dict[str, Printed] = {}
-    for line in text.splitlines():
-        if m := _COMPARE_ROW.match(line):
-            metric, approx, exact, mc, se = m.groups()
-            out[f"{metric}.approx"] = Printed.parse(approx)
-            if exact is not None:
-                out[f"{metric}.exact"] = Printed.parse(exact)
-            out[f"{metric}.mc"] = Printed.parse(mc)
-            out[f"{metric}.mc_stderr"] = Printed.parse(se)
-        elif m := _COMPARE_KS.match(line):
-            out[m.group(1)] = Printed.parse(m.group(2))
-    return out
-
-
-def check(values: dict[str, Printed], ref: dict, trials: int) -> list[dict]:
+def check(values: dict[str, Printed], ref: dict) -> list[dict]:
     """One diagnostic per reference key; ``ok`` is False where the gate trips.
 
     ``ref`` maps each key to {"kind", "value"} plus, for ``mc``, the
-    reference "stderr" and, for ``ks``, the reference "trials". Output
-    keys without a reference are reported as failures too.
+    reference "stderr". Output keys without a reference are reported as
+    failures too.
     """
     diags = []
     for key, r in ref.items():
@@ -108,8 +80,6 @@ def check(values: dict[str, Printed], ref: dict, trials: int) -> list[dict]:
             bound = EXACT_RTOL * abs(r["value"])
         elif kind == "mc":
             bound = Z_BOUND * math.hypot(se.value, r["stderr"])
-        elif kind == "ks":
-            bound = DKW_LAMBDA * (1.0 / math.sqrt(trials) + 1.0 / math.sqrt(r["trials"]))
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
         bound += 0.5 * got.ulp

@@ -1,6 +1,6 @@
 """Write the reference values the correctness gates compare against.
 
-    PYTHONPATH=src python3 bench/make_reference.py   # about 4 min on 2 cores
+    PYTHONPATH=src python3 bench/make_reference.py   # about 3 min on 2 cores
 
 Closed-form and exact values are recorded at full precision from the
 library calls the CLI makes. Monte Carlo references are high-trial runs
@@ -15,15 +15,12 @@ import argparse
 import json
 import os
 
-from cumasim import ChannelStats, SeedSpec, SimConfig, analytic, approx, correlation_matrix, preset_grid
-from cumasim.harness import SweepSpec, compare_distributions, run_sweep
-from cumasim.montecarlo import mc_metrics
+from cumasim.harness import SweepSpec, run_sweep
 
 from workloads import WORKLOADS
 
 REFERENCE_SEED = 2**63 + 15164
 QUAD_TOL = 1e-6  # the CLI default
-COMPARE_REF_TRIALS = 200_000
 LARGE_REF_TRIALS = 10_000
 
 
@@ -40,32 +37,10 @@ def _sweep_rows(spec: SweepSpec) -> dict:
 
 def exact_secrecy() -> dict:
     spec = SweepSpec(
-        axis="rs", values=(1.0,), metrics=("er", "op", "sop", "sop_lower"), preset="6GHz-VC",
+        axis="rs", values=(1.0,), metrics=("er", "op", "sop"), preset="6GHz-VC",
         eve_preset="6GHz-NC", users=20, exact="on", mc=False,
     )
     return {"trials": spec.trials, "seed_column": spec.seed, "values": _sweep_rows(spec)}
-
-
-def mc_compare_small() -> dict:
-    # the same calls as `cumasim compare` with its default gamma_th = 1
-    users, trials = 20, 20_000
-    grid = preset_grid("6GHz-NC")
-    stats = ChannelStats.from_grid(grid, users)
-    beta = stats.sigma2_sq * approx.beta_I(stats)
-    seed = SeedSpec(REFERENCE_SEED)
-    mc = mc_metrics(SimConfig(corr=correlation_matrix(grid), users=users), COMPARE_REF_TRIALS, seed, gamma_grid=(1.0,))
-    ks = compare_distributions(grid, users, COMPARE_REF_TRIALS, seed)
-    values = {
-        "er.approx": {"kind": "closed", "value": approx.approx_er(users, beta, stats.sigma2_sq)},
-        "er.exact": {"kind": "exact", "value": analytic.exact_er(users, stats, QUAD_TOL)},
-        "er.mc": {"kind": "mc", "value": mc.er, "stderr": mc.er_stderr, "trials": mc.trials},
-        "op.approx": {"kind": "closed", "value": approx.approx_op(1.0, beta, stats.sigma2_sq)},
-        "op.exact": {"kind": "exact", "value": analytic.exact_op(1.0, stats, QUAD_TOL)},
-        "op.mc": {"kind": "mc", "value": mc.op[0], "stderr": mc.op_stderr[0], "trials": mc.trials},
-        "ks_total_vs_fit": {"kind": "ks", "value": ks.ks_total, "trials": ks.trials},
-        "ks_inphase_vs_fit": {"kind": "ks", "value": ks.ks_inphase, "trials": ks.trials},
-    }
-    return {"trials": trials, "values": values}
 
 
 def mc_large_grid() -> dict:
@@ -80,7 +55,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference.json"))
     args = ap.parse_args()
-    refs = {"exact-secrecy": exact_secrecy(), "mc-compare-small": mc_compare_small(), "mc-large-grid": mc_large_grid()}
+    refs = {"exact-secrecy": exact_secrecy(), "mc-large-grid": mc_large_grid()}
     if set(refs) != set(WORKLOADS):
         raise SystemExit(f"references {sorted(refs)} do not cover the workloads {sorted(WORKLOADS)}")
     doc = {"reference_seed": REFERENCE_SEED, "quad_tol": QUAD_TOL, "workloads": refs}

@@ -54,7 +54,7 @@ import time
 from dataclasses import dataclass
 
 import tracer
-from gates import check, parse_compare, parse_csv
+from gates import check, parse_csv
 from workloads import WORKLOADS
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -189,15 +189,12 @@ def _judge(run: ChildRun, workload, seed: int, ref: dict) -> list[dict]:
     if run.code != 0:
         return []
     try:
-        if workload.output == "csv":
-            seed_column = seed if workload.seeded else ref["seed_column"]
-            values = parse_csv(run.stdout, ref["trials"], seed_column)
-        else:
-            values = parse_compare(run.stdout)
+        seed_column = seed if workload.seeded else ref["seed_column"]
+        values = parse_csv(run.stdout, ref["trials"], seed_column)
     except (ValueError, KeyError, IndexError) as exc:
         run.problems.append(f"unreadable output: {exc!r}")
         return []
-    diags = check(values, ref["values"], ref["trials"])
+    diags = check(values, ref["values"])
     run.problems += [f"gate {d['key']}: {d.get('detail') or 'deviation above bound'}" for d in diags if not d["ok"]]
     return diags
 

@@ -126,7 +126,6 @@ def _sir_samples_attrs(a, result):
 ANNOTATE = {
     "montecarlo.sir_samples": _sir_samples_attrs,
     "geometry.correlation_matrix": lambda a, result: {"ports": result.dim},
-    "harness.ks_statistic": lambda a, result: {"samples": len(a["samples"])},
 }
 
 
@@ -144,7 +143,6 @@ EXACT_COUNTS = (
     "montecarlo.redrawn",
     "montecarlo.select_ports.calls",
     "montecarlo.matmul_gflop",
-    "harness.ks_statistic.samples",
     "trace.spans",
 )
 
@@ -189,7 +187,6 @@ def layer_metrics(spans: dict, untraced_wall_s: float, traced_wall_s: float) -> 
         "analytic.exact_er.s": (total_s(lambda n: n == "analytic.exact_er"), "s"),
         "analytic.exact_op.s": (total_s(lambda n: n == "analytic.exact_op"), "s"),
         "analytic.exact_sop.s": (total_s(lambda n: n == "analytic.exact_sop"), "s"),
-        "analytic.sop_lower_numeric.s": (total_s(lambda n: n == "analytic.sop_lower_numeric"), "s"),
         "specfun.kummer_1f1.calls": (calls("specfun.kummer_1f1"), "count"),
         "specfun.kummer_1f1.self_s": (self_s("specfun.kummer_1f1"), "s"),
         "specfun.log_gamma.calls": (calls("specfun.log_gamma"), "count"),
@@ -204,9 +201,6 @@ def layer_metrics(spans: dict, untraced_wall_s: float, traced_wall_s: float) -> 
         "montecarlo.select_ports.calls": (calls("montecarlo.select_ports"), "count"),
         "montecarlo.draw_s": (self_s("montecarlo.sir_samples"), "s"),
         "montecarlo.matmul_gflop": (gflop, "GFLOP"),
-        "harness.ks_statistic.self_s": (self_s("harness.ks_statistic"), "s"),
-        "harness.ks_statistic.samples": (float(sum(a["samples"] for a in attrs("harness.ks_statistic"))), "count"),
-        "harness.compare_distributions.self_s": (self_s("harness.compare_distributions"), "s"),
         "harness.run_sweep.self_s": (self_s("harness.run_sweep"), "s"),
         "cli.main.self_s": (self_s("cli.main"), "s"),
         "trace.spans": (float(len(nid)), "count"),

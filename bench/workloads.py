@@ -18,7 +18,6 @@ class Workload:
     why: str
     args: tuple[str, ...]
     seeded: bool
-    output: str  # "csv" (sweep) or "compare"
     setup: tuple[tuple[str, int], ...]
 
     def argv(self, seed: int) -> list[str]:
@@ -31,23 +30,14 @@ WORKLOADS = {
     for w in (
         Workload(
             name="exact-secrecy",
-            why="exact quadrature chain of every exact metric incl. secrecy; analytic and specfun do over 95% of the work, no Monte Carlo",
+            why="exact quadrature chain of ER, OP and secrecy outage; analytic and specfun do over 95% of the work, no Monte Carlo",
             args=(
                 "sweep", "--preset", "6GHz-VC", "--eve-preset", "6GHz-NC", "--axis", "rs",
-                "--values", "1", "--metrics", "er,op,sop,sop_lower", "--users", "20",
+                "--values", "1", "--metrics", "er,op,sop", "--users", "20",
                 "--exact", "on", "--no-mc",
             ),
             seeded=False,
-            output="csv",
             setup=(("6GHz-VC", 20), ("6GHz-NC", 20)),
-        ),
-        Workload(
-            name="mc-compare-small",
-            why="28-port Monte Carlo where per-trial Python and generator set-up dominate, plus KS and a shallow exact ER/OP",
-            args=("compare", "--preset", "6GHz-NC", "--users", "20", "--trials", "20000", "--exact", "on"),
-            seeded=True,
-            output="compare",
-            setup=(("6GHz-NC", 20),),
         ),
         Workload(
             name="mc-large-grid",
@@ -57,7 +47,6 @@ WORKLOADS = {
                 "--metrics", "er", "--trials", "1000", "--exact", "off",
             ),
             seeded=True,
-            output="csv",
             setup=(("26GHz-C", 20),),
         ),
     )
