@@ -18,7 +18,6 @@ from .analytic import (
     exact_sop,
     sigma_sums,
     sop_lower_numeric,
-    w_func,
 )
 from .approx import (
     AsymptoteCoeffs,
@@ -56,15 +55,6 @@ from .montecarlo import (
     sir_sample,
     sir_samples,
 )
-from .specfun import (
-    DomainError,
-    NonConvergenceError,
-    SeriesControl,
-    gamma_fn,
-    gauss_2f1,
-    kummer_1f1,
-    upper_incomplete_gamma,
-    whittaker_m,
-)
+from .specfun import DomainError, NonConvergenceError
 
 __version__ = "0.1.0"

@@ -23,24 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import hyp1f1
 
 from .geometry import PortGrid, correlation_entries
-from .specfun import (
-    DEFAULT_CONTROL,
-    DomainError,
-    NonConvergenceError,
-    SeriesControl,
-    gamma_fn,
-    gauss_2f1,
-    kummer_1f1,
-    log_gamma,
-)
+from .specfun import DomainError, NonConvergenceError
 
 __all__ = [
     "QuadratureError",
     "PairingPolicy",
     "ChannelStats",
-    "w_func",
     "cov_pair",
     "sigma_sums",
     "exact_pdf_zI",
@@ -53,10 +44,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-
-# Variance of max(0, X) for X ~ N(0, Omega/2), per unit Omega; also the
-# rho -> +1 limit of cov_pair. The rho -> -1 limit is -Omega/(4 pi).
-_VAR_POS_PART = 0.25 * (1.0 - 1.0 / math.pi)
 
 
 class QuadratureError(ArithmeticError):
@@ -195,51 +182,29 @@ class ChannelStats:
 # ---------------------------------------------------------------------------
 
 
-def w_func(a: float, b: float, c: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Truncated-Gaussian moment kernel used by the pair covariance.
-
-    W(a,b,c) = -a Gamma(d_c) / (sqrt(2 pi) b^d_c) 2F1(1/2, d_c; 3/2; -a^2/(2b))
-               + Gamma(c+1) / (2 b^(c+1)),   d_c = (2c + 3)/2.
-    """
-    if b <= 0.0:
-        raise DomainError(f"w_func requires b > 0, got {b}")
-    if c <= -1.5:
-        raise DomainError(f"w_func requires c > -3/2, got {c}")
-    dc = c + 1.5
-    second = gamma_fn(c + 1.0) / (2.0 * b ** (c + 1.0))
-    if a == 0.0:
-        return second
-    first = (
-        -a
-        * gamma_fn(dc)
-        / (math.sqrt(2.0 * math.pi) * b**dc)
-        * gauss_2f1(0.5, dc, 1.5, -a * a / (2.0 * b), ctl)
-    )
-    return first + second
-
-
-def cov_pair(rho: float, omega: float) -> float:
+def cov_pair(rho, omega: float):
     """Covariance of the positive parts of two correlated N(0, Omega/2) variables.
 
-    The |rho| = 1 endpoints are the analytic limits (the generic formula
-    is singular there): Omega(1/4 - 1/(4 pi)) at +1 and -Omega/(4 pi)
-    at -1, both validated against a bivariate-normal oracle.
+    Elementwise over an array of correlations. This is the degree-1
+    arc-cosine kernel (Cho & Saul 2009), the elementary form of the
+    paper's W-function expression:
+
+        Omega/(4 pi) * (sqrt(1 - rho^2) + rho (pi/2 + asin rho) - 1)
+
+    It is Omega(1/4 - 1/(4 pi)) at rho = 1, -Omega/(4 pi) at rho = -1 and
+    exactly 0 at rho = 0.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if abs(rho) > 1.0:
-        raise DomainError(f"correlation must satisfy |rho| <= 1, got {rho}")
-    if rho == 1.0:
-        return omega * _VAR_POS_PART
-    if rho == -1.0:
-        return -omega / (4.0 * math.pi)
-    base = omega / (4.0 * math.pi)
-    t1 = (1.0 - rho * rho) ** 1.5 * base
-    if rho == 0.0:
-        return t1 - base
-    a = -math.sqrt(2.0 / (1.0 - rho * rho)) * rho / math.sqrt(omega)
-    w = w_func(a, 1.0 / omega, 0.5)
-    return t1 - base + rho / (2.0 * math.sqrt(math.pi * omega)) * w
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"omega must be positive and finite, got {omega}")
+    rho = np.asarray(rho, dtype=float)
+    outside = ~(np.abs(rho) <= 1.0)
+    if outside.any():
+        raise DomainError(f"correlation must satisfy |rho| <= 1, got {rho[outside].flat[0]}")
+    # sqrt(1 - rho^2) - 1 rewritten as -rho^2 / (1 + sqrt(1 - rho^2)) keeps
+    # small |rho| free of cancellation; (1 - rho)(1 + rho) does the same
+    # next to |rho| = 1
+    root = np.sqrt((1.0 - rho) * (1.0 + rho))
+    return omega / (4.0 * math.pi) * (rho * (0.5 * math.pi + np.arcsin(rho)) - rho * rho / (1.0 + root))
 
 
 def _offset_pair_sums(grid: PortGrid, omega: float):
@@ -258,7 +223,7 @@ def _offset_pair_sums(grid: PortGrid, omega: float):
     x2 = x * x
     rho = np.where(small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0), np.sin(xs) / xs)
     sum_rho = float(np.sum(counts * rho))
-    sum_cov = float(sum(cnt * cov_pair(float(r), omega) for cnt, r in zip(counts.ravel(), rho.ravel()) if cnt))
+    sum_cov = float(np.sum(counts * cov_pair(rho, omega)))
     return sum_rho, sum_cov
 
 
@@ -289,7 +254,7 @@ def sigma_sums(
         iu = np.triu_indices(m, 1)
         rhos = entries[iu]
         sum_rho = float(rhos.sum())
-        sum_cov = float(sum(cov_pair(float(r), omega) for r in rhos))
+        sum_cov = float(np.sum(cov_pair(rhos, omega)))
     sigma2_sq = omega / 4.0 * (m + sum_rho)
     sigma1_sq = m * omega / 4.0 * (1.0 - 1.0 / math.pi) + 2.0 * sum_cov
     return sigma1_sq, sigma2_sq
@@ -300,13 +265,13 @@ def sigma_sums(
 # ---------------------------------------------------------------------------
 
 
-def exact_pdf_zI(z: float, stats: ChannelStats, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def exact_pdf_zI(z: float, stats: ChannelStats) -> float:
     """Density of the in-phase variable Z_I at z > 0.
 
     Assembled in the log domain (the gamma and 2^(I/2) ratios overflow
     well before the result does). The Whittaker factor is expanded as
-    t^(1/4) e^(-t/2) 1F1((I+1)/2, 1/2; t), whose series has all-positive
-    terms here.
+    t^(1/4) e^(-t/2) 1F1((I+1)/2, 1/2; t); a Whittaker argument past 600
+    or a 1F1 that overflows raises NonConvergenceError.
     """
     if z <= 0.0 or not math.isfinite(z):
         raise DomainError(f"exact_pdf_zI requires z > 0, got {z}")
@@ -316,11 +281,13 @@ def exact_pdf_zI(z: float, stats: ChannelStats, ctl: SeriesControl = DEFAULT_CON
     t = stats.mu**2 * q / (2.0 * s1 * (s1 + q))
     if t > 600.0:
         raise NonConvergenceError("exact_pdf_zI", (z,), f"Whittaker argument t={t:.1f} too large")
-    hyp = kummer_1f1(0.5 * (i_cnt + 1), 0.5, t, ctl)
+    hyp = hyp1f1(0.5 * (i_cnt + 1), 0.5, t)
+    if not math.isfinite(hyp):
+        raise NonConvergenceError("exact_pdf_zI", (z,), f"1F1({0.5 * (i_cnt + 1)}, 1/2; {t:.1f}) is not finite")
     log_pdf = (
         0.25 * math.log(stats.delta * stats.sigma2_sq)
-        + log_gamma(0.5 * (i_cnt + 1))
-        - log_gamma(0.5 * i_cnt)
+        + math.lgamma(0.5 * (i_cnt + 1))
+        - math.lgamma(0.5 * i_cnt)
         - 0.5 * math.log(math.pi)
         - 0.5 * i_cnt * LN2
         - 0.5 * math.log(stats.mu)

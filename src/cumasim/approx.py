@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.special import exp1, hyperu
+
 from .analytic import ChannelStats
-from .specfun import DomainError, e1_scaled, log_gamma
+from .specfun import DomainError
 
 __all__ = [
     "GammaFit",
@@ -85,8 +87,8 @@ def _log_a0(stats: ChannelStats) -> float:
         -stats.mu**2 / (2.0 * stats.sigma1_sq)
         + 0.5 * math.log(stats.delta * stats.sigma2_sq / stats.sigma1_sq)
         - 0.5 * LN_PI
-        + log_gamma(0.5 * (i_cnt + 1))
-        - log_gamma(0.5 * i_cnt)
+        + math.lgamma(0.5 * (i_cnt + 1))
+        - math.lgamma(0.5 * i_cnt)
     )
 
 
@@ -142,14 +144,6 @@ def approx_cdf_z(z: float, beta: float) -> float:
     return -math.expm1(-z / beta)
 
 
-def _exp_e1(x: float) -> float:
-    # e^x Gamma(0, x); series-free asymptote below 1e-15 where e1_scaled
-    # would waste effort, continued fraction elsewhere (safe past x=700).
-    if x < 1e-15:
-        return -math.log(x) - 0.5772156649015329
-    return e1_scaled(x)
-
-
 def approx_er(users: int, beta: float, sigma2_sq: float) -> float:
     """Closed-form ergodic sum rate U * e^x * Gamma(0, x) / ln 2, x = sigma2^2/beta."""
     if users < 2:
@@ -157,9 +151,13 @@ def approx_er(users: int, beta: float, sigma2_sq: float) -> float:
     if beta <= 0.0 or sigma2_sq <= 0.0:
         raise DomainError("beta and sigma2_sq must be positive")
     x = sigma2_sq / beta
-    if x == 0.0:
-        raise DomainError("sigma2_sq/beta underflowed to zero; use log_beta_I directly")
-    return users * _exp_e1(x) / LN2
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"sigma2_sq/beta = {x} left (0, inf); use log_beta_I directly")
+    # e^x E1(x); hyperu(1, 1, x) equals it without overflowing, but only
+    # past x = 50 does it match exp1's accuracy (it is off by up to 5e-10
+    # on [2, 50]), so it takes over where exp(x) would overflow
+    exp_e1 = math.exp(x) * exp1(x) if x < 700.0 else hyperu(1.0, 1.0, x)
+    return users * float(exp_e1) / LN2
 
 
 def approx_op(gamma_th: float, beta: float, sigma2_sq: float) -> float:

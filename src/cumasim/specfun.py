@@ -1,45 +1,21 @@
-"""Scalar special functions used by the channel statistics.
+"""Error types shared by the numerical modules.
 
-Everything is evaluated from power series plus the classical
-transformations (Kummer for 1F1, Pfaff for 2F1). The argument ranges
-produced elsewhere in this package are moderate, so no asymptotic
-expansions are needed; accuracy is pinned by the test suite against an
-arbitrary-precision oracle.
-
-Accuracy targets (enforced in tests):
-    gamma_fn                <= 1e-12 relative on [1e-3, 50]
-    upper_incomplete_gamma  <= 1e-10 relative
-    kummer_1f1, gauss_2f1   <= 1e-9 relative on the ranges used here
+The special functions behind the channel statistics come from
+``scipy.special`` and ``math``; this module keeps the two errors that
+every module raises and the CLI maps to exit codes.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-__all__ = [
-    "DomainError",
-    "NonConvergenceError",
-    "SeriesControl",
-    "DEFAULT_CONTROL",
-    "gamma_fn",
-    "log_gamma",
-    "upper_incomplete_gamma",
-    "e1_scaled",
-    "kummer_1f1",
-    "gauss_2f1",
-    "whittaker_m",
-]
-
-EULER_GAMMA = 0.5772156649015328606
+__all__ = ["DomainError", "NonConvergenceError"]
 
 
 class DomainError(ValueError):
-    """Argument outside the supported domain of a special function."""
+    """Argument outside the supported domain of a function."""
 
 
 class NonConvergenceError(ArithmeticError):
-    """A series or continued fraction failed to converge.
+    """A numerical evaluation failed to produce a finite result.
 
     Carries the offending function name and arguments so failures are
     traceable inside long sweep pipelines.
@@ -52,269 +28,3 @@ class NonConvergenceError(ArithmeticError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for series evaluation."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise DomainError(f"rel_tol must be in (0, 1e-6], got {self.rel_tol}")
-        if self.max_terms < 100:
-            raise DomainError(f"max_terms must be >= 100, got {self.max_terms}")
-
-
-DEFAULT_CONTROL = SeriesControl()
-
-# Lanczos approximation, g = 7, 9 coefficients. Relative error below
-# 1e-13 for positive real arguments.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos_sum(x: float) -> float:
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (x + i - 1.0)
-    return s
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # recurrence keeps the Lanczos kernel on x >= 0.5
-        return gamma_fn(x + 1.0) / x
-    t = x + _LANCZOS_G - 0.5
-    return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * _lanczos_sum(x)
-
-
-def log_gamma(x: float) -> float:
-    """log(Gamma(x)) for x > 0, safe for large x."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    t = x + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(_lanczos_sum(x))
-
-
-def _lower_gamma_series(a: float, x: float, rel_tol: float = 1e-15, max_iter: int = 500) -> float:
-    # regularized P(a, x) by series; valid for x < a + 1
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(max_iter):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * rel_tol:
-            return total * math.exp(-x + a * math.log(x) - log_gamma(a))
-    raise NonConvergenceError("upper_incomplete_gamma", (a, x), "series")
-
-
-def _upper_gamma_cf(a: float, x: float, rel_tol: float = 1e-15, max_iter: int = 500) -> float:
-    # regularized Q(a, x) by modified Lentz continued fraction; x >= a + 1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < rel_tol:
-            return h * math.exp(-x + a * math.log(x) - log_gamma(a))
-    raise NonConvergenceError("upper_incomplete_gamma", (a, x), "continued fraction")
-
-
-def _e1_series(x: float) -> float:
-    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!), for small x
-    total = -EULER_GAMMA - math.log(x)
-    term = 1.0
-    for k in range(1, 200):
-        term *= -x / k
-        contrib = -term / k
-        total += contrib
-        if abs(contrib) < abs(total) * 1e-16:
-            return total
-    raise NonConvergenceError("upper_incomplete_gamma", (0.0, x), "E1 series")
-
-
-def _e1_cf_scaled(x: float, max_iter: int = 10000) -> float:
-    # e^x E1(x) via Lentz on E1(x) = e^{-x} / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter + 1):
-        an = -(i * i)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise NonConvergenceError("e1_scaled", (x,), "continued fraction")
-
-
-def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) for a >= 0, x >= 0.
-
-    Gamma(a, 0) = Gamma(a). The a = 0 case is the exponential integral
-    E1(x) and is handled by a dedicated branch (the generic series is
-    invalid there); it requires x > 0.
-    """
-    if not (math.isfinite(a) and math.isfinite(x)) or a < 0.0 or x < 0.0:
-        raise DomainError(f"upper_incomplete_gamma requires a >= 0, x >= 0, got ({a}, {x})")
-    if a == 0.0:
-        if x == 0.0:
-            raise DomainError("Gamma(0, 0) diverges")
-        if x < 1.0:
-            return _e1_series(x)
-        return math.exp(-x) * _e1_cf_scaled(x) if x < 700.0 else 0.0
-    if x == 0.0:
-        return gamma_fn(a)
-    if x < a + 1.0:
-        return gamma_fn(a) * (1.0 - _lower_gamma_series(a, x))
-    return gamma_fn(a) * _upper_gamma_cf(a, x)
-
-
-def e1_scaled(x: float) -> float:
-    """exp(x) * Gamma(0, x) for x > 0, overflow-free for large x."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"e1_scaled requires x > 0, got {x}")
-    if x < 1.0:
-        return math.exp(x) * _e1_series(x)
-    return _e1_cf_scaled(x)
-
-
-def _hyp_series(num_polys, den_polys, x: float, ctl: SeriesControl, func: str, args: tuple) -> float:
-    """Generic sum_{k} prod(num)_k / prod(den)_k x^k / k! with truncation control.
-
-    Terms are accumulated with compensated summation. The stopping test
-    bounds the discarded tail by a geometric series with the current term
-    ratio, which matters when that ratio approaches one (Pfaff-mapped
-    arguments near the unit disk); the running total is only used for the
-    relative comparison.
-    """
-    term = 1.0
-    prev = 1.0
-    terms = [term]
-    total = term
-    for k in range(ctl.max_terms):
-        num = 1.0
-        for p in num_polys:
-            num *= p + k
-        den = 1.0
-        for q in den_polys:
-            den *= q + k
-        if den == 0.0:
-            raise DomainError(f"{func}{args}: lower parameter hit a nonpositive integer")
-        term *= num / den * x / (k + 1.0)
-        terms.append(term)
-        total += term
-        ratio = abs(term) / prev if prev > 0.0 else 1.0
-        tail = abs(term) * ratio / (1.0 - ratio) if ratio < 1.0 else abs(term)
-        if tail <= abs(total) * ctl.rel_tol and k > 2:
-            return math.fsum(terms)
-        prev = abs(term)
-        if not math.isfinite(total):
-            raise NonConvergenceError(func, args, "overflow")
-    raise NonConvergenceError(func, args, f"{ctl.max_terms} terms")
-
-
-def _is_nonpositive_int(v: float) -> bool:
-    return v <= 0.0 and v == math.floor(v)
-
-
-def kummer_1f1(a: float, b: float, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Confluent hypergeometric 1F1(a, b; x).
-
-    The Kummer transformation 1F1(a,b;x) = e^x 1F1(b-a, b; -x) is applied
-    when it removes cancellation: for large positive x it is used only if
-    the direct series alternates (a < 0 <= b - a); for negative x it is
-    used whenever b - a >= 0, turning the sum into same-sign terms.
-    """
-    if _is_nonpositive_int(b):
-        raise DomainError(f"kummer_1f1: b must not be a nonpositive integer, got b={b}")
-    if x == 0.0:
-        return 1.0
-    if x > 30.0 and a < 0.0 <= b - a:
-        return math.exp(x) * _hyp_series((b - a,), (b,), -x, ctl, "kummer_1f1", (a, b, x))
-    if x < 0.0 and b - a >= 0.0:
-        return math.exp(x) * _hyp_series((b - a,), (b,), -x, ctl, "kummer_1f1", (a, b, x))
-    return _hyp_series((a,), (b,), x, ctl, "kummer_1f1", (a, b, x))
-
-
-def gauss_2f1(a: float, b: float, c: float, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; x) for x <= 0.
-
-    Direct series near the origin; further out the Pfaff transformation
-    2F1(a,b;c;x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)) maps the argument
-    into [1/3, 1). The crossover sits at x = -0.5 rather than -1: the
-    direct alternating series slows to a crawl as x approaches -1 while
-    the mapped series still converges geometrically.
-    """
-    if _is_nonpositive_int(c):
-        raise DomainError(f"gauss_2f1: c must not be a nonpositive integer, got c={c}")
-    if x > 0.0:
-        raise DomainError(f"gauss_2f1 supports x <= 0 only, got x={x}")
-    if x == 0.0:
-        return 1.0
-    if x > -0.5:
-        return _hyp_series((a, b), (c,), x, ctl, "gauss_2f1", (a, b, c, x))
-    w = x / (x - 1.0)
-    return (1.0 - x) ** (-a) * _hyp_series((a, c - b), (c,), w, ctl, "gauss_2f1", (a, b, c, x))
-
-
-def whittaker_m(a: float, b: float, t: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Whittaker M_{a,b}(t) for t >= 0.
-
-    M_{a,b}(t) = t^(b+1/2) e^(-t/2) 1F1(b - a + 1/2, 2b + 1; t).
-    """
-    if _is_nonpositive_int(2.0 * b + 1.0):
-        raise DomainError(f"whittaker_m: 2b+1 must not be a nonpositive integer, got b={b}")
-    if t < 0.0:
-        raise DomainError(f"whittaker_m requires t >= 0, got t={t}")
-    if t == 0.0:
-        e = b + 0.5
-        if e > 0.0:
-            return 0.0
-        if e == 0.0:
-            return 1.0
-        raise DomainError(f"whittaker_m diverges at t=0 for b={b}")
-    return t ** (b + 0.5) * math.exp(-0.5 * t) * kummer_1f1(b - a + 0.5, 2.0 * b + 1.0, t, ctl)

@@ -17,10 +17,9 @@ from cumasim.analytic import (
     exact_sop,
     sigma_sums,
     sop_lower_numeric,
-    w_func,
 )
 from cumasim.approx import approx_pdf_z, asymptote_coeffs, beta_I
-from cumasim.geometry import PortGrid, correlation_entries, preset_grid
+from cumasim.geometry import HANDSET_APERTURE_M, PortGrid, correlation_entries, grid_from_aperture, preset_grid
 from cumasim.specfun import DomainError
 
 mp.mp.dps = 40
@@ -48,16 +47,38 @@ def cov_oracle(rho, omega):
     return positive_part_product_mean(rho, omega) - m1 * m1
 
 
+def w_func(a, b, c):
+    """The paper's truncated-Gaussian moment kernel, with mpmath's 2F1.
+
+    W(a,b,c) = -a Gamma(d_c) / (sqrt(2 pi) b^d_c) 2F1(1/2, d_c; 3/2; -a^2/(2b))
+               + Gamma(c+1) / (2 b^(c+1)),   d_c = (2c + 3)/2.
+    """
+    a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+    dc = c + mp.mpf(1.5)
+    first = -a * mp.gamma(dc) / (mp.sqrt(2 * mp.pi) * b**dc) * mp.hyp2f1(0.5, dc, 1.5, -a * a / (2 * b))
+    return first + mp.gamma(c + 1) / (2 * b ** (c + 1))
+
+
+def w_form_cov(rho, omega):
+    """The pair covariance in the paper's W-function form (reference for cov_pair)."""
+    rho, omega = mp.mpf(rho), mp.mpf(omega)
+    if abs(rho) == 1:
+        # the form is singular at the endpoints; these are its limits
+        return float(omega * (1 - 1 / mp.pi) / 4 if rho == 1 else -omega / (4 * mp.pi))
+    base = omega / (4 * mp.pi)
+    a = -mp.sqrt(2 / (1 - rho * rho)) * rho / mp.sqrt(omega)
+    w = w_func(a, 1 / omega, 0.5)
+    return float((1 - rho * rho) ** 1.5 * base - base + rho / (2 * mp.sqrt(mp.pi * omega)) * w)
+
+
 class TestWFunc:
     def test_vanishing_first_term(self):
-        from cumasim.specfun import gamma_fn
-
-        want = gamma_fn(1.5) / (2.0 * 2.0**1.5)
-        assert w_func(0.0, 2.0, 0.5) == pytest.approx(want, rel=1e-14)
-        assert w_func(0.0, 2.0, 0.5) == pytest.approx(0.15666427, abs=5e-8)
+        want = math.gamma(1.5) / (2.0 * 2.0**1.5)
+        assert float(w_func(0.0, 2.0, 0.5)) == pytest.approx(want, rel=1e-14)
+        assert float(w_func(0.0, 2.0, 0.5)) == pytest.approx(0.15666427, abs=5e-8)
 
     def test_continuity_at_zero(self):
-        assert w_func(1e-10, 1.3, 0.5) == pytest.approx(w_func(0.0, 1.3, 0.5), rel=1e-9)
+        assert float(w_func(1e-10, 1.3, 0.5)) == pytest.approx(float(w_func(0.0, 1.3, 0.5)), rel=1e-9)
 
     def test_truncated_moment_oracle(self):
         # w_func(-1.2, 1, 1/2) corresponds to the positive-part covariance
@@ -65,14 +86,23 @@ class TestWFunc:
         rho = math.sqrt(1.44 / 3.44)
         got = cov_pair(rho, 1.0)
         assert got == pytest.approx(cov_oracle(rho, 1.0), abs=1e-12)
+        assert w_form_cov(rho, 1.0) == pytest.approx(cov_oracle(rho, 1.0), abs=1e-12)
         a = -math.sqrt(2.0 / (1.0 - rho * rho)) * rho
         assert a == pytest.approx(-1.2, abs=1e-14)
 
+    @pytest.mark.parametrize("rho", [-0.99999, -0.9, -0.3, 1e-9, 0.2, 0.7, 0.99, 0.9999, 0.99999])
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    def test_matches_cov_pair(self, rho, omega):
+        # the elementary form against the paper's, also next to rho = 1
+        # where the 2F1 argument -rho^2/(1-rho^2) runs past -1e4
+        assert cov_pair(rho, omega) == pytest.approx(w_form_cov(rho, omega), rel=1e-13)
+
     def test_domain(self):
+        # the kernel's b = 1/Omega must be positive, so Omega must be finite
         with pytest.raises(DomainError):
-            w_func(1.0, 0.0, 0.5)
+            cov_pair(0.5, math.inf)
         with pytest.raises(DomainError):
-            w_func(1.0, 1.0, -1.6)
+            cov_pair(0.5, math.nan)
 
 
 class TestCovPair:
@@ -128,6 +158,23 @@ class TestSigmaSums:
         assert s2 == pytest.approx((n + sum_rho) / 4.0, rel=1e-12)
         assert s1 == pytest.approx(n / 4.0 * (1 - 1 / math.pi) + 2 * sum_cov, rel=1e-12)
 
+    def test_full_grid_matches_high_precision_offset_sum(self):
+        # the offset table with the sinc correlation and the W-form
+        # covariance at 50 digits
+        grid = preset_grid("6GHz-VC")
+        s1, s2 = grid.spacings
+        with mp.workdps(50):
+            total = mp.mpf(0)
+            for da in range(grid.n1):
+                for db in range(grid.n2):
+                    count = (grid.n1 - da) * (grid.n2 - db) * (2 if da and db else 1)
+                    if da == db == 0:
+                        continue
+                    x = 2 * mp.pi * mp.sqrt((da * mp.mpf(s1)) ** 2 + (db * mp.mpf(s2)) ** 2)
+                    total += count * mp.mpf(w_form_cov(mp.sin(x) / x, 1.0))
+            want = float(grid.total_ports / mp.mpf(4) * (1 - 1 / mp.pi) + 2 * total)
+        assert sigma_sums(grid, 1.0)[0] == pytest.approx(want, rel=1e-14)
+
     def test_positively_correlated_pairs_grow_sigma2(self):
         grid = preset_grid("6GHz-VC")
         prev = 0.0
@@ -160,6 +207,14 @@ class TestChannelStats:
         assert st.nbar == 28
         assert st.interferers == 19
         assert st.mu == pytest.approx(14.0 / math.sqrt(math.pi), rel=1e-14)
+
+    @pytest.mark.parametrize("spacing", [0.006, 0.005, 0.004])
+    def test_dense_handset_grid(self, spacing):
+        # 2004 to 3004 ports with neighbour correlations within 1e-4 of one
+        grid = grid_from_aperture(*HANDSET_APERTURE_M, 6e9, spacing, 0.5)
+        st = ChannelStats.from_grid(grid, users=20)
+        assert math.isfinite(st.sigma1_sq) and st.sigma1_sq > 0.0
+        assert math.isfinite(st.sigma2_sq) and st.sigma2_sq > 0.0
 
     def test_mu_invariant_enforced(self, case1_stats):
         import dataclasses
