@@ -49,8 +49,7 @@ from .montecarlo import (
     TrialResult,
     draw_realization,
     interference_sum_samples,
-    mc_metrics,
-    mc_sop,
+    mc_estimate,
     select_ports,
     sir_sample,
     sir_samples,

@@ -26,7 +26,7 @@ from scipy import integrate
 from scipy.special import hyp1f1
 
 from .geometry import PortGrid, correlation_entries
-from .specfun import DomainError, NonConvergenceError
+from .specfun import DomainError
 
 __all__ = [
     "QuadratureError",
@@ -270,8 +270,9 @@ def exact_pdf_zI(z: float, stats: ChannelStats) -> float:
 
     Assembled in the log domain (the gamma and 2^(I/2) ratios overflow
     well before the result does). The Whittaker factor is expanded as
-    t^(1/4) e^(-t/2) 1F1((I+1)/2, 1/2; t); a Whittaker argument past 600
-    or a 1F1 that overflows raises NonConvergenceError.
+    t^(1/4) e^(-t/2) 1F1((I+1)/2, 1/2; t), whose log is taken through
+    Kummer's transformation, log 1F1 = t + log 1F1(-I/2, 1/2; -t), so it
+    stays finite where 1F1 itself overflows.
     """
     if z <= 0.0 or not math.isfinite(z):
         raise DomainError(f"exact_pdf_zI requires z > 0, got {z}")
@@ -279,11 +280,6 @@ def exact_pdf_zI(z: float, stats: ChannelStats) -> float:
     s1 = stats.sigma1_sq
     q = stats.delta * stats.sigma2_sq * z
     t = stats.mu**2 * q / (2.0 * s1 * (s1 + q))
-    if t > 600.0:
-        raise NonConvergenceError("exact_pdf_zI", (z,), f"Whittaker argument t={t:.1f} too large")
-    hyp = hyp1f1(0.5 * (i_cnt + 1), 0.5, t)
-    if not math.isfinite(hyp):
-        raise NonConvergenceError("exact_pdf_zI", (z,), f"1F1({0.5 * (i_cnt + 1)}, 1/2; {t:.1f}) is not finite")
     log_pdf = (
         0.25 * math.log(stats.delta * stats.sigma2_sq)
         + math.lgamma(0.5 * (i_cnt + 1))
@@ -295,8 +291,8 @@ def exact_pdf_zI(z: float, stats: ChannelStats) -> float:
         - stats.mu**2 / (4.0 * s1) * (2.0 * s1 + q) / (s1 + q)
         + 0.25 * (2 * i_cnt + 1) * (LN2 - math.log1p(q / s1))
         + 0.25 * math.log(t)
-        - 0.5 * t
-        + math.log(hyp)
+        + 0.5 * t
+        + math.log(hyp1f1(-0.5 * i_cnt, 0.5, -t))
     )
     return math.exp(log_pdf)
 

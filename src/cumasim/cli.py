@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_system_flags(p)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("compare", help="closed-form, exact and Monte Carlo side by side")
     _common_system_flags(p)
@@ -118,27 +117,29 @@ def _cmd_simulate(args) -> int:
     config = SimConfig(
         corr=correlation_matrix(grid), users=args.users, delta=args.delta, omega=args.omega
     )
-    m = montecarlo.mc_metrics(
-        config, args.trials, SeedSpec(args.seed), gamma_grid=(args.gamma_th,), workers=args.workers
-    )
+    samples = montecarlo.sir_samples(config, args.trials, SeedSpec(args.seed))
+    er, er_se = montecarlo.mc_estimate("er", samples, users=args.users)
+    op, op_se = montecarlo.mc_estimate("op", samples, gamma_th=args.gamma_th)
     print(f"preset = {args.preset}")
-    print(f"trials = {m.trials}")
-    print(f"er_mc = {m.er:.9g} +- {m.er_stderr:.3g}")
-    print(f"op_mc[{args.gamma_th:g}] = {m.op[0]:.9g} +- {m.op_stderr[0]:.3g}")
-    print(f"mean_sir = {m.mean_sir:.9g}")
-    print(f"mean_k_i = {m.mean_k_i:.9g}")
-    print(f"redrawn = {m.redrawn}")
+    print(f"trials = {args.trials}")
+    print(f"er_mc = {er:.9g} +- {er_se:.3g}")
+    print(f"op_mc[{args.gamma_th:g}] = {op:.9g} +- {op_se:.3g}")
+    print(f"mean_sir = {float(samples.sir.mean()):.9g}")
+    print(f"mean_k_i = {float(samples.k_i_sizes.mean()):.9g}")
+    print(f"redrawn = {samples.redrawn}")
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     grid = preset_grid(args.preset)
     stats = _stats_for(args)
-    exact_on = args.exact == "on" or (args.exact == "auto" and stats.interferers <= 19)
+    exact_on = harness.exact_enabled(args.exact, stats.interferers)
     beta = stats.sigma2_sq * approx.beta_I(stats)
     seed = SeedSpec(args.seed)
     config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta, omega=args.omega)
-    m = montecarlo.mc_metrics(config, args.trials, seed, gamma_grid=(args.gamma_th,))
+    samples = montecarlo.sir_samples(config, args.trials, seed)
+    er, er_se = montecarlo.mc_estimate("er", samples, users=args.users)
+    op, op_se = montecarlo.mc_estimate("op", samples, gamma_th=args.gamma_th)
     ks = harness.compare_distributions(
         grid, args.users, args.trials, seed, delta=args.delta, omega=args.omega
     )
@@ -146,11 +147,11 @@ def _cmd_compare(args) -> int:
     print(f"er: approx = {approx.approx_er(args.users, beta, stats.sigma2_sq):.6g}", end="")
     if exact_on:
         print(f"  exact = {analytic.exact_er(args.users, stats, args.quad_tol):.6g}", end="")
-    print(f"  mc = {m.er:.6g} +- {m.er_stderr:.3g}")
+    print(f"  mc = {er:.6g} +- {er_se:.3g}")
     print(f"op[{args.gamma_th:g}]: approx = {approx.approx_op(args.gamma_th, beta, stats.sigma2_sq):.6g}", end="")
     if exact_on:
         print(f"  exact = {analytic.exact_op(args.gamma_th, stats, args.quad_tol):.6g}", end="")
-    print(f"  mc = {m.op[0]:.6g} +- {m.op_stderr[0]:.3g}")
+    print(f"  mc = {op:.6g} +- {op_se:.3g}")
     print(f"ks_total_vs_fit = {ks.ks_total:.4f}")
     print(f"ks_inphase_vs_fit = {ks.ks_inphase:.4f}")
     return EXIT_OK

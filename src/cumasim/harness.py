@@ -42,6 +42,7 @@ __all__ = [
     "ComparisonReport",
     "KSReport",
     "run_sweep",
+    "exact_enabled",
     "compare_distributions",
     "ks_statistic",
     "parse_config",
@@ -52,6 +53,7 @@ _AXES = ("users", "rs", "delta_b", "ports")
 _METRICS = ("er", "op", "sop", "sop_lower")
 _SOP_METRICS = ("sop", "sop_lower")
 _EXACT_MODES = ("auto", "on", "off")
+_EXACT_AUTO_MAX_INTERFERERS = 19  # exact quadrature gets costly beyond this
 _PORTS_AXIS_N1_SPACING = 0.05  # ports axis densifies dimension 2 of the 6 GHz VC layout
 
 CSV_HEADER = "axis_value,metric,analytic_approx,analytic_exact,mc_mean,mc_stderr,trials,seed"
@@ -204,6 +206,11 @@ def _ports_axis_grid(n2: int) -> PortGrid:
     return PortGrid(n1=base.n1, n2=n2, w1=base.w1, w2=base.w2)
 
 
+def exact_enabled(mode: str, interferers: int) -> bool:
+    """Whether exact mode "auto", "on" or "off" computes the exact columns."""
+    return mode == "on" or (mode == "auto" and interferers <= _EXACT_AUTO_MAX_INTERFERERS)
+
+
 def run_sweep(spec: SweepSpec) -> ComparisonReport:
     """Evaluate the sweep and (optionally) write its CSV."""
     seed = SeedSpec(spec.seed)
@@ -235,10 +242,8 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
             eve = eve_base
             axis_value, rs = float(grid.total_ports), spec.rs
 
-        exact_on = spec.exact == "on" or (spec.exact == "auto" and bob.stats.interferers <= 19)
-        rows.extend(
-            _point_rows(spec, axis_value, bob, eve, rs, seed, exact_on)
-        )
+        exact_on = exact_enabled(spec.exact, bob.stats.interferers)
+        rows.extend(_point_rows(spec, axis_value, bob, eve, rs, seed, exact_on))
 
     report = ComparisonReport(spec=spec, rows=tuple(rows))
     if spec.out:
@@ -256,7 +261,6 @@ def _point_rows(spec, axis_value, bob, eve, rs, seed, exact_on):
 
     beta_b = bob.beta_scaled()
     s2_b = bob.stats.sigma2_sq
-    n = spec.trials
     rows = []
     for metric in spec.metrics:
         exact_val = mc_mean = mc_se = None
@@ -264,33 +268,22 @@ def _point_rows(spec, axis_value, bob, eve, rs, seed, exact_on):
             approx_val = approx.approx_er(bob.config.users, beta_b, s2_b)
             if exact_on:
                 exact_val = analytic.exact_er(bob.config.users, bob.stats, spec.quad_tol)
-            if bob_samples is not None:
-                rates = np.log2(1.0 + bob_samples.sir)
-                mc_mean = bob.config.users * float(rates.mean())
-                mc_se = bob.config.users * float(rates.std(ddof=1)) / math.sqrt(n)
         elif metric == "op":
             approx_val = approx.approx_op(spec.gamma_th, beta_b, s2_b)
             if exact_on:
                 exact_val = analytic.exact_op(spec.gamma_th, bob.stats, spec.quad_tol)
-            if bob_samples is not None:
-                p = float(np.mean(np.log2(1.0 + bob_samples.sir) < spec.gamma_th))
-                mc_mean, mc_se = p, math.sqrt(p * (1.0 - p) / n)
         elif metric == "sop":
             approx_val = approx.sop_lower_closed(bob.beta_raw(), eve.beta_raw(), rs)
             if exact_on:
                 exact_val = analytic.exact_sop(bob.stats, eve.stats, rs, spec.quad_tol)
-            if bob_samples is not None:
-                cs = np.maximum(0.0, np.log2(1.0 + bob_samples.sir) - np.log2(1.0 + eve_samples.sir))
-                p = float(np.mean(cs < rs))
-                mc_mean, mc_se = p, math.sqrt(p * (1.0 - p) / n)
         else:  # sop_lower
             approx_val = approx.sop_lower_closed(bob.beta_raw(), eve.beta_raw(), rs)
             if exact_on:
                 exact_val = analytic.sop_lower_numeric(bob.stats, eve.stats, rs, spec.quad_tol)
-            if bob_samples is not None:
-                tau = 2.0**rs
-                p = float(np.mean(bob_samples.sir < tau * eve_samples.sir))
-                mc_mean, mc_se = p, math.sqrt(p * (1.0 - p) / n)
+        if bob_samples is not None:
+            mc_mean, mc_se = montecarlo.mc_estimate(
+                metric, bob_samples, eve_samples, users=bob.config.users, gamma_th=spec.gamma_th, rs=rs
+            )
         rows.append(
             Row(
                 axis_value=axis_value,
@@ -352,7 +345,7 @@ def compare_distributions(
     (quadrature) distribution, which is the model-validation number.
     """
     side = _Side.build(grid, users, delta, omega)
-    samples = montecarlo.sir_samples(side.config, trials, seed, keep_branch=True)
+    samples = montecarlo.sir_samples(side.config, trials, seed)
     s2 = side.stats.sigma2_sq
     beta = side.beta_scaled() * beta_factor
     z = s2 * samples.sir

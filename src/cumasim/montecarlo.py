@@ -13,15 +13,15 @@ squared before summing: independent data symbols decorrelate the
 streams, so the per-stream powers add.
 
 Reproducibility contract: trial t of a run draws from a dedicated
-generator derived from (master seed, trial index), so results are
-bit-identical regardless of execution order or worker count; metric
-reductions always happen in trial order.
+generator derived from (master seed, trial index, substream), so a run
+is bit-identical to any longer run's prefix. `sir_samples` is the one
+trial loop and `mc_estimate` the one reduction from its samples to a
+metric.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +39,7 @@ __all__ = [
     "sir_sample",
     "sir_samples",
     "interference_sum_samples",
-    "MCMetrics",
-    "mc_metrics",
-    "mc_sop",
+    "mc_estimate",
 ]
 
 _MAX_REDRAWS = 64
@@ -85,6 +83,7 @@ class ChannelRealization:
 @dataclass(frozen=True)
 class TrialResult:
     sir: float
+    sir_i: float  # in-phase branch alone
     k_i_size: int
     k_q_size: int
     flagged: bool = False
@@ -104,8 +103,8 @@ class SimConfig:
             raise DomainError(f"need at least 2 users, got {self.users}")
         if not 0.0 < self.delta <= 1.0:
             raise DomainError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.omega <= 0.0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
+        if not 0.0 < self.omega < math.inf:
+            raise DomainError(f"omega must be positive and finite, got {self.omega}")
 
     @property
     def interferers(self) -> int:
@@ -132,8 +131,8 @@ def draw_realization(
     """Draw the desired and interfering channel vectors for one trial."""
     if interferers < 1:
         raise DomainError(f"need at least one interferer, got {interferers}")
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"omega must be positive and finite, got {omega}")
     rng = seed.rng(trial, substream)
     return _draw_from_rng(rng, corr.factor, omega, interferers)
 
@@ -176,9 +175,10 @@ def sir_sample(realization: ChannelRealization, delta: float) -> TrialResult:
     xi_i = float(per_stream_i @ per_stream_i)
     xi_q = float(per_stream_q @ per_stream_q)
     if xi_i == 0.0 or xi_q == 0.0:
-        return TrialResult(sir=math.nan, k_i_size=len(k_i), k_q_size=len(k_q), flagged=True)
-    sir = nu_i / (delta * xi_i) + nu_q / (delta * xi_q)
-    return TrialResult(sir=float(sir), k_i_size=len(k_i), k_q_size=len(k_q))
+        return TrialResult(sir=math.nan, sir_i=math.nan, k_i_size=len(k_i), k_q_size=len(k_q), flagged=True)
+    sir_i = nu_i / (delta * xi_i)
+    sir = sir_i + nu_q / (delta * xi_q)
+    return TrialResult(sir=float(sir), sir_i=float(sir_i), k_i_size=len(k_i), k_q_size=len(k_q))
 
 
 @dataclass
@@ -186,20 +186,28 @@ class SampleSet:
     """Per-trial outputs of a run, in trial order."""
 
     sir: np.ndarray
+    sir_i: np.ndarray
     k_i_sizes: np.ndarray
     k_q_sizes: np.ndarray
     redrawn: int
-    sir_i: np.ndarray | None = None
 
 
-def _run_trials(config: SimConfig, trials: range, seed: SeedSpec, substream: int, keep_branch: bool):
+def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int = 0) -> SampleSet:
+    """Draw `trials` independent SIR samples.
+
+    A flagged realization is redrawn from the same trial's stream. A
+    sample that is not finite (channel powers so large that the sums
+    overflow) raises FloatingPointError.
+    """
+    if trials < 1:
+        raise DomainError(f"trials must be positive, got {trials}")
     factor = config.corr.factor
-    out = np.empty(len(trials))
-    out_i = np.empty(len(trials)) if keep_branch else None
-    ki = np.empty(len(trials), dtype=np.int64)
-    kq = np.empty(len(trials), dtype=np.int64)
+    sir = np.empty(trials)
+    sir_i = np.empty(trials)
+    ki = np.empty(trials, dtype=np.int64)
+    kq = np.empty(trials, dtype=np.int64)
     redrawn = 0
-    for j, t in enumerate(trials):
+    for t in range(trials):
         rng = seed.rng(t, substream)
         for _ in range(_MAX_REDRAWS):
             real = _draw_from_rng(rng, factor, config.omega, config.interferers)
@@ -209,45 +217,11 @@ def _run_trials(config: SimConfig, trials: range, seed: SeedSpec, substream: int
             redrawn += 1
         else:
             raise DomainError(f"trial {t}: interference power stayed zero after {_MAX_REDRAWS} redraws")
-        out[j] = res.sir
-        ki[j] = res.k_i_size
-        kq[j] = res.k_q_size
-        if keep_branch:
-            k_i, _ = select_ports(real.desired)
-            nu_i = real.desired.real[k_i].sum() ** 2
-            s_i = real.interferers.real[:, k_i].sum(axis=1)
-            out_i[j] = nu_i / (config.delta * float(s_i @ s_i))
-    return out, ki, kq, redrawn, out_i
-
-
-def sir_samples(
-    config: SimConfig,
-    trials: int,
-    seed: SeedSpec,
-    substream: int = 0,
-    keep_branch: bool = False,
-    workers: int = 1,
-) -> SampleSet:
-    """Draw `trials` independent SIR samples.
-
-    Worker count only affects wall time: per-trial streams and in-order
-    assembly make the output identical for any scheduling.
-    """
-    if trials < 1:
-        raise DomainError(f"trials must be positive, got {trials}")
-    if workers <= 1:
-        sir, ki, kq, redrawn, sir_i = _run_trials(config, range(trials), seed, substream, keep_branch)
-    else:
-        chunk = max(256, trials // (workers * 8))
-        ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: _run_trials(config, r, seed, substream, keep_branch), ranges))
-        sir = np.concatenate([p[0] for p in parts])
-        ki = np.concatenate([p[1] for p in parts])
-        kq = np.concatenate([p[2] for p in parts])
-        redrawn = sum(p[3] for p in parts)
-        sir_i = np.concatenate([p[4] for p in parts]) if keep_branch else None
-    return SampleSet(sir=sir, k_i_sizes=ki, k_q_sizes=kq, redrawn=redrawn, sir_i=sir_i)
+        sir[t], sir_i[t], ki[t], kq[t] = res.sir, res.sir_i, res.k_i_size, res.k_q_size
+    bad = np.flatnonzero(~np.isfinite(sir))
+    if bad.size:
+        raise FloatingPointError(f"trial {bad[0]}: SIR sample is not finite at omega = {config.omega:g}")
+    return SampleSet(sir=sir, sir_i=sir_i, k_i_sizes=ki, k_q_sizes=kq, redrawn=redrawn)
 
 
 def interference_sum_samples(
@@ -273,72 +247,41 @@ def interference_sum_samples(
     return out
 
 
-@dataclass(frozen=True)
-class MCMetrics:
-    er: float
-    er_stderr: float
-    op: tuple[float, ...]
-    op_stderr: tuple[float, ...]
-    gamma_grid: tuple[float, ...]
-    mean_sir: float
-    mean_k_i: float
-    trials: int
-    redrawn: int
-
-
-def mc_metrics(
-    config: SimConfig,
-    trials: int,
-    seed: SeedSpec,
-    gamma_grid: tuple[float, ...] = (1.0,),
-    workers: int = 1,
-) -> MCMetrics:
-    """Empirical ergodic rate and outage probabilities.
-
-    ER is U * mean(log2(1 + sir)); OP at threshold g is the fraction of
-    trials with log2(1 + sir) < g. Standard errors are sample estimates.
-    """
-    samples = sir_samples(config, trials, seed, workers=workers)
-    rates = np.log2(1.0 + samples.sir)
-    u = config.users
-    er = u * float(rates.mean())
-    er_se = u * float(rates.std(ddof=1)) / math.sqrt(trials)
-    op = []
-    op_se = []
-    for g in gamma_grid:
-        p = float(np.mean(rates < g))
-        op.append(p)
-        op_se.append(math.sqrt(p * (1.0 - p) / trials))
-    return MCMetrics(
-        er=er,
-        er_stderr=er_se,
-        op=tuple(op),
-        op_stderr=tuple(op_se),
-        gamma_grid=tuple(gamma_grid),
-        mean_sir=float(samples.sir.mean()),
-        mean_k_i=float(samples.k_i_sizes.mean()),
-        trials=trials,
-        redrawn=samples.redrawn,
-    )
-
-
-def mc_sop(
-    config_b: SimConfig,
-    config_e: SimConfig,
-    rs: float,
-    trials: int,
-    seed: SeedSpec,
-    workers: int = 1,
+def mc_estimate(
+    metric: str,
+    bob: SampleSet,
+    eve: SampleSet | None = None,
+    *,
+    users: int = 1,
+    gamma_th: float = 1.0,
+    rs: float = 1.0,
 ) -> tuple[float, float]:
-    """Empirical secrecy outage probability and its binomial standard error.
+    """Monte Carlo estimate of one metric and its standard error.
 
-    Bob and Eve use disjoint substreams of the same master seed, so their
-    channels are independent yet the run is reproducible.
+    er is users * mean(log2(1 + sir)) with the sample standard error
+    (users = 1 gives the per-user rate). The others are fractions of
+    trials, with the binomial standard error: op counts log2(1 + sir) <
+    gamma_th; sop counts max(0, log2(1 + sir_B) - log2(1 + sir_E)) < rs
+    and sop_lower counts sir_B < 2^rs sir_E, pairing Bob's and Eve's
+    samples trial by trial (draw them from disjoint substreams of one
+    seed so that the two channels are independent).
     """
-    if rs < 0.0:
-        raise DomainError(f"secrecy rate must be nonnegative, got {rs}")
-    bob = sir_samples(config_b, trials, seed, substream=0, workers=workers)
-    eve = sir_samples(config_e, trials, seed, substream=1, workers=workers)
-    secrecy = np.maximum(0.0, np.log2(1.0 + bob.sir) - np.log2(1.0 + eve.sir))
-    p = float(np.mean(secrecy < rs))
-    return p, math.sqrt(p * (1.0 - p) / trials)
+    n = len(bob.sir)
+    if metric == "er":
+        rates = np.log2(1.0 + bob.sir)
+        return users * float(rates.mean()), users * float(rates.std(ddof=1)) / math.sqrt(n)
+    if metric == "op":
+        hits = np.log2(1.0 + bob.sir) < gamma_th
+    elif metric in ("sop", "sop_lower"):
+        if eve is None:
+            raise DomainError(f"{metric} needs Eve's samples")
+        if rs < 0.0:
+            raise DomainError(f"secrecy rate must be nonnegative, got {rs}")
+        if metric == "sop":
+            hits = np.maximum(0.0, np.log2(1.0 + bob.sir) - np.log2(1.0 + eve.sir)) < rs
+        else:
+            hits = bob.sir < 2.0**rs * eve.sir
+    else:
+        raise DomainError(f"unknown Monte Carlo metric {metric!r}")
+    p = float(np.mean(hits))
+    return p, math.sqrt(p * (1.0 - p) / n)

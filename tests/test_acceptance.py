@@ -24,9 +24,10 @@ from cumasim.approx import (
 )
 from cumasim.geometry import PortGrid, correlation, correlation_matrix, grid_from_aperture, preset_grid
 from cumasim.harness import ks_statistic
-from cumasim.montecarlo import SeedSpec, SimConfig, interference_sum_samples, mc_sop, sir_samples
+from cumasim.montecarlo import SeedSpec, SimConfig, interference_sum_samples, mc_estimate, sir_samples
 
 from test_approx import random_stats
+from test_montecarlo import sop_pair
 
 APERTURE = (0.15, 0.08)
 SEED = SeedSpec(987654321)
@@ -41,13 +42,9 @@ class _Point:
 
     def __init__(self, config, trials, seed):
         s = sir_samples(config, trials, seed)
-        rates = np.log2(1.0 + s.sir)
-        u = config.users
-        self.er = u * float(rates.mean())
-        self.er_se = u * float(rates.std(ddof=1)) / math.sqrt(trials)
-        p = float(np.mean(rates < 1.0))
-        self.op = p
-        self.op_se = math.sqrt(p * (1.0 - p) / trials) + 1e-12
+        self.er, self.er_se = mc_estimate("er", s, users=config.users)
+        self.op, op_se = mc_estimate("op", s, gamma_th=1.0)
+        self.op_se = op_se + 1e-12
 
 
 def test_a01_port_layout_reproduction():
@@ -284,7 +281,7 @@ def test_a09_sweep_trends():
 
     # same port density on both sides: secrecy saturates at one half
     nc_cfg = SimConfig(corr=cases["6GHz-NC"], users=20)
-    p, se_p = mc_sop(nc_cfg, nc_cfg, 1e-9, 6000, SEED)
+    p, se_p = mc_estimate("sop", *sop_pair(nc_cfg, nc_cfg, 6000, SEED), rs=1e-9)
     ok = abs(p - 0.5) <= 2.5 * se_p + 0.01
     report("A09e secrecy-half-saturation", ok, f"SOP(rs->0) = {p:.3f} +- {se_p:.3f}")
     if not ok:
@@ -297,7 +294,7 @@ def test_a09_sweep_trends():
     sop_d_se = []
     for d in deltas:
         bob_cfg = SimConfig(corr=cases["6GHz-VC"], users=20, delta=d)
-        p, se_p = mc_sop(bob_cfg, eve_cfg, 1.0, 6000, SEED)
+        p, se_p = mc_estimate("sop", *sop_pair(bob_cfg, eve_cfg, 6000, SEED), rs=1.0)
         sop_d.append(p)
         sop_d_se.append(se_p + 1e-12)
     ok = _steps_ok(sop_d, sop_d_se, -1) and _span_ok(sop_d, sop_d_se, -1)
@@ -314,7 +311,7 @@ def test_a09_sweep_trends():
         grid = PortGrid(base.n1, n2, base.w1, base.w2)
         n_trials = 2000 if grid.total_ports > 1500 else 4000
         bob_cfg = SimConfig(corr=correlation_matrix(grid), users=20, delta=0.1)
-        p, se_p = mc_sop(bob_cfg, eve_cfg, 2.0, n_trials, SEED)
+        p, se_p = mc_estimate("sop", *sop_pair(bob_cfg, eve_cfg, n_trials, SEED), rs=2.0)
         sop_n.append(p)
         sop_n_se.append(se_p + 1e-12)
         labels.append(f"N={grid.total_ports}:{p:.4f}")

@@ -9,6 +9,7 @@ from cumasim.harness import (
     CSV_HEADER,
     SweepSpec,
     compare_distributions,
+    exact_enabled,
     ks_statistic,
     parse_config,
     run_sweep,
@@ -138,6 +139,33 @@ class TestRunSweep:
 
 
 class TestCsv:
+    def test_golden_mc_columns(self):
+        # all four Monte Carlo reductions of one small sweep, frozen from the
+        # first verified run at this seed
+        spec = SweepSpec(
+            axis="delta_b",
+            values=(1.0, 0.25),
+            metrics=("er", "op", "sop", "sop_lower"),
+            preset="6GHz-NC",
+            eve_preset="6GHz-C",
+            users=6,
+            rs=0.5,
+            trials=1000,
+            seed=13,
+            exact="off",
+        )
+        cells = [line.split(",") for line in run_sweep(spec).to_csv().splitlines()[1:]]
+        assert [",".join(c[:2] + c[4:6]) for c in cells] == [
+            "1,er,16.5723031648,0.156056901475",
+            "1,op,0.001,0.000999499874937",
+            "1,sop,0.7,0.0144913767462",
+            "1,sop_lower,0.671,0.0148579608291",
+            "0.25,er,27.3661486521,0.175544619577",
+            "0.25,op,0,0",
+            "0.25,sop,0.132,0.0107040179372",
+            "0.25,sop_lower,0.122,0.0103496859856",
+        ]
+
     def test_header_and_shape(self):
         report = run_sweep(small_spec())
         text = report.to_csv()
@@ -157,6 +185,14 @@ class TestCsv:
         content = out.read_text()
         assert content.startswith(CSV_HEADER)
         assert content == run_sweep(small_spec()).to_csv().replace("", "")
+
+
+class TestExactMode:
+    def test_auto_stops_at_nineteen_interferers(self):
+        assert exact_enabled("auto", 19)
+        assert not exact_enabled("auto", 20)
+        assert exact_enabled("on", 99)
+        assert not exact_enabled("off", 1)
 
 
 class TestKsStatistic:
@@ -296,3 +332,17 @@ class TestCli:
 
     def test_bad_flag_usage(self, capsys):
         assert main(["analyze"]) == 2
+
+    @pytest.mark.parametrize("omega", ["inf", "nan"])
+    def test_simulate_non_finite_omega_is_validation_error(self, omega, capsys):
+        rc = main(["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "100", "--omega", omega])
+        assert rc == 2
+        assert "omega must be positive and finite" in capsys.readouterr().err
+
+    def test_simulate_overflowing_omega_is_numerical_failure(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "100", "--omega", "1e308"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "SIR sample is not finite" in captured.err
+        assert "nan" not in captured.out

@@ -12,8 +12,7 @@ from cumasim.montecarlo import (
     TrialResult,
     draw_realization,
     interference_sum_samples,
-    mc_metrics,
-    mc_sop,
+    mc_estimate,
     select_ports,
     sir_sample,
     sir_samples,
@@ -72,6 +71,8 @@ class TestDrawRealization:
             draw_realization(case1_corr, 1.0, 0, SEED, trial=0)
         with pytest.raises(DomainError):
             draw_realization(case1_corr, -1.0, 2, SEED, trial=0)
+        with pytest.raises(DomainError):
+            draw_realization(case1_corr, math.nan, 2, SEED, trial=0)
 
 
 class TestSelectPorts:
@@ -156,20 +157,13 @@ class TestSampleRuns:
         b = sir_samples(case1_config, 600, SEED)
         assert np.array_equal(a.sir, b.sir)
 
-    def test_worker_count_invariance(self, case1_config):
-        a = sir_samples(case1_config, 1500, SEED)
-        b = sir_samples(case1_config, 1500, SEED, workers=4)
-        assert np.array_equal(a.sir, b.sir)
-        assert np.array_equal(a.k_i_sizes, b.k_i_sizes)
-
     def test_trial_streams_are_prefix_stable(self, case1_config):
         a = sir_samples(case1_config, 400, SEED)
         b = sir_samples(case1_config, 700, SEED)
         assert np.array_equal(a.sir, b.sir[:400])
 
     def test_branch_samples(self, case1_config):
-        s = sir_samples(case1_config, 300, SEED, keep_branch=True)
-        assert s.sir_i is not None
+        s = sir_samples(case1_config, 300, SEED)
         assert np.all(s.sir_i <= s.sir + 1e-12)
 
 
@@ -180,36 +174,53 @@ class TestInterferenceCalibration:
         assert abs(ratio - 1.0) < 0.10
 
 
+def sop_pair(bob_cfg, eve_cfg, trials, seed=SEED):
+    # Bob and Eve on disjoint substreams of one seed
+    return sir_samples(bob_cfg, trials, seed, substream=0), sir_samples(eve_cfg, trials, seed, substream=1)
+
+
 class TestMcMetrics:
     def test_op_monotone_on_grid(self, case1_config):
-        m = mc_metrics(case1_config, 3000, SEED, gamma_grid=(0.25, 0.5, 1.0, 1.5, 2.5))
-        assert all(a <= b for a, b in zip(m.op, m.op[1:]))
+        s = sir_samples(case1_config, 3000, SEED)
+        op = [mc_estimate("op", s, gamma_th=g)[0] for g in (0.25, 0.5, 1.0, 1.5, 2.5)]
+        assert all(a <= b for a, b in zip(op, op[1:]))
 
     def test_stderr_shrinks_with_trials(self, case1_config):
-        m1 = mc_metrics(case1_config, 4000, SEED)
-        m2 = mc_metrics(case1_config, 8000, SEED)
-        ratio = m1.er_stderr / m2.er_stderr
+        _, se1 = mc_estimate("er", sir_samples(case1_config, 4000, SEED), users=20)
+        _, se2 = mc_estimate("er", sir_samples(case1_config, 8000, SEED), users=20)
+        ratio = se1 / se2
         assert abs(ratio - math.sqrt(2.0)) < 0.2 * math.sqrt(2.0)
 
     def test_golden_run(self, case1_config):
         # frozen from the first verified run at this seed
-        m = mc_metrics(case1_config, 20_000, SeedSpec(1234), gamma_grid=(1.0,))
-        assert m.er == pytest.approx(22.20694317794273, rel=1e-9)
-        assert m.op[0] == pytest.approx(0.3831, abs=1e-12)
-        assert m.redrawn == 0
+        s = sir_samples(case1_config, 20_000, SeedSpec(1234))
+        er, _ = mc_estimate("er", s, users=case1_config.users)
+        op, _ = mc_estimate("op", s, gamma_th=1.0)
+        assert er == pytest.approx(22.20694317794273, rel=1e-9)
+        assert op == pytest.approx(0.3831, abs=1e-12)
+        assert s.redrawn == 0
 
     def test_trial_floor(self, case1_config):
         with pytest.raises(DomainError):
-            mc_metrics(case1_config, 0, SEED)
+            sir_samples(case1_config, 0, SEED)
+
+    def test_reducer_validation(self, case1_config):
+        s = sir_samples(case1_config, 50, SEED)
+        with pytest.raises(DomainError):
+            mc_estimate("ks", s)
+        with pytest.raises(DomainError):
+            mc_estimate("sop", s)
+        with pytest.raises(DomainError):
+            mc_estimate("sop_lower", s, s, rs=-0.5)
 
 
 class TestMcSop:
     def test_identical_sides_near_half(self, case1_config):
-        p, se = mc_sop(case1_config, case1_config, 1e-9, 4000, SEED)
+        p, se = mc_estimate("sop", *sop_pair(case1_config, case1_config, 4000), rs=1e-9)
         assert abs(p - 0.5) < 2.5 * se + 0.01
 
     def test_large_rate_saturates(self, case1_config):
-        p, _ = mc_sop(case1_config, case1_config, 40.0, 2000, SEED)
+        p, _ = mc_estimate("sop", *sop_pair(case1_config, case1_config, 2000), rs=40.0)
         assert p == 1.0
 
     def test_interference_cancellation_ordering(self):
@@ -218,7 +229,7 @@ class TestMcSop:
         vals = []
         for delta_b in (1.0, 0.5, 0.1):
             bob_cfg = SimConfig(corr=correlation_matrix(bob_grid), users=20, delta=delta_b)
-            p, _ = mc_sop(bob_cfg, eve_cfg, 1.0, 4000, SEED)
+            p, _ = mc_estimate("sop", *sop_pair(bob_cfg, eve_cfg, 4000), rs=1.0)
             vals.append(p)
         assert vals[0] > vals[1] > vals[2]
 
@@ -226,3 +237,12 @@ class TestMcSop:
         bob = sir_samples(case1_config, 50, SEED, substream=0)
         eve = sir_samples(case1_config, 50, SEED, substream=1)
         assert not np.allclose(bob.sir, eve.sir)
+
+    @pytest.mark.parametrize("rs", [1e-9, 0.5, 1.0, 2.0, 6.0])
+    def test_lower_bound_below_sop(self, case1_config, rs):
+        # sir_B < 2^rs sir_E implies log2(1 + sir_B) - log2(1 + sir_E) < rs
+        # for rs > 0, so on the same samples the bound never exceeds the SOP
+        bob, eve = sop_pair(case1_config, SimConfig(corr=case1_config.corr, users=20, delta=0.5), 3000)
+        lower, _ = mc_estimate("sop_lower", bob, eve, rs=rs)
+        sop, _ = mc_estimate("sop", bob, eve, rs=rs)
+        assert lower <= sop
