@@ -7,10 +7,10 @@ plus a sweep harness and CLI for reproducing figure-style studies.
 
 from .analytic import (
     ChannelStats,
+    ExactLaw,
     PairingPolicy,
     QuadratureError,
     cov_pair,
-    exact_cdf_z,
     exact_er,
     exact_op,
     exact_pdf_z,
@@ -54,6 +54,6 @@ from .montecarlo import (
     sir_sample,
     sir_samples,
 )
-from .specfun import DomainError, NonConvergenceError
+from .specfun import DomainError
 
 __version__ = "0.1.0"

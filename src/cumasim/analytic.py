@@ -7,22 +7,18 @@ is the residual-interference factor after (partial) cancellation. Its
 density has a closed form in terms of the Whittaker M function; the
 total SIR adds the i.i.d. quadrature branch by numerical convolution.
 
-Rate-style metrics read the distribution variable in sigma2^2-rescaled
-units (the rate argument is z / sigma2^2 and outage thresholds carry a
-sigma2^2 factor), so the scalings cancel and every rate is a function of
-the raw SIR -- directly comparable with the simulator's samples. The
-secrecy metrics keep raw-SIR variables on both sides for the same
-reason.
+Every exact metric is a one-dimensional sum over one or two tabulated
+laws (``ExactLaw``) of the raw SIR, so rates and thresholds are read in
+the same units as the simulator's samples.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial.legendre import leggauss, legint, legvander
 from scipy.special import hyp1f1
 
 from .geometry import PortGrid, correlation_entries
@@ -36,7 +32,7 @@ __all__ = [
     "sigma_sums",
     "exact_pdf_zI",
     "exact_pdf_z",
-    "exact_cdf_z",
+    "ExactLaw",
     "exact_er",
     "exact_op",
     "exact_sop",
@@ -47,41 +43,7 @@ LN2 = math.log(2.0)
 
 
 class QuadratureError(ArithmeticError):
-    """Numerical integration failed to reach the requested tolerance."""
-
-
-# ---------------------------------------------------------------------------
-# quadrature helpers
-# ---------------------------------------------------------------------------
-
-
-def _quad(f, a, b, tol):
-    out = integrate.quad(f, a, b, epsabs=0.0, epsrel=tol, limit=200, full_output=1)
-    val, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > 100.0 * max(tol * abs(val), 1e-300):
-        raise QuadratureError(f"integral on [{a}, {b}]: {out[3]}")
-    return val
-
-
-def _quad_sqrt_origin(f, upper, tol):
-    """Integral of f over (0, upper] where f ~ x^(-1/2) at the origin.
-
-    Substituting x = u^2 removes the singularity.
-    """
-    if upper <= 0.0:
-        return 0.0
-    return _quad(lambda u: 2.0 * u * f(u * u), 0.0, math.sqrt(upper), tol)
-
-
-def _quad_semi_infinite(f, scale, tol):
-    """Integral of f over (0, inf) via x = scale * t / (1 - t)."""
-
-    def g(t):
-        onem = 1.0 - t
-        x = scale * t / onem
-        return f(x) * scale / (onem * onem)
-
-    return _quad(g, 0.0, 1.0, tol)
+    """A tabulated exact law is not finite or does not integrate to one."""
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +223,20 @@ def sigma_sums(
 
 
 # ---------------------------------------------------------------------------
-# exact densities and metrics
+# exact densities
 # ---------------------------------------------------------------------------
 
 
-def exact_pdf_zI(z: float, stats: ChannelStats) -> float:
-    """Density of the in-phase variable Z_I at z > 0.
+def _positive_finite(z, name: str) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    bad = ~((0.0 < z) & (z < math.inf))
+    if bad.any():
+        raise DomainError(f"{name} requires finite z > 0, got {z[bad].flat[0]}")
+    return z
+
+
+def exact_pdf_zI(z, stats: ChannelStats):
+    """Density of the in-phase variable Z_I, elementwise over z > 0.
 
     Assembled in the log domain (the gamma and 2^(I/2) ratios overflow
     well before the result does). The Whittaker factor is expanded as
@@ -274,8 +244,7 @@ def exact_pdf_zI(z: float, stats: ChannelStats) -> float:
     Kummer's transformation, log 1F1 = t + log 1F1(-I/2, 1/2; -t), so it
     stays finite where 1F1 itself overflows.
     """
-    if z <= 0.0 or not math.isfinite(z):
-        raise DomainError(f"exact_pdf_zI requires z > 0, got {z}")
+    z = _positive_finite(z, "exact_pdf_zI")
     i_cnt = stats.interferers
     s1 = stats.sigma1_sq
     q = stats.delta * stats.sigma2_sq * z
@@ -287,167 +256,150 @@ def exact_pdf_zI(z: float, stats: ChannelStats) -> float:
         - 0.5 * math.log(math.pi)
         - 0.5 * i_cnt * LN2
         - 0.5 * math.log(stats.mu)
-        - 0.75 * math.log(z)
+        - 0.75 * np.log(z)
         - stats.mu**2 / (4.0 * s1) * (2.0 * s1 + q) / (s1 + q)
-        + 0.25 * (2 * i_cnt + 1) * (LN2 - math.log1p(q / s1))
-        + 0.25 * math.log(t)
+        + 0.25 * (2 * i_cnt + 1) * (LN2 - np.log1p(q / s1))
+        + 0.25 * np.log(t)
         + 0.5 * t
-        + math.log(hyp1f1(-0.5 * i_cnt, 0.5, -t))
+        + np.log(hyp1f1(-0.5 * i_cnt, 0.5, -t))
     )
-    return math.exp(log_pdf)
+    return np.exp(log_pdf)
 
 
-def exact_pdf_z(z: float, stats: ChannelStats, quad_tol: float = 1e-6) -> float:
-    """Density of the total variable Z = Z_I + Z_Q by numerical convolution.
+_CONV_X, _CONV_WX = leggauss(160)  # on [-1, 1]; w = 30 (x + 1) maps it to [0, 60]
+_CONV_SHRINK = np.exp(-30.0 * (_CONV_X + 1.0))  # e^-w at the nodes
+_CONV_WEIGHTS = 30.0 * _CONV_WX
+_CONV_PAIRS = 16384  # (z, w) pairs per block; bounds the temporaries' memory
 
-    Both convolution endpoints behave like x^(-1/2); symmetry about z/2
-    (the branches are i.i.d.) folds the integral onto one half where the
-    u = sqrt(x) substitution removes the singularity.
+
+def exact_pdf_z(z, stats: ChannelStats):
+    """Density of the total variable Z = Z_I + Z_Q, elementwise over z > 0.
+
+    The branches are i.i.d., so the convolution folds onto x <= z/2, and
+    x = (z/2) e^-w turns it into
+
+        f_Z(z) = 2 int_0^inf (z/2) e^-w f_I((z/2) e^-w) f_I(z - (z/2) e^-w) dw.
+
+    With f_I ~ x^(-1/2) at the origin the integrand is smooth at every
+    scale of z and decays like e^(-w/2), so a fixed 160-node
+    Gauss-Legendre rule on w in [0, 60] resolves it.
     """
-    if z <= 0.0 or not math.isfinite(z):
-        raise DomainError(f"exact_pdf_z requires z > 0, got {z}")
-    f = lambda x: exact_pdf_zI(x, stats)
-    half = 0.5 * z
-    return 2.0 * _quad_sqrt_origin(lambda x: f(x) * f(z - x), half, quad_tol)
+    z = _positive_finite(z, "exact_pdf_z")
+    flat = z.reshape(-1)
+    out = np.empty_like(flat)
+    step = _CONV_PAIRS // len(_CONV_SHRINK)
+    for lo in range(0, len(flat), step):
+        zz = flat[lo : lo + step, None]
+        x = 0.5 * zz * _CONV_SHRINK
+        vals = x * exact_pdf_zI(x, stats) * exact_pdf_zI(zz - x, stats)
+        out[lo : lo + step] = 2.0 * (vals @ _CONV_WEIGHTS)
+    return out.reshape(z.shape)[()]
 
 
-@lru_cache(maxsize=128)
-def _branch_support_cap(stats: ChannelStats, tol: float) -> float:
-    # the in-phase density decays like z^-(I+2)/2 past sigma1^2/(delta sigma2^2);
-    # beyond this cap the remaining mass is far below the quadrature tolerance
-    base = stats.sigma1_sq / (stats.delta * stats.sigma2_sq)
-    t = 64.0 * max(base, stats.mean_sir())
-    while t < 1e12 and exact_pdf_zI(t, stats) * t > 0.01 * tol:
-        t *= 2.0
-    return t
+# ---------------------------------------------------------------------------
+# tabulated exact law
+# ---------------------------------------------------------------------------
+
+_PANEL = 0.5  # panel width in ln z
+_ORDER = 12  # Gauss-Legendre nodes per panel
+_GL_X, _GL_W = leggauss(_ORDER)
+# node values -> Legendre coefficients of the interpolant's antiderivative
+# from the panel's left end, in the panel coordinate x in [-1, 1]
+_ANTIDERIV = legint((np.arange(_ORDER) + 0.5)[:, None] * legvander(_GL_X, _ORDER - 1).T * _GL_W, lbnd=-1)
+_MASS_TOL = 1e-8
 
 
-def exact_cdf_z(z: float, stats: ChannelStats, quad_tol: float = 1e-6) -> float:
-    """CDF of Z = Z_I + Z_Q; clipped to [0, 1].
+class ExactLaw:
+    """A distribution on (0, inf) tabulated once on Gauss-Legendre panels in ln z.
 
-    Integration stops at the effective support of the density, so
-    arbitrarily large arguments are cheap.
+    Panels of width 0.5 in s = ln z hold 12 nodes each, and the table
+    stores z f(z), the density in s. Expectations are weighted sums over
+    all nodes; the CDF adds the whole panels below z to the integral of
+    z's panel's Legendre interpolant up to z.
     """
-    if z <= 0.0:
-        return 0.0
-    f = lambda x: exact_pdf_zI(x, stats)
-    cap = 2.0 * _branch_support_cap(stats, quad_tol)
-    z_eff = min(z, cap)
 
-    def cdf_i(y):
-        return _quad_sqrt_origin(f, min(y, 0.5 * cap), quad_tol)
+    def __init__(self, pdf, scale: float, lo: float, hi: float):
+        """Tabulate ``pdf`` (vectorised over z) for ln(z / scale) in [lo, hi]."""
+        panels = math.ceil((hi - lo) / _PANEL)
+        self._s0 = math.log(scale) + lo
+        s = self._s0 + _PANEL * (np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0))
+        self._z = np.exp(s)
+        self._g = self._z * pdf(self._z)
+        self._mass = 0.5 * _PANEL * _GL_W * self._g
+        self._cum = np.concatenate(([0.0], np.cumsum(self._mass.sum(axis=1))))
+        total = self._cum[-1]
+        if not (np.isfinite(self._g).all() and abs(total - 1.0) <= _MASS_TOL):
+            raise QuadratureError(
+                f"tabulated law has mass {total} (tolerance {_MASS_TOL}) on ln(z / {scale:g}) in [{lo:g}, {hi:g}]"
+            )
 
-    val = _quad_sqrt_origin(lambda x: f(x) * cdf_i(z_eff - x), z_eff, quad_tol)
-    return min(max(val, 0.0), 1.0)
+    @classmethod
+    def from_stats(cls, stats: ChannelStats) -> "ExactLaw":
+        """Exact law of the raw total SIR, centred at its mean.
+
+        The upper end tracks the z^(-I/2) tail of the survival function.
+        """
+        hi = min(60.0 / stats.interferers + 5.0, 80.0)
+        return cls(lambda z: exact_pdf_z(z, stats), stats.mean_sir(), -30.0, hi)
+
+    @classmethod
+    def from_pdf(cls, pdf, scale: float) -> "ExactLaw":
+        """Law of a vectorised density ``pdf`` that lives on the scale ``scale``."""
+        return cls(pdf, scale, -40.0, 40.0)
+
+    def expect(self, phi) -> float:
+        """E[phi(Z)] for ``phi`` vectorised over z."""
+        return float(np.sum(self._mass * phi(self._z)))
+
+    def cdf(self, z):
+        """Pr{Z <= z}, elementwise; 0 for z <= 0, clipped to [0, 1]."""
+        z = np.asarray(z, dtype=float)
+        flat = z.reshape(-1)
+        pos = flat > 0.0
+        s = (np.log(np.where(pos, flat, 1.0)) - self._s0) / _PANEL
+        panel = np.clip(np.floor(s), 0, len(self._g) - 1).astype(int)
+        x = np.clip(2.0 * (s - panel) - 1.0, -1.0, 1.0)
+        part = 0.5 * _PANEL * np.sum((legvander(x, _ORDER) @ _ANTIDERIV) * self._g[panel], axis=1)
+        out = np.where(pos, np.clip(self._cum[panel] + part, 0.0, 1.0), 0.0)
+        return out.reshape(z.shape)[()]
 
 
-def exact_er(
-    users: int,
-    stats: ChannelStats | None = None,
-    quad_tol: float = 1e-6,
-    *,
-    pdf=None,
-    sigma2_sq: float | None = None,
-    scale: float | None = None,
-) -> float:
-    """Ergodic sum rate U * E[log2(1 + Z / sigma2^2)] in bits per channel use.
+# ---------------------------------------------------------------------------
+# exact metrics
+# ---------------------------------------------------------------------------
 
-    By default the rate variable Z is sigma2^2 times the convolution
-    variable, so the two scalings cancel and the integral reduces to the
-    rate of the raw SIR. A different density can be substituted via
-    ``pdf`` (then ``sigma2_sq`` must be supplied and Z is integrated in
-    the caller's units); that hook doubles as the quadrature cross-check
-    for the closed-form rate.
-    """
+
+def exact_er(users: int, law: ExactLaw) -> float:
+    """Ergodic sum rate U * E[log2(1 + Z)] of the raw SIR, bits per channel use."""
     if users < 2:
         raise DomainError(f"need at least 2 users, got {users}")
-    if pdf is None:
-        if stats is None:
-            raise DomainError("either stats or an explicit pdf is required")
-        s2 = stats.sigma2_sq
-        pdf = lambda z: exact_pdf_z(z / s2, stats, quad_tol) / s2
-        sigma2_sq = s2
-        scale = scale or s2 * stats.mean_sir()
-    elif sigma2_sq is None:
-        raise DomainError("sigma2_sq is required when substituting a pdf")
-    scale = scale or sigma2_sq
-
-    def integrand(z):
-        return math.log1p(z / sigma2_sq) / LN2 * pdf(z)
-
-    return users * _quad_semi_infinite(integrand, scale, quad_tol)
+    return users * law.expect(lambda z: np.log1p(z) / LN2)
 
 
-def exact_op(gamma_th: float, stats: ChannelStats, quad_tol: float = 1e-6) -> float:
-    """Outage probability: rate threshold gamma_th maps to z_th = (2^g - 1) sigma2^2.
-
-    With Z = sigma2^2 * SIR the threshold scaling cancels and the result
-    is the raw-SIR CDF at 2^gamma_th - 1.
-    """
+def exact_op(gamma_th: float, law: ExactLaw) -> float:
+    """Outage probability: the raw-SIR CDF at 2^gamma_th - 1."""
     if gamma_th <= 0.0:
         raise DomainError(f"gamma_th must be positive, got {gamma_th}")
-    z_th = (2.0**gamma_th - 1.0) * stats.sigma2_sq
-    return exact_cdf_z(z_th / stats.sigma2_sq, stats, quad_tol)
+    return float(law.cdf(2.0**gamma_th - 1.0))
 
 
-def exact_sop(
-    stats_b: ChannelStats,
-    stats_e: ChannelStats,
-    rs: float,
-    quad_tol: float = 1e-6,
-) -> float:
-    """Secrecy outage probability of the exact distributions.
+def exact_sop(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
+    """Secrecy outage probability E_E[F_B(tau (1 + Z_E) - 1)], tau = 2^rs.
 
-    SOP = int_0^inf F_B(tau (1 + z) - 1) f_E(z) dz with tau = 2^rs. Both
-    rate variables are raw SIRs, matching the rate convention of the
+    Both rate variables are raw SIRs, matching the rate convention of the
     ergodic-rate and outage metrics (and of the simulator).
     """
     if rs < 0.0:
         raise DomainError(f"secrecy rate must be nonnegative, got {rs}")
     tau = 2.0**rs
-
-    def integrand(z_e):
-        arg = tau * (1.0 + z_e) - 1.0
-        if arg <= 0.0:
-            return 0.0
-        return exact_cdf_z(arg, stats_b, quad_tol) * exact_pdf_z(z_e, stats_e, quad_tol)
-
-    val = _quad_semi_infinite(integrand, stats_e.mean_sir(), quad_tol)
+    val = law_e.expect(lambda z: law_b.cdf(tau * (1.0 + z) - 1.0))
     return min(max(val, 0.0), 1.0)
 
 
-def sop_lower_numeric(
-    stats_b: ChannelStats | None,
-    stats_e: ChannelStats | None,
-    rs: float,
-    quad_tol: float = 1e-6,
-    *,
-    pdf_b=None,
-    pdf_e=None,
-    scale_e: float | None = None,
-) -> float:
-    """Lower bound Pr{Z_B < tau Z_E} by double quadrature, raw-SIR variables.
-
-    Substituting closed-form densities for ``pdf_b``/``pdf_e`` turns this
-    into the independent cross-check for the closed-form bound; the
-    substituted densities are integrated in the caller's units.
-    """
+def sop_lower_numeric(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
+    """Lower bound Pr{Z_B < tau Z_E} = E_E[F_B(tau Z_E)], raw-SIR variables."""
     if rs < 0.0:
         raise DomainError(f"secrecy rate must be nonnegative, got {rs}")
     tau = 2.0**rs
-    if pdf_b is None:
-        if stats_b is None:
-            raise DomainError("either stats_b or pdf_b is required")
-        cdf_b = lambda y: exact_cdf_z(y, stats_b, quad_tol)
-    else:
-        cdf_b = lambda y: _quad_sqrt_origin(pdf_b, y, quad_tol) if y > 0.0 else 0.0
-    if pdf_e is None:
-        if stats_e is None:
-            raise DomainError("either stats_e or pdf_e is required")
-        pdf_e = lambda z: exact_pdf_z(z, stats_e, quad_tol)
-        scale_e = scale_e or stats_e.mean_sir()
-    if scale_e is None:
-        raise DomainError("scale_e is required when substituting pdf_e")
-
-    val = _quad_semi_infinite(lambda z: pdf_e(z) * cdf_b(tau * z), scale_e, quad_tol)
+    val = law_e.expect(lambda z: law_b.cdf(tau * z))
     return min(max(val, 0.0), 1.0)

@@ -12,11 +12,11 @@ import argparse
 import sys
 
 from . import analytic, approx, harness, montecarlo
-from .analytic import ChannelStats, QuadratureError
+from .analytic import ChannelStats, ExactLaw, QuadratureError
 from .geometry import correlation_matrix, preset_grid, preset_names
 from .harness import SweepSpec, parse_config, run_sweep
 from .montecarlo import SeedSpec, SimConfig
-from .specfun import DomainError, NonConvergenceError
+from .specfun import DomainError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -52,8 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_system_flags(p)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quad-tol", type=float, default=1e-6)
-    p.add_argument("--exact", choices=("auto", "on", "off"), default="auto")
+    p.add_argument("--exact", choices=("on", "off"), default="on")
 
     p = sub.add_parser("sweep", help="run a sweep from a config file or flags")
     p.add_argument("--config", help="key = value sweep description")
@@ -70,8 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-e", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quad-tol", type=float, default=1e-6)
-    p.add_argument("--exact", choices=("auto", "on", "off"), default="auto")
+    p.add_argument("--exact", choices=("on", "off"), default="on")
     p.add_argument("--no-mc", action="store_true", help="skip Monte Carlo columns")
     return ap
 
@@ -133,7 +131,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     grid = preset_grid(args.preset)
     stats = _stats_for(args)
-    exact_on = harness.exact_enabled(args.exact, stats.interferers)
     beta = stats.sigma2_sq * approx.beta_I(stats)
     seed = SeedSpec(args.seed)
     config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta, omega=args.omega)
@@ -143,14 +140,15 @@ def _cmd_compare(args) -> int:
     ks = harness.compare_distributions(
         grid, args.users, args.trials, seed, delta=args.delta, omega=args.omega
     )
+    law = ExactLaw.from_stats(stats) if args.exact == "on" else None
     print(f"preset = {args.preset}  users = {args.users}  trials = {args.trials}")
     print(f"er: approx = {approx.approx_er(args.users, beta, stats.sigma2_sq):.6g}", end="")
-    if exact_on:
-        print(f"  exact = {analytic.exact_er(args.users, stats, args.quad_tol):.6g}", end="")
+    if law is not None:
+        print(f"  exact = {analytic.exact_er(args.users, law):.6g}", end="")
     print(f"  mc = {er:.6g} +- {er_se:.3g}")
     print(f"op[{args.gamma_th:g}]: approx = {approx.approx_op(args.gamma_th, beta, stats.sigma2_sq):.6g}", end="")
-    if exact_on:
-        print(f"  exact = {analytic.exact_op(args.gamma_th, stats, args.quad_tol):.6g}", end="")
+    if law is not None:
+        print(f"  exact = {analytic.exact_op(args.gamma_th, law):.6g}", end="")
     print(f"  mc = {op:.6g} +- {op_se:.3g}")
     print(f"ks_total_vs_fit = {ks.ks_total:.4f}")
     print(f"ks_inphase_vs_fit = {ks.ks_inphase:.4f}")
@@ -179,7 +177,6 @@ def _cmd_sweep(args) -> int:
             delta_e=args.delta_e,
             trials=args.trials,
             seed=args.seed,
-            quad_tol=args.quad_tol,
             exact=args.exact,
             mc=not args.no_mc,
             out=args.out,
@@ -213,7 +210,7 @@ def main(argv=None) -> int:
     except (DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NonConvergenceError, QuadratureError, OverflowError, FloatingPointError) as exc:
+    except (QuadratureError, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -3,8 +3,8 @@
 A sweep walks one axis (number of users, secrecy rate, Bob's residual
 interference factor, or Bob's total port count) and evaluates the
 requested metrics three ways per point: closed-form approximation,
-exact quadrature (optional, costly for many interferers) and Monte
-Carlo with standard errors.
+the tabulated exact law (optional) and Monte Carlo with standard
+errors.
 
 Rates are log2(1 + raw SIR) on every route. Distribution-level
 comparisons (the KS checks) rescale SIR samples by sigma2^2 and use the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, approx, montecarlo
-from .analytic import ChannelStats
+from .analytic import ChannelStats, ExactLaw
 from .geometry import (
     HANDSET_APERTURE_M,
     PortGrid,
@@ -42,7 +42,6 @@ __all__ = [
     "ComparisonReport",
     "KSReport",
     "run_sweep",
-    "exact_enabled",
     "compare_distributions",
     "ks_statistic",
     "parse_config",
@@ -52,8 +51,7 @@ __all__ = [
 _AXES = ("users", "rs", "delta_b", "ports")
 _METRICS = ("er", "op", "sop", "sop_lower")
 _SOP_METRICS = ("sop", "sop_lower")
-_EXACT_MODES = ("auto", "on", "off")
-_EXACT_AUTO_MAX_INTERFERERS = 19  # exact quadrature gets costly beyond this
+_EXACT_MODES = ("on", "off")
 _PORTS_AXIS_N1_SPACING = 0.05  # ports axis densifies dimension 2 of the 6 GHz VC layout
 
 CSV_HEADER = "axis_value,metric,analytic_approx,analytic_exact,mc_mean,mc_stderr,trials,seed"
@@ -76,8 +74,7 @@ class SweepSpec:
     omega: float = 1.0
     trials: int = 10_000
     seed: int = 0
-    quad_tol: float = 1e-6
-    exact: str = "auto"
+    exact: str = "on"
     mc: bool = True
     out: str | None = None
     schema: int = 1
@@ -206,11 +203,6 @@ def _ports_axis_grid(n2: int) -> PortGrid:
     return PortGrid(n1=base.n1, n2=n2, w1=base.w1, w2=base.w2)
 
 
-def exact_enabled(mode: str, interferers: int) -> bool:
-    """Whether exact mode "auto", "on" or "off" computes the exact columns."""
-    return mode == "on" or (mode == "auto" and interferers <= _EXACT_AUTO_MAX_INTERFERERS)
-
-
 def run_sweep(spec: SweepSpec) -> ComparisonReport:
     """Evaluate the sweep and (optionally) write its CSV."""
     seed = SeedSpec(spec.seed)
@@ -242,8 +234,7 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
             eve = eve_base
             axis_value, rs = float(grid.total_ports), spec.rs
 
-        exact_on = exact_enabled(spec.exact, bob.stats.interferers)
-        rows.extend(_point_rows(spec, axis_value, bob, eve, rs, seed, exact_on))
+        rows.extend(_point_rows(spec, axis_value, bob, eve, rs, seed))
 
     report = ComparisonReport(spec=spec, rows=tuple(rows))
     if spec.out:
@@ -251,13 +242,19 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
     return report
 
 
-def _point_rows(spec, axis_value, bob, eve, rs, seed, exact_on):
+def _point_rows(spec, axis_value, bob, eve, rs, seed):
     tau_metrics = [m for m in spec.metrics if m in _SOP_METRICS]
     bob_samples = eve_samples = None
     if spec.mc:
         bob_samples = montecarlo.sir_samples(bob.config, spec.trials, seed, substream=0)
         if tau_metrics:
             eve_samples = montecarlo.sir_samples(eve.config, spec.trials, seed, substream=1)
+    exact_on = spec.exact == "on"
+    law_b = law_e = None
+    if exact_on:
+        law_b = ExactLaw.from_stats(bob.stats)
+        if tau_metrics:
+            law_e = ExactLaw.from_stats(eve.stats)
 
     beta_b = bob.beta_scaled()
     s2_b = bob.stats.sigma2_sq
@@ -267,19 +264,19 @@ def _point_rows(spec, axis_value, bob, eve, rs, seed, exact_on):
         if metric == "er":
             approx_val = approx.approx_er(bob.config.users, beta_b, s2_b)
             if exact_on:
-                exact_val = analytic.exact_er(bob.config.users, bob.stats, spec.quad_tol)
+                exact_val = analytic.exact_er(bob.config.users, law_b)
         elif metric == "op":
             approx_val = approx.approx_op(spec.gamma_th, beta_b, s2_b)
             if exact_on:
-                exact_val = analytic.exact_op(spec.gamma_th, bob.stats, spec.quad_tol)
+                exact_val = analytic.exact_op(spec.gamma_th, law_b)
         elif metric == "sop":
             approx_val = approx.sop_lower_closed(bob.beta_raw(), eve.beta_raw(), rs)
             if exact_on:
-                exact_val = analytic.exact_sop(bob.stats, eve.stats, rs, spec.quad_tol)
+                exact_val = analytic.exact_sop(law_b, law_e, rs)
         else:  # sop_lower
             approx_val = approx.sop_lower_closed(bob.beta_raw(), eve.beta_raw(), rs)
             if exact_on:
-                exact_val = analytic.sop_lower_numeric(bob.stats, eve.stats, rs, spec.quad_tol)
+                exact_val = analytic.sop_lower_numeric(law_b, law_e, rs)
         if bob_samples is not None:
             mc_mean, mc_se = montecarlo.mc_estimate(
                 metric, bob_samples, eve_samples, users=bob.config.users, gamma_th=spec.gamma_th, rs=rs
@@ -333,7 +330,6 @@ def compare_distributions(
     delta: float = 1.0,
     omega: float = 1.0,
     include_exact: bool = False,
-    quad_tol: float = 1e-6,
     beta_factor: float = 1.0,
 ) -> KSReport:
     """KS distances between simulated SIR samples and the fitted laws.
@@ -342,7 +338,7 @@ def compare_distributions(
     exponential fit and the in-phase branch against the Gamma(1/2) fit.
     ``beta_factor`` deliberately mis-scales the fit for negative controls.
     Setting ``include_exact`` also reports the distance to the exact
-    (quadrature) distribution, which is the model-validation number.
+    law of the raw SIR, which is the model-validation number.
     """
     side = _Side.build(grid, users, delta, omega)
     samples = montecarlo.sir_samples(side.config, trials, seed)
@@ -354,11 +350,7 @@ def compare_distributions(
     ks_i = ks_statistic(z_i, lambda x: math.erf(math.sqrt(max(x, 0.0) / beta)))
     ks_exact = None
     if include_exact:
-        # interpolate the exact CDF through a fixed grid; direct quadrature
-        # per sample would be needlessly slow
-        zs = np.quantile(samples.sir, np.linspace(0.0, 1.0, 257))
-        table = np.asarray([analytic.exact_cdf_z(x, side.stats, quad_tol) for x in zs])
-        ks_exact = ks_statistic(samples.sir, lambda x: float(np.interp(x, zs, table)))
+        ks_exact = ks_statistic(samples.sir, ExactLaw.from_stats(side.stats).cdf)
     return KSReport(
         ks_total=ks_total,
         ks_inphase=ks_i,
@@ -418,8 +410,7 @@ def parse_config(text: str) -> SweepSpec:
         omega=take("omega", float, 1.0),
         trials=take("trials", int, 10_000),
         seed=take("seed", int, 0),
-        quad_tol=take("quad_tol", float, 1e-6),
-        exact=take("exact", str, "auto"),
+        exact=take("exact", str, "on"),
         mc=take("mc", lambda s: _BOOL[s.lower()], True),
         out=take("out", str, None),
     )

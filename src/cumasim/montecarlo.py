@@ -261,12 +261,15 @@ def mc_estimate(
     er is users * mean(log2(1 + sir)) with the sample standard error
     (users = 1 gives the per-user rate). The others are fractions of
     trials, with the binomial standard error: op counts log2(1 + sir) <
-    gamma_th; sop counts max(0, log2(1 + sir_B) - log2(1 + sir_E)) < rs
-    and sop_lower counts sir_B < 2^rs sir_E, pairing Bob's and Eve's
-    samples trial by trial (draw them from disjoint substreams of one
-    seed so that the two channels are independent).
+    gamma_th; sop counts log2(1 + sir_B) - log2(1 + sir_E) < rs and
+    sop_lower counts sir_B < 2^rs sir_E, pairing Bob's and Eve's samples
+    trial by trial (draw them from disjoint substreams of one seed so
+    that the two channels are independent). A standard error needs at
+    least two samples.
     """
     n = len(bob.sir)
+    if n < 2:
+        raise DomainError(f"a Monte Carlo estimate needs at least 2 samples, got {n}")
     if metric == "er":
         rates = np.log2(1.0 + bob.sir)
         return users * float(rates.mean()), users * float(rates.std(ddof=1)) / math.sqrt(n)
@@ -278,7 +281,7 @@ def mc_estimate(
         if rs < 0.0:
             raise DomainError(f"secrecy rate must be nonnegative, got {rs}")
         if metric == "sop":
-            hits = np.maximum(0.0, np.log2(1.0 + bob.sir) - np.log2(1.0 + eve.sir)) < rs
+            hits = np.log2(1.0 + bob.sir) - np.log2(1.0 + eve.sir) < rs
         else:
             hits = bob.sir < 2.0**rs * eve.sir
     else:

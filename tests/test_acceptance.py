@@ -26,7 +26,7 @@ from cumasim.geometry import PortGrid, correlation, correlation_matrix, grid_fro
 from cumasim.harness import ks_statistic
 from cumasim.montecarlo import SeedSpec, SimConfig, interference_sum_samples, mc_estimate, sir_samples
 
-from test_approx import random_stats
+from test_approx import exponential_law, random_stats
 from test_montecarlo import sop_pair
 
 APERTURE = (0.15, 0.08)
@@ -145,7 +145,7 @@ ER_TRIPLES = [
 def test_a06_rate_closed_form_vs_quadrature():
     worst = 0.0
     for users, beta, s2 in ER_TRIPLES:
-        want = exact_er(users, quad_tol=1e-9, pdf=lambda z: approx_pdf_z(z, beta), sigma2_sq=s2, scale=beta)
+        want = exact_er(users, exponential_law(beta / s2))
         got = approx_er(users, beta, s2)
         worst = max(worst, abs(got - want) / abs(want))
     ok = worst < 1e-6
@@ -170,12 +170,7 @@ SOP_TRIPLES = [
 def test_a07_secrecy_bound_vs_quadrature():
     worst = 0.0
     for bb, be, rs in SOP_TRIPLES:
-        want = sop_lower_numeric(
-            None, None, rs, 1e-9,
-            pdf_b=lambda z: approx_pdf_z(z, bb),
-            pdf_e=lambda z: approx_pdf_z(z, be),
-            scale_e=be,
-        )
+        want = sop_lower_numeric(exponential_law(bb), exponential_law(be), rs)
         worst = max(worst, abs(sop_lower_closed(bb, be, rs) - want))
     symmetric = sop_lower_closed(1.7, 1.7, 0.0)
     ok = worst < 1e-6 and symmetric == 0.5

@@ -7,9 +7,10 @@ from scipy import integrate
 
 from cumasim.analytic import (
     ChannelStats,
+    ExactLaw,
     PairingPolicy,
+    QuadratureError,
     cov_pair,
-    exact_cdf_z,
     exact_er,
     exact_op,
     exact_pdf_z,
@@ -295,11 +296,21 @@ class TestExactPdfZI:
         with pytest.raises(DomainError):
             exact_pdf_zI(-1.0, case1_stats)
 
+    def test_array_matches_scalar_calls(self, case1_stats):
+        z = np.geomspace(1e-6, 50.0, 24).reshape(4, 6)
+        got = exact_pdf_zI(z, case1_stats)
+        assert got.shape == z.shape
+        want = [[exact_pdf_zI(float(v), case1_stats) for v in row] for row in z]
+        # vectorised and scalar logs may round differently in the last bit
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        with pytest.raises(DomainError):
+            exact_pdf_zI(np.array([1.0, 0.0]), case1_stats)
+
 
 class TestExactPdfZ:
     def test_normalizes(self, case1_stats):
         total = integrate.quad(
-            lambda u: 2.0 * u * exact_pdf_z(u * u, case1_stats, 1e-7),
+            lambda u: 2.0 * u * exact_pdf_z(u * u, case1_stats),
             0.0,
             7.0,
             limit=100,
@@ -348,27 +359,68 @@ class TestExactPdfZ:
         fa = self._pdf_zi_vectorized(uu, case1_stats)
         fb = self._pdf_zi_vectorized(z - uu, case1_stats)
         want = 2.0 * np.trapezoid(2.0 * u * fa * fb, u)
-        assert exact_pdf_z(z, case1_stats, 1e-8) == pytest.approx(float(want), rel=1e-5)
+        assert exact_pdf_z(z, case1_stats) == pytest.approx(float(want), rel=1e-5)
+
+    def test_array_matches_scalar_calls(self, case1_stats):
+        # more points than one convolution block holds
+        z = np.geomspace(1e-4, 100.0, 250)
+        got = exact_pdf_z(z, case1_stats)
+        # a block's dot products may sum in another order than a single row's
+        want = [exact_pdf_z(float(v), case1_stats) for v in z]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        with pytest.raises(DomainError):
+            exact_pdf_z(np.array([1.0, math.inf]), case1_stats)
+
+
+@pytest.fixture(scope="module")
+def case1_law(case1_stats):
+    return ExactLaw.from_stats(case1_stats)
+
+
+class TestExactLaw:
+    def test_cdf_shapes_and_limits(self, case1_law):
+        assert isinstance(case1_law.cdf(1.0), float)
+        assert case1_law.cdf(0.0) == 0.0 and case1_law.cdf(-3.0) == 0.0
+        assert case1_law.cdf(math.inf) == 1.0
+        z = np.array([[0.1, 1.0], [10.0, 100.0]])
+        got = case1_law.cdf(z)
+        assert got.shape == z.shape
+        want = [[case1_law.cdf(float(v)) for v in row] for row in z]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_cdf_integrates_the_density(self, case1_stats, case1_law):
+        for z in (0.05, 0.7, 3.0):
+            f = lambda u: 2.0 * u * exact_pdf_z(u * u, case1_stats)
+            want = integrate.quad(f, 0.0, math.sqrt(z), epsrel=1e-10)[0]
+            assert case1_law.cdf(z) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("pdf", [lambda z: 2.0 * np.exp(-z), lambda z: np.where(z > 1.0, np.nan, np.exp(-z))])
+    def test_failure_check(self, pdf):
+        with pytest.raises(QuadratureError):
+            ExactLaw.from_pdf(pdf, 1.0)
+
+    @pytest.mark.parametrize("users", [10, 200])
+    def test_mean_matches_closed_form(self, case1_grid, users):
+        # E[Z] = 2 E[Y^2] / (delta sigma2^2 (I - 2)); the table's upper end
+        # follows the z^(-I/2) tail at few and at many interferers
+        stats = ChannelStats.from_grid(case1_grid, users)
+        assert ExactLaw.from_stats(stats).expect(lambda z: z) == pytest.approx(stats.mean_sir(), rel=1e-10)
 
 
 class TestExactMetrics:
     def test_er_point_mass_limit(self, case1_stats):
+        # Z ~ Exp(eps) read as the rate variable Z / sigma2^2
         eps = 1e-12
-        val = exact_er(
-            20,
-            quad_tol=1e-9,
-            pdf=lambda z: math.exp(-z / eps) / eps,
-            sigma2_sq=case1_stats.sigma2_sq,
-            scale=eps,
-        )
+        beta = eps / case1_stats.sigma2_sq
+        val = exact_er(20, ExactLaw.from_pdf(lambda z: np.exp(-z / beta) / beta, beta))
         assert val < 1e-6
 
-    def test_er_linear_in_users(self, case1_stats):
-        c10 = exact_er(10, case1_stats, 1e-6)
-        c20 = exact_er(20, case1_stats, 1e-6)
+    def test_er_linear_in_users(self, case1_law):
+        c10 = exact_er(10, case1_law)
+        c20 = exact_er(20, case1_law)
         assert c20 == pytest.approx(2.0 * c10, rel=1e-12)
 
-    def test_er_inverse_cdf_oracle(self, case1_stats):
+    def test_er_inverse_cdf_oracle(self, case1_stats, case1_law):
         # draw from the exact distribution through its inverse CDF and
         # average the rate; the branches are i.i.d. so draw each branch
         st = case1_stats
@@ -382,24 +434,38 @@ class TestExactMetrics:
         rates = np.log2(1.0 + draws_i + draws_q)
         want = 20 * rates.mean()
         se = 20 * rates.std() / math.sqrt(len(rates))
-        got = exact_er(20, st, 1e-7)
+        got = exact_er(20, case1_law)
         assert abs(got - want) < 5 * se + 1e-3
 
-    def test_op_threshold_identity(self, case1_stats):
-        assert exact_op(1.0, case1_stats, 1e-6) == exact_cdf_z(1.0, case1_stats, 1e-6)
+    def test_op_threshold_identity(self, case1_law):
+        assert exact_op(1.0, case1_law) == case1_law.cdf(1.0)
 
-    def test_op_limits(self, case1_stats):
-        assert exact_op(1e-9, case1_stats, 1e-6) < 1e-6
-        assert exact_op(30.0, case1_stats, 1e-6) == pytest.approx(1.0, abs=1e-3)
+    def test_op_limits(self, case1_law):
+        assert exact_op(1e-9, case1_law) < 1e-6
+        assert exact_op(30.0, case1_law) == pytest.approx(1.0, abs=1e-3)
 
-    def test_op_monotone_in_threshold(self, case1_stats):
-        vals = [exact_op(g, case1_stats, 1e-6) for g in (0.25, 0.5, 1.0, 1.5, 2.2)]
+    def test_op_monotone_in_threshold(self, case1_law):
+        vals = [exact_op(g, case1_law) for g in (0.25, 0.5, 1.0, 1.5, 2.2)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
-    def test_op_against_mc_ground_truth(self, case1_stats):
+    def test_op_against_mc_ground_truth(self, case1_law):
         # the Gaussian-surrogate model tracks link-level simulation to a
         # few percent at this configuration
-        assert exact_op(1.0, case1_stats, 1e-6) == pytest.approx(0.378, abs=0.08)
+        assert exact_op(1.0, case1_law) == pytest.approx(0.378, abs=0.08)
+
+    def test_golden_secrecy_preset_pair(self):
+        # values of the nested adaptive quadrature at tolerance 1e-6
+        bob = ExactLaw.from_stats(ChannelStats.from_grid(preset_grid("6GHz-VC"), users=20))
+        eve = ExactLaw.from_stats(ChannelStats.from_grid(preset_grid("6GHz-NC"), users=20))
+        assert exact_er(20, bob) == pytest.approx(36.27374512077206, rel=1e-7)
+        assert exact_op(1.0, bob) == pytest.approx(0.028866236558766377, rel=1e-7)
+        assert exact_sop(bob, eve, 1.0) == pytest.approx(0.7468193366319631, rel=1e-7)
+
+    def test_golden_heavy_tail(self, case1_grid):
+        # one interferer: the survival function decays only like z^(-1/2)
+        law = ExactLaw.from_stats(ChannelStats.from_grid(case1_grid, users=2))
+        assert exact_er(2, law) == pytest.approx(14.490997484553361, rel=1e-7)
+        assert exact_op(1.0, law) == pytest.approx(1.614967397478048e-05, rel=1e-7)
 
 
 @pytest.fixture(scope="module")
@@ -412,37 +478,47 @@ def bob_stats():
     return ChannelStats.from_grid(preset_grid("6GHz-NC"), users=20, delta=0.02)
 
 
+@pytest.fixture(scope="module")
+def eve_law(eve_stats):
+    return ExactLaw.from_stats(eve_stats)
+
+
+@pytest.fixture(scope="module")
+def bob_law(bob_stats):
+    return ExactLaw.from_stats(bob_stats)
+
+
 class TestSecrecyMetrics:
-    def test_sop_small_when_bob_dominates(self, bob_stats, eve_stats):
-        assert exact_sop(bob_stats, eve_stats, 1e-9, 1e-4) <= 0.05
+    def test_sop_small_when_bob_dominates(self, bob_law, eve_law):
+        assert exact_sop(bob_law, eve_law, 1e-9) <= 0.05
 
-    def test_sop_goes_to_one(self, bob_stats, eve_stats):
-        assert exact_sop(bob_stats, eve_stats, 40.0, 1e-4) == pytest.approx(1.0, abs=1e-3)
+    def test_sop_goes_to_one(self, bob_law, eve_law):
+        assert exact_sop(bob_law, eve_law, 40.0) == pytest.approx(1.0, abs=1e-3)
 
-    def test_sop_monotone_in_rate(self, bob_stats, eve_stats):
-        vals = [exact_sop(bob_stats, eve_stats, rs, 1e-4) for rs in (0.5, 2.0, 5.0)]
+    def test_sop_monotone_in_rate(self, bob_law, eve_law):
+        vals = [exact_sop(bob_law, eve_law, rs) for rs in (0.5, 2.0, 5.0)]
         assert vals[0] <= vals[1] <= vals[2]
 
-    def test_lower_bound_symmetric_case(self, eve_stats):
-        assert sop_lower_numeric(eve_stats, eve_stats, 0.0, 1e-5) == pytest.approx(0.5, abs=1e-4)
+    def test_lower_bound_symmetric_case(self, eve_law):
+        assert sop_lower_numeric(eve_law, eve_law, 0.0) == pytest.approx(0.5, abs=1e-4)
 
-    def test_lower_bound_large_rate(self, eve_stats):
-        assert sop_lower_numeric(eve_stats, eve_stats, 40.0, 1e-5) == pytest.approx(1.0, abs=1e-4)
+    def test_lower_bound_large_rate(self, eve_law):
+        assert sop_lower_numeric(eve_law, eve_law, 40.0) == pytest.approx(1.0, abs=1e-4)
 
-    def test_lower_bound_monotone_in_rate(self, eve_stats, bob_stats):
-        vals = [sop_lower_numeric(bob_stats, eve_stats, rs, 1e-4) for rs in (0.0, 1.0, 3.0)]
+    def test_lower_bound_monotone_in_rate(self, eve_law, bob_law):
+        vals = [sop_lower_numeric(bob_law, eve_law, rs) for rs in (0.0, 1.0, 3.0)]
         assert vals[0] <= vals[1] <= vals[2]
 
-    def test_bound_below_sop(self, bob_stats, eve_stats):
-        for rs, (sb, se_) in [
-            (0.5, (bob_stats, eve_stats)),
-            (1.0, (bob_stats, eve_stats)),
-            (0.0, (eve_stats, eve_stats)),
-            (1.0, (eve_stats, eve_stats)),
-            (2.0, (bob_stats, eve_stats)),
+    def test_bound_below_sop(self, bob_law, eve_law):
+        for rs, (lb, le) in [
+            (0.5, (bob_law, eve_law)),
+            (1.0, (bob_law, eve_law)),
+            (0.0, (eve_law, eve_law)),
+            (1.0, (eve_law, eve_law)),
+            (2.0, (bob_law, eve_law)),
         ]:
-            sop = exact_sop(sb, se_, rs, 1e-4)
-            bound = sop_lower_numeric(sb, se_, rs, 1e-4)
+            sop = exact_sop(lb, le, rs)
+            bound = sop_lower_numeric(lb, le, rs)
             assert bound <= sop + 5e-3
 
 
@@ -452,13 +528,9 @@ class TestSubstitutedDensities:
 
         beta_b, beta_e, rs = 2.4, 0.9, 1.3
         got = sop_lower_numeric(
-            None,
-            None,
+            ExactLaw.from_pdf(lambda z: np.exp(-z / beta_b) / beta_b, beta_b),
+            ExactLaw.from_pdf(lambda z: np.exp(-z / beta_e) / beta_e, beta_e),
             rs,
-            1e-9,
-            pdf_b=lambda z: math.exp(-z / beta_b) / beta_b,
-            pdf_e=lambda z: math.exp(-z / beta_e) / beta_e,
-            scale_e=beta_e,
         )
         assert got == pytest.approx(sop_lower_closed(beta_b, beta_e, rs), abs=1e-6)
 
@@ -466,16 +538,10 @@ class TestSubstitutedDensities:
         # ratio of two half-shape gammas is a folded Cauchy
         beta_b, beta_e, rs = 1.7, 0.6, 0.8
         tau = 2.0**rs
-        from cumasim.approx import approx_pdf_zI
 
-        got = sop_lower_numeric(
-            None,
-            None,
-            rs,
-            1e-9,
-            pdf_b=lambda z: approx_pdf_zI(z, beta_b),
-            pdf_e=lambda z: approx_pdf_zI(z, beta_e),
-            scale_e=beta_e,
-        )
+        def gamma_half(beta):
+            return ExactLaw.from_pdf(lambda z: np.exp(-z / beta) / np.sqrt(np.pi * beta * z), beta)
+
+        got = sop_lower_numeric(gamma_half(beta_b), gamma_half(beta_e), rs)
         want = 2.0 / math.pi * math.atan(math.sqrt(tau * beta_e / beta_b))
         assert got == pytest.approx(want, abs=1e-6)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cumasim.analytic import ChannelStats, exact_er, exact_pdf_zI, sop_lower_numeric
+from cumasim.analytic import ChannelStats, ExactLaw, exact_er, exact_pdf_zI, sop_lower_numeric
 from cumasim.approx import (
     AsymptoteCoeffs,
     GammaFit,
@@ -22,6 +22,11 @@ from cumasim.approx import (
     sop_lower_closed,
 )
 from cumasim.specfun import DomainError
+
+
+def exponential_law(beta):
+    """Tabulated law of the exponential fit Exp(beta), the closed forms' reference."""
+    return ExactLaw.from_pdf(lambda z: np.exp(-z / beta) / beta, beta)
 
 
 def random_stats(rng, n=20):
@@ -181,13 +186,8 @@ class TestApproxEr:
         ],
     )
     def test_matches_quadrature(self, users, beta, sigma2):
-        want = exact_er(
-            users,
-            quad_tol=1e-9,
-            pdf=lambda z: approx_pdf_z(z, beta),
-            sigma2_sq=sigma2,
-            scale=beta,
-        )
+        # Z ~ Exp(beta) read as the rate variable Z / sigma2^2
+        want = exact_er(users, exponential_law(beta / sigma2))
         assert approx_er(users, beta, sigma2) == pytest.approx(want, rel=1e-6)
 
     def test_linear_in_users(self):
@@ -251,15 +251,7 @@ class TestSopLowerClosed:
         [(1.0, 1.0, 0.0), (2.0, 1.0, 1.0), (0.3, 2.2, 0.5), (5.0, 0.1, 2.0), (1.4, 1.4, 3.0)],
     )
     def test_matches_double_quadrature(self, bb, be, rs):
-        want = sop_lower_numeric(
-            None,
-            None,
-            rs,
-            1e-9,
-            pdf_b=lambda z: approx_pdf_z(z, bb),
-            pdf_e=lambda z: approx_pdf_z(z, be),
-            scale_e=be,
-        )
+        want = sop_lower_numeric(exponential_law(bb), exponential_law(be), rs)
         assert sop_lower_closed(bb, be, rs) == pytest.approx(want, abs=1e-6)
 
     def test_domain(self):

@@ -9,7 +9,6 @@ from cumasim.harness import (
     CSV_HEADER,
     SweepSpec,
     compare_distributions,
-    exact_enabled,
     ks_statistic,
     parse_config,
     run_sweep,
@@ -45,6 +44,7 @@ class TestSweepSpecValidation:
         {"trials": 10},
         {"exact": "maybe"},
         {"values": (4.5, 8.0)},
+        {"exact": "auto"},
     ])
     def test_rejections(self, kw):
         with pytest.raises(DomainError):
@@ -71,7 +71,7 @@ class TestRunSweep:
         assert all(a < b for a, b in zip(er, er[1:]))
 
     def test_exact_column_present_when_on(self):
-        spec = small_spec(values=(4.0,), metrics=("op",), trials=1000, exact="on", quad_tol=1e-5)
+        spec = small_spec(values=(4.0,), metrics=("op",), trials=1000, exact="on")
         report = run_sweep(spec)
         row = report.rows[0]
         assert row.analytic_exact is not None
@@ -188,11 +188,23 @@ class TestCsv:
 
 
 class TestExactMode:
-    def test_auto_stops_at_nineteen_interferers(self):
-        assert exact_enabled("auto", 19)
-        assert not exact_enabled("auto", 20)
-        assert exact_enabled("on", 99)
-        assert not exact_enabled("off", 1)
+    def test_default_fills_exact_columns_at_thirty_users(self):
+        spec = SweepSpec(axis="users", values=(30.0,), metrics=("er", "op"), preset="6GHz-NC", trials=10, mc=False)
+        assert spec.exact == parse_config(TestConfigParsing.GOOD.replace("exact = off", "")).exact == "on"
+        rows = run_sweep(spec).rows
+        assert all(r.analytic_exact is not None for r in rows)
+        assert 0.0 < rows[1].analytic_exact < 1.0
+
+    def test_auto_is_rejected(self, tmp_path, capsys):
+        # SweepSpec itself: TestSweepSpecValidation::test_rejections
+        cfg = tmp_path / "auto.cfg"
+        cfg.write_text(TestConfigParsing.GOOD.replace("exact = off", "exact = auto"))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert main(["compare", "--preset", "6GHz-NC", "--users", "8", "--exact", "auto"]) == 2
+        assert main([
+            "sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "4",
+            "--metrics", "er", "--exact", "auto",
+        ]) == 2
 
 
 class TestKsStatistic:
@@ -214,7 +226,7 @@ class TestKsStatistic:
 @pytest.fixture(scope="module")
 def report():
     return compare_distributions(
-        preset_grid("6GHz-NC"), 20, 20_000, SeedSpec(5), include_exact=True, quad_tol=1e-5
+        preset_grid("6GHz-NC"), 20, 20_000, SeedSpec(5), include_exact=True
     )
 
 
@@ -338,6 +350,14 @@ class TestCli:
         rc = main(["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "100", "--omega", omega])
         assert rc == 2
         assert "omega must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_single_trial_is_validation_error(self, command, capsys):
+        rc = main([command, "--preset", "6GHz-NC", "--users", "8", "--trials", "1", "--seed", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "at least 2 samples" in captured.err
+        assert "nan" not in captured.out
 
     def test_simulate_overflowing_omega_is_numerical_failure(self, capsys):
         with np.errstate(over="ignore", invalid="ignore"):

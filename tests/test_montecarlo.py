@@ -212,6 +212,10 @@ class TestMcMetrics:
             mc_estimate("sop", s)
         with pytest.raises(DomainError):
             mc_estimate("sop_lower", s, s, rs=-0.5)
+        one = sir_samples(case1_config, 1, SEED)
+        for metric in ("er", "op"):
+            with pytest.raises(DomainError):
+                mc_estimate(metric, one)
 
 
 class TestMcSop:
@@ -238,11 +242,18 @@ class TestMcSop:
         eve = sir_samples(case1_config, 50, SEED, substream=1)
         assert not np.allclose(bob.sir, eve.sir)
 
-    @pytest.mark.parametrize("rs", [1e-9, 0.5, 1.0, 2.0, 6.0])
+    @pytest.mark.parametrize("rs", [0.0, 1e-9, 0.5, 1.0, 2.0, 6.0])
     def test_lower_bound_below_sop(self, case1_config, rs):
-        # sir_B < 2^rs sir_E implies log2(1 + sir_B) - log2(1 + sir_E) < rs
-        # for rs > 0, so on the same samples the bound never exceeds the SOP
+        # sir_B < 2^rs sir_E implies log2(1 + sir_B) - log2(1 + sir_E) < rs,
+        # so on the same samples the bound never exceeds the SOP
         bob, eve = sop_pair(case1_config, SimConfig(corr=case1_config.corr, users=20, delta=0.5), 3000)
         lower, _ = mc_estimate("sop_lower", bob, eve, rs=rs)
         sop, _ = mc_estimate("sop", bob, eve, rs=rs)
         assert lower <= sop
+
+    def test_zero_rate_sop_is_the_lower_bound(self, case1_config):
+        # at rs = 0 both count the trials with sir_B < sir_E
+        bob, eve = sop_pair(case1_config, SimConfig(corr=case1_config.corr, users=20, delta=0.5), 3000)
+        sop = mc_estimate("sop", bob, eve, rs=0.0)
+        assert 0.0 < sop[0] < 1.0
+        assert sop == mc_estimate("sop_lower", bob, eve, rs=0.0)
