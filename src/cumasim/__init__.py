@@ -42,18 +42,7 @@ from .geometry import (
     preset_names,
 )
 from .harness import ComparisonReport, KSReport, SweepSpec, compare_distributions, ks_statistic, run_sweep
-from .montecarlo import (
-    ChannelRealization,
-    SeedSpec,
-    SimConfig,
-    TrialResult,
-    draw_realization,
-    interference_sum_samples,
-    mc_estimate,
-    select_ports,
-    sir_sample,
-    sir_samples,
-)
+from .montecarlo import SeedSpec, SimConfig, mc_estimate, select_ports, sir_sample, sir_samples
 from .specfun import DomainError
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import exp1, hyperu
 
 from .analytic import ChannelStats
@@ -135,13 +136,11 @@ def approx_pdf_z(z: float, beta: float) -> float:
     return math.exp(-z / beta) / beta
 
 
-def approx_cdf_z(z: float, beta: float) -> float:
-    """Exponential CDF 1 - exp(-z/beta); zero for z <= 0."""
+def approx_cdf_z(z, beta: float):
+    """Exponential CDF 1 - exp(-z/beta), elementwise; zero for z <= 0."""
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if z <= 0.0:
-        return 0.0
-    return -math.expm1(-z / beta)
+    return -np.expm1(-np.maximum(z, 0.0) / beta)
 
 
 def approx_er(users: int, beta: float, sigma2_sq: float) -> float:
@@ -166,8 +165,7 @@ def approx_op(gamma_th: float, beta: float, sigma2_sq: float) -> float:
         raise DomainError(f"gamma_th must be nonnegative, got {gamma_th}")
     if beta <= 0.0 or sigma2_sq <= 0.0:
         raise DomainError("beta and sigma2_sq must be positive")
-    z_th = (2.0**gamma_th - 1.0) * sigma2_sq
-    return -math.expm1(-z_th / beta)
+    return float(approx_cdf_z((2.0**gamma_th - 1.0) * sigma2_sq, beta))
 
 
 def sop_lower_closed(beta_b: float, beta_e: float, rs: float) -> float:

@@ -138,10 +138,14 @@ def correlation_entries(grid: PortGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Correlation coefficients plus the factor used for correlated sampling.
+    """Correlation coefficients plus a rank-truncated factor for sampling.
 
-    ``factor @ factor.T`` reproduces the PSD-repaired matrix; sampling
-    correlated Gaussians is ``factor @ standard_normals``.
+    ``factor`` has shape (N, r): the eigenvectors of the eigenpairs above
+    1e-12 of the largest eigenvalue, scaled by the square roots of those
+    eigenvalues. ``factor @ factor.T`` reproduces ``entries`` up to the
+    discarded eigenvalues, and ``factor @ z`` for r standard normals z is
+    one correlated Gaussian draw. The rank follows the aperture in
+    wavelengths rather than the port count.
     """
 
     dim: int
@@ -159,13 +163,17 @@ class CorrelationMatrix:
         return cls(dim=dim, entries=eye, factor=eye.copy())
 
 
+_RANK_CUT = 1e-12  # eigenvalues at or below this fraction of the largest are dropped
+
+
 def correlation_matrix(grid: PortGrid, psd_tol: float = 1e-8) -> CorrelationMatrix:
-    """Assemble the correlation matrix and its eigen square-root factor.
+    """Assemble the correlation matrix and its rank-truncated eigen factor.
 
     The sinc kernel on a finite grid is PSD in exact arithmetic but can
     go slightly indefinite in floating point at sub-wavelength spacing.
-    Eigenvalues in [-psd_tol, 0) are clipped to zero; anything below
-    -psd_tol is treated as a real failure.
+    An eigenvalue below -psd_tol is treated as a real failure; the
+    factor keeps only the eigenpairs above _RANK_CUT times the largest
+    eigenvalue, which also drops the tiny negative ones.
     """
     if psd_tol < 0.0:
         raise DomainError(f"psd_tol must be nonnegative, got {psd_tol}")
@@ -176,8 +184,8 @@ def correlation_matrix(grid: PortGrid, psd_tol: float = 1e-8) -> CorrelationMatr
             f"correlation matrix not positive semidefinite beyond tolerance: "
             f"min eigenvalue {eigvals.min():.3e} < -{psd_tol:.1e}"
         )
-    clipped = np.clip(eigvals, 0.0, None)
-    factor = eigvecs * np.sqrt(clipped)
+    keep = eigvals > _RANK_CUT * eigvals[-1]
+    factor = np.ascontiguousarray(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
     return CorrelationMatrix(dim=grid.total_ports, entries=entries, factor=factor)
 
 

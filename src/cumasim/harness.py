@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from . import analytic, approx, montecarlo
 from .analytic import ChannelStats, ExactLaw
@@ -302,12 +302,16 @@ def _point_rows(spec, axis_value, bob, eve, rs, seed):
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
+    """One-sample Kolmogorov-Smirnov statistic against a CDF.
+
+    ``cdf`` is called once, on the array of sorted samples, and must
+    work elementwise.
+    """
     s = np.sort(np.asarray(samples, dtype=float))
     n = len(s)
     if n == 0:
         raise DomainError("KS statistic needs at least one sample")
-    f = np.asarray([cdf(x) for x in s])
+    f = np.asarray(cdf(s), dtype=float)
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(hi - f)), np.max(np.abs(lo - f))))
@@ -347,7 +351,7 @@ def compare_distributions(
     z = s2 * samples.sir
     z_i = s2 * samples.sir_i
     ks_total = ks_statistic(z, lambda x: approx.approx_cdf_z(x, beta))
-    ks_i = ks_statistic(z_i, lambda x: math.erf(math.sqrt(max(x, 0.0) / beta)))
+    ks_i = ks_statistic(z_i, lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)))  # Gamma(1/2, beta)
     ks_exact = None
     if include_exact:
         ks_exact = ks_statistic(samples.sir, ExactLaw.from_stats(side.stats).cdf)

@@ -1,16 +1,22 @@
-"""Link-level ground truth: correlated channel draws, port activation, SIR.
+"""Monte Carlo ground truth: conditional-Gaussian SIR draws, port activation.
 
-Each trial draws one desired and I interfering effective channel vectors
-as spatially correlated complex Gaussians, activates the ports whose
-in-phase (quadrature) desired component is positive, and forms
+A trial draws the desired effective channel as a spatially correlated
+complex Gaussian, Re d + i Im d = F z from 2r standard normals z and the
+rank-r correlation factor F, activates the ports whose in-phase
+(quadrature) component is positive, giving the masks m_I (m_Q), and forms
 
-    SIR_I = (sum of activated Re parts)^2
-            / (delta * sum over interferers of (activated Re sum)^2)
+    SIR_I = (sum of activated Re d)^2 / (delta * sum over interferers of (activated Re sum)^2)
 
 with the quadrature branch analogous; the reported sample is
-SIR_I + SIR_Q. Interference is accumulated per interfering stream and
-squared before summing: independent data symbols decorrelate the
-streams, so the per-stream powers add.
+SIR_I + SIR_Q. The interferer channels are never drawn: interferer j's
+activated in-phase sum is m_I^T F x_j with x_j ~ N(0, I) independent of
+d, so given d the I sums are i.i.d. N(0, q_I) with q_I = |F^T m_I|^2 =
+m_I^T C m_I, and their power is exactly q_I times a chi-square variate
+with I degrees of freedom (likewise for Q, independently). A trial
+therefore costs two products with F and two chi-square variates, whatever
+the user count. Real and imaginary parts carry unit variance instead of
+omega/2: the channel power scales numerator and denominator alike, so
+the draws leave it out.
 
 Reproducibility contract: trial t of a run draws from a dedicated
 generator derived from (master seed, trial index, substream), so a run
@@ -31,18 +37,17 @@ from .specfun import DomainError
 
 __all__ = [
     "SeedSpec",
-    "ChannelRealization",
-    "TrialResult",
     "SimConfig",
-    "draw_realization",
     "select_ports",
     "sir_sample",
     "sir_samples",
-    "interference_sum_samples",
     "mc_estimate",
 ]
 
 _MAX_REDRAWS = 64
+# A SampleSet holds five 8-byte values per trial; refuse runs past 1 GiB.
+_TRIAL_BYTES = 5 * 8
+_MAX_SAMPLE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -59,34 +64,6 @@ class SeedSpec:
         """Generator for one (trial, substream); identical inputs give identical streams."""
         key = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(trial, substream))
         return np.random.default_rng(key)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of correlated effective channels.
-
-    desired has shape (N,); interferers has shape (I, N). All entries are
-    zero-mean complex Gaussian with per-port variance omega and the
-    inter-port correlation of the generating matrix.
-    """
-
-    desired: np.ndarray
-    interferers: np.ndarray
-
-    def __post_init__(self):
-        if self.desired.ndim != 1 or self.interferers.ndim != 2:
-            raise DomainError("desired must be (N,), interferers (I, N)")
-        if self.interferers.shape[1] != self.desired.shape[0]:
-            raise DomainError("desired and interferer vectors must share the port dimension")
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    sir: float
-    sir_i: float  # in-phase branch alone
-    k_i_size: int
-    k_q_size: int
-    flagged: bool = False
 
 
 @dataclass(frozen=True)
@@ -111,38 +88,6 @@ class SimConfig:
         return self.users - 1
 
 
-def _draw_vectors(rng: np.random.Generator, factor: np.ndarray, omega: float, count: int) -> np.ndarray:
-    # (count, N) correlated complex Gaussians; real and imaginary parts
-    # are independent with per-port variance omega/2 each.
-    n = factor.shape[0]
-    x = rng.standard_normal((n, count))
-    y = rng.standard_normal((n, count))
-    return (math.sqrt(omega / 2.0) * (factor @ x + 1j * (factor @ y))).T
-
-
-def draw_realization(
-    corr: CorrelationMatrix,
-    omega: float,
-    interferers: int,
-    seed: SeedSpec,
-    trial: int,
-    substream: int = 0,
-) -> ChannelRealization:
-    """Draw the desired and interfering channel vectors for one trial."""
-    if interferers < 1:
-        raise DomainError(f"need at least one interferer, got {interferers}")
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"omega must be positive and finite, got {omega}")
-    rng = seed.rng(trial, substream)
-    return _draw_from_rng(rng, corr.factor, omega, interferers)
-
-
-def _draw_from_rng(rng, factor, omega, interferers) -> ChannelRealization:
-    desired = _draw_vectors(rng, factor, omega, 1)[0]
-    interf = _draw_vectors(rng, factor, omega, interferers)
-    return ChannelRealization(desired=desired, interferers=interf)
-
-
 def select_ports(desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Activated port positions (0-based) for the I and Q branches.
 
@@ -156,95 +101,88 @@ def select_ports(desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(desired.real > 0.0), np.flatnonzero(desired.imag > 0.0)
 
 
-def sir_sample(realization: ChannelRealization, delta: float) -> TrialResult:
-    """Form the SIR sample of one realization.
+def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, delta: float):
+    """One conditional draw: (sir, sir_i, |K_I|, |K_Q|, q_I), or None.
 
-    Flagged (excluded) when either branch has zero interference power,
-    which requires an empty activation set and has probability 2^-N per
-    branch.
+    ``factor`` is the (N, r) correlation factor. The draw takes 2r
+    standard normals for d = F z, then one chi-square(interferers)
+    variate per branch. None means a branch has no interference (an
+    empty activation set, probability 2^-N per branch); the caller
+    redraws from the same generator.
     """
+    if interferers < 1:
+        raise DomainError(f"need at least one interferer, got {interferers}")
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    k_i, k_q = select_ports(realization.desired)
-    re_d = realization.desired.real
-    im_d = realization.desired.imag
-    nu_i = re_d[k_i].sum() ** 2
-    nu_q = im_d[k_q].sum() ** 2
-    per_stream_i = realization.interferers.real[:, k_i].sum(axis=1)
-    per_stream_q = realization.interferers.imag[:, k_q].sum(axis=1)
-    xi_i = float(per_stream_i @ per_stream_i)
-    xi_q = float(per_stream_q @ per_stream_q)
+    d = rng.standard_normal((2, factor.shape[1])) @ factor.T  # rows: Re d, Im d
+    k_i, k_q = select_ports(d[0] + 1j * d[1])
+    masks = np.zeros_like(d)
+    masks[0, k_i] = 1.0
+    masks[1, k_q] = 1.0
+    q_i, q_q = np.square(masks @ factor).sum(axis=1)
+    nu_i, nu_q = np.square((masks * d).sum(axis=1))
+    chi_i, chi_q = rng.chisquare(interferers, 2)
+    xi_i = delta * q_i * chi_i
+    xi_q = delta * q_q * chi_q
     if xi_i == 0.0 or xi_q == 0.0:
-        return TrialResult(sir=math.nan, sir_i=math.nan, k_i_size=len(k_i), k_q_size=len(k_q), flagged=True)
-    sir_i = nu_i / (delta * xi_i)
-    sir = sir_i + nu_q / (delta * xi_q)
-    return TrialResult(sir=float(sir), sir_i=float(sir_i), k_i_size=len(k_i), k_q_size=len(k_q))
+        return None
+    sir_i = nu_i / xi_i
+    sir = sir_i + nu_q / xi_q
+    return float(sir), float(sir_i), len(k_i), len(k_q), float(q_i)
 
 
 @dataclass
 class SampleSet:
-    """Per-trial outputs of a run, in trial order."""
+    """Per-trial outputs of a run, in trial order.
+
+    ``q_i`` is each trial's m_I^T C m_I: one interferer's activated
+    in-phase sum is N(0, (omega / 2) q_i) given the desired draw.
+    """
 
     sir: np.ndarray
     sir_i: np.ndarray
     k_i_sizes: np.ndarray
     k_q_sizes: np.ndarray
+    q_i: np.ndarray
     redrawn: int
 
 
 def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int = 0) -> SampleSet:
     """Draw `trials` independent SIR samples.
 
-    A flagged realization is redrawn from the same trial's stream. A
-    sample that is not finite (channel powers so large that the sums
-    overflow) raises FloatingPointError.
+    A draw without interference is redrawn from the same trial's stream.
+    A sample that is not finite raises FloatingPointError. A trial count
+    whose sample arrays would pass _MAX_SAMPLE_BYTES is refused before
+    anything is allocated.
     """
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials}")
+    if trials * _TRIAL_BYTES > _MAX_SAMPLE_BYTES:
+        raise DomainError(
+            f"{trials} trials would need {trials * _TRIAL_BYTES / 2**30:.3g} GiB of samples "
+            f"(limit {_MAX_SAMPLE_BYTES // _TRIAL_BYTES} trials per run)"
+        )
     factor = config.corr.factor
     sir = np.empty(trials)
     sir_i = np.empty(trials)
     ki = np.empty(trials, dtype=np.int64)
     kq = np.empty(trials, dtype=np.int64)
+    q_i = np.empty(trials)
     redrawn = 0
     for t in range(trials):
         rng = seed.rng(t, substream)
         for _ in range(_MAX_REDRAWS):
-            real = _draw_from_rng(rng, factor, config.omega, config.interferers)
-            res = sir_sample(real, config.delta)
-            if not res.flagged:
+            res = sir_sample(rng, factor, config.interferers, config.delta)
+            if res is not None:
                 break
             redrawn += 1
         else:
             raise DomainError(f"trial {t}: interference power stayed zero after {_MAX_REDRAWS} redraws")
-        sir[t], sir_i[t], ki[t], kq[t] = res.sir, res.sir_i, res.k_i_size, res.k_q_size
+        sir[t], sir_i[t], ki[t], kq[t], q_i[t] = res
     bad = np.flatnonzero(~np.isfinite(sir))
     if bad.size:
-        raise FloatingPointError(f"trial {bad[0]}: SIR sample is not finite at omega = {config.omega:g}")
-    return SampleSet(sir=sir, sir_i=sir_i, k_i_sizes=ki, k_q_sizes=kq, redrawn=redrawn)
-
-
-def interference_sum_samples(
-    config: SimConfig,
-    trials: int,
-    seed: SeedSpec,
-    substream: int = 0,
-) -> np.ndarray:
-    """Per-interferer activated in-phase sums, shape (trials, I).
-
-    These are the pre-squared quantities whose variance the analytic
-    sigma2^2 models; used for variance calibration.
-    """
-    if trials < 1:
-        raise DomainError(f"trials must be positive, got {trials}")
-    factor = config.corr.factor
-    out = np.empty((trials, config.interferers))
-    for t in range(trials):
-        rng = seed.rng(t, substream)
-        real = _draw_from_rng(rng, factor, config.omega, config.interferers)
-        k_i, _ = select_ports(real.desired)
-        out[t] = real.interferers.real[:, k_i].sum(axis=1)
-    return out
+        raise FloatingPointError(f"trial {bad[0]}: SIR sample is not finite")
+    return SampleSet(sir=sir, sir_i=sir_i, k_i_sizes=ki, k_q_sizes=kq, q_i=q_i, redrawn=redrawn)
 
 
 def mc_estimate(

@@ -24,10 +24,10 @@ from cumasim.approx import (
 )
 from cumasim.geometry import PortGrid, correlation, correlation_matrix, grid_from_aperture, preset_grid
 from cumasim.harness import ks_statistic
-from cumasim.montecarlo import SeedSpec, SimConfig, interference_sum_samples, mc_estimate, sir_samples
+from cumasim.montecarlo import SeedSpec, SimConfig, mc_estimate, sir_samples
 
 from test_approx import exponential_law, random_stats
-from test_montecarlo import sop_pair
+from test_montecarlo import interference_sums, sop_pair
 
 APERTURE = (0.15, 0.08)
 SEED = SeedSpec(987654321)
@@ -322,7 +322,8 @@ def test_a09_sweep_trends():
 
 def test_a10_interference_variance_calibration(case1_config, case1_stats):
     t0 = time.time()
-    sums = interference_sum_samples(case1_config, 100_000, SEED)
+    # each trial's sums are N(0, (omega/2) q_I) given its desired draw
+    sums = interference_sums(sir_samples(case1_config, 100_000, SEED), case1_config, SEED)
     ratio = float(sums.var(ddof=1)) / case1_stats.sigma2_sq
     ok = abs(ratio - 1.0) < 0.10
     report(

@@ -2,22 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from cumasim.geometry import CorrelationMatrix, correlation_matrix, preset_grid
 from cumasim.harness import ks_statistic
-from cumasim.montecarlo import (
-    ChannelRealization,
-    SeedSpec,
-    SimConfig,
-    TrialResult,
-    draw_realization,
-    interference_sum_samples,
-    mc_estimate,
-    select_ports,
-    sir_sample,
-    sir_samples,
-)
+from cumasim.montecarlo import SeedSpec, SimConfig, mc_estimate, select_ports, sir_sample, sir_samples
 from cumasim.specfun import DomainError
+from link_oracle import ChannelRealization, draw_realization, link_samples, link_sir_sample
 
 SEED = SeedSpec(20240611)
 
@@ -42,6 +33,8 @@ class TestSeedSpec:
 
 
 class TestDrawRealization:
+    """The link-level oracle's channel draws."""
+
     def test_reproducible(self, case1_corr):
         r1 = draw_realization(case1_corr, 1.0, 5, SEED, trial=3)
         r2 = draw_realization(case1_corr, 1.0, 5, SEED, trial=3)
@@ -107,33 +100,35 @@ class TestSelectPorts:
 
 
 class TestSirSample:
+    """The link-level oracle's SIR of one realization."""
+
     def test_delta_scaling(self, case1_corr):
         r = draw_realization(case1_corr, 1.0, 5, SEED, trial=0)
-        full = sir_sample(r, 1.0)
-        half = sir_sample(r, 0.5)
+        full = link_sir_sample(r, 1.0)
+        half = link_sir_sample(r, 0.5)
         assert half.sir == pytest.approx(2.0 * full.sir, rel=1e-12)
         assert half.k_i_size == full.k_i_size
 
     def test_interferer_equal_to_desired(self, case1_corr):
         r = draw_realization(case1_corr, 1.0, 1, SEED, trial=5)
         clone = ChannelRealization(desired=r.desired, interferers=r.desired[None, :].copy())
-        res = sir_sample(clone, 0.5)
+        res = link_sir_sample(clone, 0.5)
         # each branch contributes 1/delta when the lone interferer aligns
         assert res.sir == pytest.approx(2.0 / 0.5, rel=1e-12)
 
     def test_zero_interference_flagged(self):
         desired = np.array([1.0 + 1.0j, 2.0 + 0.5j])
         interferers = np.zeros((3, 2), dtype=complex)
-        res = sir_sample(ChannelRealization(desired=desired, interferers=interferers), 1.0)
+        res = link_sir_sample(ChannelRealization(desired=desired, interferers=interferers), 1.0)
         assert res.flagged
         assert math.isnan(res.sir)
 
     def test_delta_domain(self, case1_corr):
         r = draw_realization(case1_corr, 1.0, 2, SEED, trial=1)
         with pytest.raises(DomainError):
-            sir_sample(r, 0.0)
+            link_sir_sample(r, 0.0)
         with pytest.raises(DomainError):
-            sir_sample(r, 1.2)
+            link_sir_sample(r, 1.2)
 
     def test_quarter_turn_swaps_branches(self, case1_config, case1_corr):
         # rotating every channel by 90 degrees exchanges the I and Q roles,
@@ -142,13 +137,63 @@ class TestSirSample:
         rotated = []
         for t in range(10_000):
             r = draw_realization(case1_corr, 1.0, 19, SEED, trial=t)
-            base.append(sir_sample(r, 1.0).sir)
+            base.append(link_sir_sample(r, 1.0).sir)
             rot = ChannelRealization(desired=1j * r.desired, interferers=1j * r.interferers)
-            rotated.append(sir_sample(rot, 1.0).sir)
+            rotated.append(link_sir_sample(rot, 1.0).sir)
         base = np.sort(base)
         cdf = lambda x: np.searchsorted(base, x, side="right") / len(base)
         ks = ks_statistic(np.asarray(rotated), cdf)
         assert ks <= 0.02
+
+
+class TestConditionalKernel:
+    """The package's one-trial kernel, `sir_sample`, and its agreement with the oracle."""
+
+    def test_delta_scaling(self, case1_corr):
+        full = sir_sample(SEED.rng(0), case1_corr.factor, 19, 1.0)
+        half = sir_sample(SEED.rng(0), case1_corr.factor, 19, 0.5)
+        assert half[0] == pytest.approx(2.0 * full[0], rel=1e-12)
+        assert half[1] == pytest.approx(2.0 * full[1], rel=1e-12)
+        assert half[2:] == full[2:]  # the same masks and q_I
+
+    def test_empty_activation_returns_none(self):
+        # a single port activates a branch with probability 1/2, so most
+        # draws leave one branch empty
+        draws = [sir_sample(SEED.rng(t), np.ones((1, 1)), 3, 1.0) for t in range(64)]
+        assert 0 < draws.count(None) < 64
+        assert all(d[2:] == (1, 1, 1.0) for d in draws if d is not None)
+
+    def test_validation(self, case1_corr):
+        for interferers, delta in ((0, 1.0), (2, 0.0), (2, 1.2)):
+            with pytest.raises(DomainError):
+                sir_sample(SEED.rng(0), case1_corr.factor, interferers, delta)
+
+    def test_mean_mask_quadratic_form(self):
+        # E[m_k m_l] = 1/4 + asin(rho_kl) / (2 pi) (Sheppard), so
+        # E[q_I] = sum_kl rho_kl (1/4 + asin(rho_kl) / (2 pi))
+        corr = correlation_matrix(preset_grid("6GHz-VC"))
+        rho = np.clip(corr.entries, -1.0, 1.0)
+        want = float(np.sum(rho * (0.25 + np.arcsin(rho) / (2.0 * math.pi))))
+        q = sir_samples(SimConfig(corr=corr, users=20), 4000, SEED).q_i
+        assert abs(q.mean() - want) < 4.0 * q.std(ddof=1) / math.sqrt(len(q))
+
+    @pytest.mark.parametrize("preset", ["6GHz-NC", "6GHz-VC"])
+    def test_matches_link_level_oracle(self, preset):
+        config = SimConfig(corr=correlation_matrix(preset_grid(preset)), users=20)
+        n = 5000
+        ks = ks_2samp(sir_samples(config, n, SEED).sir, link_samples(config, n, SeedSpec(77))).statistic
+        # two-sample KS critical value at alpha = 0.001
+        crit = math.sqrt(-math.log(0.001 / 2.0) * (n + n) / (2.0 * n * n))
+        assert ks < crit
+
+    def test_large_grid_rate_matches_link_level_reference(self):
+        # sum-rate ER on 26GHz-C with 10 users: 52.036 +- 0.055 is the
+        # estimate from 10,000 link-level trials (full interferer channels)
+        # at the benchmark's reference seed, as recorded in
+        # bench/reference.json (workload mc-large-grid, key er.mc)
+        config = SimConfig(corr=correlation_matrix(preset_grid("26GHz-C")), users=10)
+        er, se = mc_estimate("er", sir_samples(config, 2000, SEED), users=10)
+        assert abs(er - 52.036) < 5.0 * math.hypot(se, 0.055)
 
 
 class TestSampleRuns:
@@ -167,9 +212,19 @@ class TestSampleRuns:
         assert np.all(s.sir_i <= s.sir + 1e-12)
 
 
+def interference_sums(samples, config, seed=SEED):
+    """Per-interferer activated in-phase sums, shape (trials, I).
+
+    Given its desired draw, trial t's sums are i.i.d. N(0, (omega/2) q_I);
+    the unit normals come from a stream of their own.
+    """
+    z = np.random.default_rng(seed.master_seed).standard_normal((len(samples.q_i), config.interferers))
+    return np.sqrt(config.omega / 2.0 * samples.q_i)[:, None] * z
+
+
 class TestInterferenceCalibration:
     def test_per_interferer_variance_tracks_sigma2(self, case1_config, case1_stats):
-        sums = interference_sum_samples(case1_config, 20_000, SEED)
+        sums = interference_sums(sir_samples(case1_config, 20_000, SEED), case1_config)
         ratio = float(sums.var(ddof=1)) / case1_stats.sigma2_sq
         assert abs(ratio - 1.0) < 0.10
 
@@ -192,17 +247,24 @@ class TestMcMetrics:
         assert abs(ratio - math.sqrt(2.0)) < 0.2 * math.sqrt(2.0)
 
     def test_golden_run(self, case1_config):
-        # frozen from the first verified run at this seed
+        # frozen from the first run of the conditional-Gaussian kernel at
+        # this seed (the link-level sampler gave 22.20694317794273 and 0.3831)
         s = sir_samples(case1_config, 20_000, SeedSpec(1234))
         er, _ = mc_estimate("er", s, users=case1_config.users)
         op, _ = mc_estimate("op", s, gamma_th=1.0)
-        assert er == pytest.approx(22.20694317794273, rel=1e-9)
-        assert op == pytest.approx(0.3831, abs=1e-12)
+        assert er == pytest.approx(22.275137189117977, rel=1e-9)
+        assert op == pytest.approx(0.38105, abs=1e-12)
         assert s.redrawn == 0
 
     def test_trial_floor(self, case1_config):
         with pytest.raises(DomainError):
             sir_samples(case1_config, 0, SEED)
+
+    def test_trial_cap_refuses_before_allocating(self, case1_config):
+        # 2^40 trials would need 40 TiB of sample arrays; np.empty would
+        # raise MemoryError, so a DomainError shows the cap came first
+        with pytest.raises(DomainError, match="GiB of samples"):
+            sir_samples(case1_config, 2**40, SEED)
 
     def test_reducer_validation(self, case1_config):
         s = sir_samples(case1_config, 50, SEED)
