@@ -8,7 +8,6 @@ plus a sweep harness and CLI for reproducing figure-style studies.
 from .analytic import (
     ChannelStats,
     ExactLaw,
-    PairingPolicy,
     QuadratureError,
     cov_pair,
     exact_er,
@@ -34,10 +33,9 @@ from .approx import (
 from .geometry import (
     CorrelationMatrix,
     PortGrid,
-    correlation,
     correlation_matrix,
     grid_from_aperture,
-    port_index_to_coords,
+    offset_correlation,
     preset_grid,
     preset_names,
 )

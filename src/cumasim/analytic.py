@@ -21,12 +21,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legvander
 from scipy.special import hyp1f1
 
-from .geometry import PortGrid, correlation_entries
+from .geometry import PortGrid, offset_correlation
 from .specfun import DomainError
 
 __all__ = [
     "QuadratureError",
-    "PairingPolicy",
     "ChannelStats",
     "cov_pair",
     "sigma_sums",
@@ -49,41 +48,6 @@ class QuadratureError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # channel-parameter bundle
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairingPolicy:
-    """Which ports enter the pair sums of the variance formulas.
-
-    all-ports uses every port of the grid; first-nbar takes the first
-    nbar linear indices; stride spreads nbar indices evenly across the
-    grid (step N // nbar). The latter two exist for sensitivity studies.
-    """
-
-    mode: str = "all-ports"
-    nbar: int | None = None
-
-    _MODES = ("all-ports", "first-nbar", "stride")
-
-    def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise DomainError(f"pairing mode must be one of {self._MODES}, got {self.mode!r}")
-        if self.mode != "all-ports":
-            if self.nbar is None or self.nbar < 1:
-                raise DomainError(f"{self.mode} pairing requires nbar >= 1")
-
-    def select(self, total_ports: int) -> np.ndarray:
-        """1-based port indices entering the sums."""
-        if self.mode == "all-ports":
-            if self.nbar is not None and self.nbar != total_ports:
-                raise DomainError("all-ports pairing fixes nbar to the full port count")
-            return np.arange(1, total_ports + 1)
-        if self.nbar > total_ports:
-            raise DomainError(f"nbar={self.nbar} exceeds total ports {total_ports}")
-        if self.mode == "first-nbar":
-            return np.arange(1, self.nbar + 1)
-        step = total_ports // self.nbar
-        return 1 + step * np.arange(self.nbar)
 
 
 @dataclass(frozen=True)
@@ -116,12 +80,11 @@ class ChannelStats:
         users: int,
         delta: float = 1.0,
         omega: float = 1.0,
-        policy: PairingPolicy = PairingPolicy(),
     ) -> "ChannelStats":
         if users < 2:
             raise DomainError(f"need at least 2 users, got {users}")
-        sigma1_sq, sigma2_sq = sigma_sums(grid, omega, None, policy)
-        nbar = len(policy.select(grid.total_ports))
+        sigma1_sq, sigma2_sq = sigma_sums(grid, omega)
+        nbar = grid.total_ports
         return cls(
             omega=omega,
             nbar=nbar,
@@ -169,56 +132,28 @@ def cov_pair(rho, omega: float):
     return omega / (4.0 * math.pi) * (rho * (0.5 * math.pi + np.arcsin(rho)) - rho * rho / (1.0 + root))
 
 
-def _offset_pair_sums(grid: PortGrid, omega: float):
-    # pair sums over the full grid exploit translation invariance: an
-    # unordered pair offset (da, db) with da >= 1 occurs once per sign of
-    # db (same distance, same rho, double count); axis offsets occur once.
-    s1, s2 = grid.spacings
-    da = np.arange(grid.n1)
-    db = np.arange(grid.n2)
-    counts = np.outer(grid.n1 - da, grid.n2 - db).astype(float)
-    counts[1:, 1:] *= 2.0
-    counts[0, 0] = 0.0  # zero offset is the diagonal, not a pair
-    x = 2.0 * np.pi * np.hypot(np.outer(da, np.ones_like(db)) * s1, np.outer(np.ones_like(da), db) * s2)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    x2 = x * x
-    rho = np.where(small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0), np.sin(xs) / xs)
-    sum_rho = float(np.sum(counts * rho))
-    sum_cov = float(np.sum(counts * cov_pair(rho, omega)))
-    return sum_rho, sum_cov
+def sigma_sums(grid: PortGrid, omega: float) -> tuple[float, float]:
+    """(sigma1^2, sigma2^2) over every port of the grid.
 
-
-def sigma_sums(
-    grid: PortGrid,
-    omega: float,
-    nbar: int | None = None,
-    policy: PairingPolicy = PairingPolicy(),
-) -> tuple[float, float]:
-    """(sigma1^2, sigma2^2) for the policy-selected port set.
-
-    sigma2^2 = Omega/4 (Nbar + sum rho) is the variance of one
-    interferer's activated-port sum; sigma1^2 = Nbar Omega/4 (1 - 1/pi)
-    + 2 sum cov is the variance of the aligned desired-signal sum.
+    sigma2^2 = Omega/4 (N + sum rho) is the variance of one interferer's
+    activated-port sum; sigma1^2 = N Omega/4 (1 - 1/pi) + 2 sum cov is
+    the variance of the aligned desired-signal sum. Both sums run over
+    unordered port pairs, taken from the offset table: an offset (da, db)
+    with da, db >= 1 occurs once per sign of db (same distance, same
+    rho, double count); axis offsets occur once.
     """
     if omega <= 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
-    if nbar is not None and policy.nbar is not None and nbar != policy.nbar:
-        raise DomainError(f"nbar={nbar} disagrees with policy nbar={policy.nbar}")
-    idx = policy.select(grid.total_ports)
-    if nbar is not None and len(idx) != nbar:
-        raise DomainError(f"policy selects {len(idx)} ports but nbar={nbar} was requested")
-    m = len(idx)
-    if policy.mode == "all-ports":
-        sum_rho, sum_cov = _offset_pair_sums(grid, omega)
-    else:
-        entries = correlation_entries(grid)[np.ix_(idx - 1, idx - 1)]
-        iu = np.triu_indices(m, 1)
-        rhos = entries[iu]
-        sum_rho = float(rhos.sum())
-        sum_cov = float(np.sum(cov_pair(rhos, omega)))
-    sigma2_sq = omega / 4.0 * (m + sum_rho)
-    sigma1_sq = m * omega / 4.0 * (1.0 - 1.0 / math.pi) + 2.0 * sum_cov
+    n1, n2 = grid.n1, grid.n2
+    counts = np.outer(n1 - np.arange(n1), n2 - np.arange(n2)).astype(float)
+    counts[1:, 1:] *= 2.0
+    counts[0, 0] = 0.0  # zero offset is the diagonal, not a pair
+    rho = offset_correlation(grid)
+    sum_rho = float(np.sum(counts * rho))
+    sum_cov = float(np.sum(counts * cov_pair(rho, omega)))
+    n = grid.total_ports
+    sigma2_sq = omega / 4.0 * (n + sum_rho)
+    sigma1_sq = n * omega / 4.0 * (1.0 - 1.0 / math.pi) + 2.0 * sum_cov
     return sigma1_sq, sigma2_sq
 
 

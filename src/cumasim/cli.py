@@ -137,9 +137,7 @@ def _cmd_compare(args) -> int:
     samples = montecarlo.sir_samples(config, args.trials, seed)
     er, er_se = montecarlo.mc_estimate("er", samples, users=args.users)
     op, op_se = montecarlo.mc_estimate("op", samples, gamma_th=args.gamma_th)
-    ks = harness.compare_distributions(
-        grid, args.users, args.trials, seed, delta=args.delta, omega=args.omega
-    )
+    ks = harness.compare_distributions(config, stats, args.trials, seed)
     law = ExactLaw.from_stats(stats) if args.exact == "on" else None
     print(f"preset = {args.preset}  users = {args.users}  trials = {args.trials}")
     print(f"er: approx = {approx.approx_er(args.users, beta, stats.sigma2_sq):.6g}", end="")

@@ -1,9 +1,10 @@
 """Port grids, spatial correlation and Table-style named presets.
 
 Ports live on an N1 x N2 rectangular grid inside a fixed physical
-aperture. Linear port indices are 1-based and column-major along
-dimension 1; the correlation between two ports follows the isotropic
-scattering kernel j0(2*pi*d) with d the separation in wavelengths.
+aperture, ordered with dimension 1 fastest. The correlation between two
+ports follows the isotropic scattering kernel j0(2*pi*d) with d the
+separation in wavelengths; it depends on the port offset only, so one
+(N1, N2) table of offsets feeds the N x N matrix and the pair sums.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ __all__ = [
     "PortGrid",
     "CorrelationMatrix",
     "grid_from_aperture",
-    "port_index_to_coords",
-    "correlation",
+    "offset_correlation",
+    "correlation_entries",
     "correlation_matrix",
     "PRESETS",
     "preset_grid",
@@ -88,105 +89,81 @@ def grid_from_aperture(
     return PortGrid(n1=n1, n2=n2, w1=w1, w2=w2)
 
 
-def port_index_to_coords(k: int, grid: PortGrid) -> tuple[int, int]:
-    """Map 1-based linear port index to 1-based (dim1, dim2) grid coordinates."""
-    if not 1 <= k <= grid.total_ports:
-        raise DomainError(f"port index {k} outside 1..{grid.total_ports}")
-    r = k % grid.n1
-    if r == 0:
-        return grid.n1, k // grid.n1
-    return r, k // grid.n1 + 1
+def offset_correlation(grid: PortGrid) -> np.ndarray:
+    """Correlation j0(2*pi*d) of every port offset, as an (n1, n2) table.
 
-
-def _j0(x: float) -> float:
-    # sin(x)/x with a series branch to dodge 0/0 near the origin
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
-    return math.sin(x) / x
-
-
-def correlation(k: int, m: int, grid: PortGrid) -> float:
-    """Spatial correlation coefficient between ports k and m."""
-    a1, a2 = port_index_to_coords(k, grid)
-    b1, b2 = port_index_to_coords(m, grid)
-    dx = (a1 - b1) * grid.w1 / (grid.n1 - 1)
-    dy = (a2 - b2) * grid.w2 / (grid.n2 - 1)
-    return _j0(2.0 * math.pi * math.hypot(dx, dy))
-
-
-def _coords_arrays(grid: PortGrid) -> tuple[np.ndarray, np.ndarray]:
-    k = np.arange(1, grid.total_ports + 1)
-    r = k % grid.n1
-    n1 = np.where(r == 0, grid.n1, r)
-    n2 = np.where(n1 == grid.n1, k // grid.n1, k // grid.n1 + 1)
-    return n1, n2
-
-
-def correlation_entries(grid: PortGrid) -> np.ndarray:
-    """Full N x N correlation coefficient matrix (no PSD repair)."""
-    n1, n2 = _coords_arrays(grid)
-    dx = (n1[:, None] - n1[None, :]) * (grid.w1 / (grid.n1 - 1))
-    dy = (n2[:, None] - n2[None, :]) * (grid.w2 / (grid.n2 - 1))
-    x = 2.0 * np.pi * np.hypot(dx, dy)
+    Entry [da, db] is the correlation between two ports da steps apart
+    along dimension 1 and db steps apart along dimension 2. The kernel
+    depends on the offset only, so this table holds every distinct
+    correlation of the grid.
+    """
+    s1, s2 = grid.spacings
+    da = np.arange(grid.n1)[:, None]
+    db = np.arange(grid.n2)[None, :]
+    x = 2.0 * np.pi * np.hypot(da * s1, db * s2)
     small = np.abs(x) < 1e-4
     xs = np.where(small, 1.0, x)  # placeholder to keep sin(x)/x well defined
     x2 = x * x
-    out = np.where(small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0), np.sin(xs) / xs)
-    return (out + out.T) / 2.0
+    return np.where(small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0), np.sin(xs) / xs)
+
+
+def correlation_entries(grid: PortGrid) -> np.ndarray:
+    """Full N x N correlation coefficient matrix (no PSD repair).
+
+    Gathered from the offset table: block-Toeplitz with Toeplitz blocks
+    in the dimension-1-fastest port order.
+    """
+    rho = offset_correlation(grid)
+    i = np.arange(grid.n1)
+    j = np.arange(grid.n2)
+    a = np.abs(i[:, None] - i[None, :])
+    b = np.abs(j[:, None] - j[None, :])
+    n = grid.total_ports
+    # axes (j, i, j', i') flatten to (port i + n1 j, port i' + n1 j')
+    return rho[a[None, :, None, :], b[:, None, :, None]].reshape(n, n)
 
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Correlation coefficients plus a rank-truncated factor for sampling.
+    """Rank-truncated factor of the port correlation matrix, for sampling.
 
     ``factor`` has shape (N, r): the eigenvectors of the eigenpairs above
     1e-12 of the largest eigenvalue, scaled by the square roots of those
-    eigenvalues. ``factor @ factor.T`` reproduces ``entries`` up to the
-    discarded eigenvalues, and ``factor @ z`` for r standard normals z is
-    one correlated Gaussian draw. The rank follows the aperture in
-    wavelengths rather than the port count.
+    eigenvalues. ``factor @ factor.T`` reproduces ``correlation_entries``
+    up to the discarded eigenvalues, and ``factor @ z`` for r standard
+    normals z is one correlated Gaussian draw. The rank follows the
+    aperture in wavelengths rather than the port count.
     """
 
     dim: int
-    entries: np.ndarray
     factor: np.ndarray
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
         self.factor.setflags(write=False)
-
-    @classmethod
-    def identity(cls, dim: int) -> "CorrelationMatrix":
-        """Uncorrelated ports (far-spaced limit); handy for calibration runs."""
-        eye = np.eye(dim)
-        return cls(dim=dim, entries=eye, factor=eye.copy())
 
 
 _RANK_CUT = 1e-12  # eigenvalues at or below this fraction of the largest are dropped
+_PSD_TOL = 1e-8  # an eigenvalue below -_PSD_TOL is a real failure, not rounding
 
 
-def correlation_matrix(grid: PortGrid, psd_tol: float = 1e-8) -> CorrelationMatrix:
+def correlation_matrix(grid: PortGrid) -> CorrelationMatrix:
     """Assemble the correlation matrix and its rank-truncated eigen factor.
 
     The sinc kernel on a finite grid is PSD in exact arithmetic but can
     go slightly indefinite in floating point at sub-wavelength spacing.
-    An eigenvalue below -psd_tol is treated as a real failure; the
+    An eigenvalue below -_PSD_TOL is treated as a real failure; the
     factor keeps only the eigenpairs above _RANK_CUT times the largest
     eigenvalue, which also drops the tiny negative ones.
     """
-    if psd_tol < 0.0:
-        raise DomainError(f"psd_tol must be nonnegative, got {psd_tol}")
-    entries = correlation_entries(grid)
-    eigvals, eigvecs = np.linalg.eigh(entries)
-    if eigvals.min() < -psd_tol:
+    eigvals, eigvecs = np.linalg.eigh(correlation_entries(grid))
+    if eigvals.min() < -_PSD_TOL:
         raise DomainError(
             f"correlation matrix not positive semidefinite beyond tolerance: "
-            f"min eigenvalue {eigvals.min():.3e} < -{psd_tol:.1e}"
+            f"min eigenvalue {eigvals.min():.3e} < -{_PSD_TOL:.1e}"
         )
     keep = eigvals > _RANK_CUT * eigvals[-1]
     factor = np.ascontiguousarray(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
-    return CorrelationMatrix(dim=grid.total_ports, entries=entries, factor=factor)
+    return CorrelationMatrix(dim=grid.total_ports, factor=factor)
 
 
 @dataclass(frozen=True)

@@ -166,35 +166,41 @@ def _fmt(v) -> str:
 
 @dataclass(frozen=True)
 class _Side:
-    """One terminal's grid, analytic bundle and simulation config."""
+    """One terminal's analytic bundle and, for Monte Carlo, its simulation config."""
 
     stats: ChannelStats
-    config: SimConfig
+    config: SimConfig | None
 
     @classmethod
-    def build(cls, grid: PortGrid, users: int, delta: float, omega: float) -> "_Side":
-        corr = correlation_matrix(grid)
+    def build(cls, grid: PortGrid, users: int, delta: float, omega: float, mc: bool) -> "_Side":
         stats = ChannelStats.from_grid(grid, users, delta=delta, omega=omega)
-        return cls(stats=stats, config=SimConfig(corr=corr, users=users, delta=delta, omega=omega))
+        config = None
+        if mc:
+            config = SimConfig(corr=correlation_matrix(grid), users=users, delta=delta, omega=omega)
+        return cls(stats=stats, config=config)
+
+    @property
+    def users(self) -> int:
+        return self.stats.interferers + 1
+
+    def _replace(self, stats_kw: dict, config_kw: dict) -> "_Side":
+        config = dataclasses.replace(self.config, **config_kw) if self.config else None
+        return _Side(stats=dataclasses.replace(self.stats, **stats_kw), config=config)
 
     def with_users(self, users: int) -> "_Side":
-        stats = dataclasses.replace(self.stats, interferers=users - 1)
-        config = dataclasses.replace(self.config, users=users)
-        return _Side(stats=stats, config=config)
+        return self._replace({"interferers": users - 1}, {"users": users})
 
     def with_delta(self, delta: float) -> "_Side":
-        return _Side(
-            stats=dataclasses.replace(self.stats, delta=delta),
-            config=dataclasses.replace(self.config, delta=delta),
-        )
-
-    def beta_scaled(self) -> float:
-        """Gamma-fit scale in the sigma2^2-rescaled units used for comparisons."""
-        return self.stats.sigma2_sq * approx.beta_I(self.stats)
+        return self._replace({"delta": delta}, {"delta": delta})
 
     def beta_raw(self) -> float:
         """Gamma-fit scale in raw-SIR units (the rate variable's units)."""
         return approx.beta_I(self.stats)
+
+
+def _beta_scaled(stats: ChannelStats) -> float:
+    """Gamma-fit scale in the sigma2^2-rescaled units used for comparisons."""
+    return stats.sigma2_sq * approx.beta_I(stats)
 
 
 def _ports_axis_grid(n2: int) -> PortGrid:
@@ -210,10 +216,10 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
 
     bob_base = None
     if spec.axis != "ports":
-        bob_base = _Side.build(preset_grid(spec.preset), spec.users, spec.delta_b, spec.omega)
+        bob_base = _Side.build(preset_grid(spec.preset), spec.users, spec.delta_b, spec.omega, spec.mc)
     eve_base = None
     if any(m in _SOP_METRICS for m in spec.metrics):
-        eve_base = _Side.build(preset_grid(spec.eve_preset), spec.users, spec.delta_e, spec.omega)
+        eve_base = _Side.build(preset_grid(spec.eve_preset), spec.users, spec.delta_e, spec.omega, spec.mc)
 
     for v in spec.values:
         if spec.axis == "users":
@@ -230,7 +236,7 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
             axis_value, rs = float(v), spec.rs
         else:  # ports
             grid = _ports_axis_grid(int(v))
-            bob = _Side.build(grid, spec.users, spec.delta_b, spec.omega)
+            bob = _Side.build(grid, spec.users, spec.delta_b, spec.omega, spec.mc)
             eve = eve_base
             axis_value, rs = float(grid.total_ports), spec.rs
 
@@ -256,15 +262,15 @@ def _point_rows(spec, axis_value, bob, eve, rs, seed):
         if tau_metrics:
             law_e = ExactLaw.from_stats(eve.stats)
 
-    beta_b = bob.beta_scaled()
+    beta_b = _beta_scaled(bob.stats)
     s2_b = bob.stats.sigma2_sq
     rows = []
     for metric in spec.metrics:
         exact_val = mc_mean = mc_se = None
         if metric == "er":
-            approx_val = approx.approx_er(bob.config.users, beta_b, s2_b)
+            approx_val = approx.approx_er(bob.users, beta_b, s2_b)
             if exact_on:
-                exact_val = analytic.exact_er(bob.config.users, law_b)
+                exact_val = analytic.exact_er(bob.users, law_b)
         elif metric == "op":
             approx_val = approx.approx_op(spec.gamma_th, beta_b, s2_b)
             if exact_on:
@@ -279,7 +285,7 @@ def _point_rows(spec, axis_value, bob, eve, rs, seed):
                 exact_val = analytic.sop_lower_numeric(law_b, law_e, rs)
         if bob_samples is not None:
             mc_mean, mc_se = montecarlo.mc_estimate(
-                metric, bob_samples, eve_samples, users=bob.config.users, gamma_th=spec.gamma_th, rs=rs
+                metric, bob_samples, eve_samples, users=bob.users, gamma_th=spec.gamma_th, rs=rs
             )
         rows.append(
             Row(
@@ -327,34 +333,35 @@ class KSReport:
 
 
 def compare_distributions(
-    grid: PortGrid,
-    users: int,
+    config: SimConfig,
+    stats: ChannelStats,
     trials: int,
     seed: SeedSpec,
-    delta: float = 1.0,
-    omega: float = 1.0,
     include_exact: bool = False,
     beta_factor: float = 1.0,
 ) -> KSReport:
     """KS distances between simulated SIR samples and the fitted laws.
 
-    Samples are rescaled by sigma2^2; the total SIR is tested against the
-    exponential fit and the in-phase branch against the Gamma(1/2) fit.
-    ``beta_factor`` deliberately mis-scales the fit for negative controls.
-    Setting ``include_exact`` also reports the distance to the exact
-    law of the raw SIR, which is the model-validation number.
+    ``config`` and ``stats`` describe the same terminal (users, delta and
+    omega must agree). Samples are rescaled by sigma2^2; the total SIR
+    is tested against the exponential fit and the in-phase branch
+    against the Gamma(1/2) fit. ``beta_factor`` deliberately mis-scales
+    the fit for negative controls. Setting ``include_exact`` also reports
+    the distance to the exact law of the raw SIR, which is the
+    model-validation number.
     """
-    side = _Side.build(grid, users, delta, omega)
-    samples = montecarlo.sir_samples(side.config, trials, seed)
-    s2 = side.stats.sigma2_sq
-    beta = side.beta_scaled() * beta_factor
+    if (config.users - 1, config.delta, config.omega) != (stats.interferers, stats.delta, stats.omega):
+        raise DomainError("simulation config and channel stats describe different systems")
+    samples = montecarlo.sir_samples(config, trials, seed)
+    s2 = stats.sigma2_sq
+    beta = _beta_scaled(stats) * beta_factor
     z = s2 * samples.sir
     z_i = s2 * samples.sir_i
     ks_total = ks_statistic(z, lambda x: approx.approx_cdf_z(x, beta))
     ks_i = ks_statistic(z_i, lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)))  # Gamma(1/2, beta)
     ks_exact = None
     if include_exact:
-        ks_exact = ks_statistic(samples.sir, ExactLaw.from_stats(side.stats).cdf)
+        ks_exact = ks_statistic(samples.sir, ExactLaw.from_stats(stats).cdf)
     return KSReport(
         ks_total=ks_total,
         ks_inphase=ks_i,

@@ -86,9 +86,12 @@ def link_sir_sample(realization: ChannelRealization, delta: float) -> TrialResul
     return TrialResult(sir=float(sir_i + nu_q / (delta * xi_q)), sir_i=float(sir_i), k_i_size=len(k_i), k_q_size=len(k_q))
 
 
-def link_samples(config, trials, seed, substream=0) -> np.ndarray:
-    """Total SIR of `trials` link-level draws; flagged draws are redrawn."""
-    factor = full_factor(config.corr.entries)
+def link_samples(config, entries, trials, seed, substream=0) -> np.ndarray:
+    """Total SIR of `trials` link-level draws; flagged draws are redrawn.
+
+    `entries` is the N x N correlation matrix of the grid behind `config`.
+    """
+    factor = full_factor(entries)
     out = np.empty(trials)
     for t in range(trials):
         rng = seed.rng(t, substream)

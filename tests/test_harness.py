@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from cumasim.analytic import ExactLaw
+from cumasim import harness
+from cumasim.analytic import ChannelStats, ExactLaw
 from cumasim.approx import approx_cdf_z
 from cumasim.cli import main
-from cumasim.geometry import preset_grid
+from cumasim.geometry import correlation_matrix, preset_grid
 from cumasim.harness import (
     CSV_HEADER,
     SweepSpec,
@@ -16,7 +17,7 @@ from cumasim.harness import (
     parse_config,
     run_sweep,
 )
-from cumasim.montecarlo import SeedSpec
+from cumasim.montecarlo import SeedSpec, SimConfig
 from cumasim.specfun import DomainError
 
 
@@ -85,6 +86,25 @@ class TestRunSweep:
         report = run_sweep(spec)
         assert all(r.mc_mean is None for r in report.rows)
         assert all(r.analytic_approx is not None for r in report.rows)
+
+    @pytest.mark.parametrize("axis,values", [("users", (4.0, 8.0)), ("ports", (4.0,))])
+    def test_closed_form_only_mode_factors_nothing(self, monkeypatch, axis, values):
+        def refuse(grid):
+            raise AssertionError("an analytic-only sweep factored a correlation matrix")
+
+        monkeypatch.setattr(harness, "correlation_matrix", refuse)
+        spec = SweepSpec(
+            axis=axis,
+            values=values,
+            metrics=("er", "sop"),
+            preset="6GHz-NC" if axis != "ports" else None,
+            eve_preset="6GHz-NC",
+            trials=10,
+            mc=False,
+        )
+        report = run_sweep(spec)
+        assert len(report.rows) == 2 * len(values)
+        assert all(r.mc_mean is None and r.analytic_exact is not None for r in report.rows)
 
     def test_secrecy_sweep_delta_axis(self):
         spec = SweepSpec(
@@ -246,10 +266,14 @@ class TestKsStatistic:
 
 
 @pytest.fixture(scope="module")
-def report():
-    return compare_distributions(
-        preset_grid("6GHz-NC"), 20, 20_000, SeedSpec(5), include_exact=True
-    )
+def nc_system():
+    grid = preset_grid("6GHz-NC")
+    return SimConfig(corr=correlation_matrix(grid), users=20), ChannelStats.from_grid(grid, 20)
+
+
+@pytest.fixture(scope="module")
+def report(nc_system):
+    return compare_distributions(*nc_system, 20_000, SeedSpec(5), include_exact=True)
 
 
 class TestCompareDistributions:
@@ -262,9 +286,14 @@ class TestCompareDistributions:
         assert 0.0 <= report.ks_total <= 1.0
         assert 0.0 <= report.ks_inphase <= 1.0
 
-    def test_negative_control_detects_misfit(self):
-        rep = compare_distributions(preset_grid("6GHz-NC"), 20, 2000, SeedSpec(5), beta_factor=2.0)
+    def test_negative_control_detects_misfit(self, nc_system):
+        rep = compare_distributions(*nc_system, 2000, SeedSpec(5), beta_factor=2.0)
         assert rep.ks_total > 0.1
+
+    def test_rejects_mismatched_config_and_stats(self, nc_system):
+        config, _ = nc_system
+        with pytest.raises(DomainError):
+            compare_distributions(config, ChannelStats.from_grid(preset_grid("6GHz-NC"), 8), 1000, SeedSpec(5))
 
 
 class TestConfigParsing:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from cumasim.geometry import CorrelationMatrix, correlation_matrix, preset_grid
+from cumasim.geometry import CorrelationMatrix, correlation_entries, correlation_matrix, preset_grid
 from cumasim.harness import ks_statistic
 from cumasim.montecarlo import SeedSpec, SimConfig, mc_estimate, select_ports, sir_sample, sir_samples
 from cumasim.specfun import DomainError
@@ -42,7 +42,7 @@ class TestDrawRealization:
         assert np.array_equal(r1.interferers, r2.interferers)
 
     def test_per_port_variance_uncorrelated(self):
-        corr = CorrelationMatrix.identity(24)
+        corr = CorrelationMatrix(dim=24, factor=np.eye(24))
         acc = []
         for t in range(800):
             r = draw_realization(corr, 1.0, 4, SEED, trial=t)
@@ -54,7 +54,7 @@ class TestDrawRealization:
         # fully correlated two-port layout: both entries identical
         entries = np.ones((2, 2))
         w, v = np.linalg.eigh(entries)
-        corr = CorrelationMatrix(dim=2, entries=entries, factor=v * np.sqrt(np.clip(w, 0, None)))
+        corr = CorrelationMatrix(dim=2, factor=v * np.sqrt(np.clip(w, 0, None)))
         for t in range(20):
             r = draw_realization(corr, 1.0, 2, SEED, trial=t)
             assert r.desired[0] == pytest.approx(r.desired[1], rel=1e-12)
@@ -171,17 +171,20 @@ class TestConditionalKernel:
     def test_mean_mask_quadratic_form(self):
         # E[m_k m_l] = 1/4 + asin(rho_kl) / (2 pi) (Sheppard), so
         # E[q_I] = sum_kl rho_kl (1/4 + asin(rho_kl) / (2 pi))
-        corr = correlation_matrix(preset_grid("6GHz-VC"))
-        rho = np.clip(corr.entries, -1.0, 1.0)
+        grid = preset_grid("6GHz-VC")
+        corr = correlation_matrix(grid)
+        rho = np.clip(correlation_entries(grid), -1.0, 1.0)
         want = float(np.sum(rho * (0.25 + np.arcsin(rho) / (2.0 * math.pi))))
         q = sir_samples(SimConfig(corr=corr, users=20), 4000, SEED).q_i
         assert abs(q.mean() - want) < 4.0 * q.std(ddof=1) / math.sqrt(len(q))
 
     @pytest.mark.parametrize("preset", ["6GHz-NC", "6GHz-VC"])
     def test_matches_link_level_oracle(self, preset):
-        config = SimConfig(corr=correlation_matrix(preset_grid(preset)), users=20)
+        grid = preset_grid(preset)
+        config = SimConfig(corr=correlation_matrix(grid), users=20)
         n = 5000
-        ks = ks_2samp(sir_samples(config, n, SEED).sir, link_samples(config, n, SeedSpec(77))).statistic
+        oracle = link_samples(config, correlation_entries(grid), n, SeedSpec(77))
+        ks = ks_2samp(sir_samples(config, n, SEED).sir, oracle).statistic
         # two-sample KS critical value at alpha = 0.001
         crit = math.sqrt(-math.log(0.001 / 2.0) * (n + n) / (2.0 * n * n))
         assert ks < crit
