@@ -19,14 +19,12 @@ from .analytic import (
     sop_lower_numeric,
 )
 from .approx import (
-    AsymptoteCoeffs,
-    GammaFit,
     approx_cdf_z,
     approx_er,
     approx_op,
     approx_pdf_z,
     approx_pdf_zI,
-    asymptote_coeffs,
+    asymptote_a0,
     beta_I,
     sop_lower_closed,
 )

@@ -38,11 +38,11 @@ __all__ = [
     "sop_lower_numeric",
 ]
 
-LN2 = math.log(2.0)
+_LN2 = math.log(2.0)
 
 
 class QuadratureError(ArithmeticError):
-    """A tabulated exact law is not finite or does not integrate to one."""
+    """A tabulated exact law has no finite scale, is not finite or does not integrate to one."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ class ChannelStats:
         """Mean of the total raw SIR (finite above two interferers)."""
         m2 = self.mu * self.mu + self.sigma1_sq
         dof = max(self.interferers - 2, 1)
-        return 2.0 * m2 / (self.delta * self.sigma2_sq * dof)
+        return 2.0 * m2 / (dof * (self.delta * self.sigma2_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +182,19 @@ def exact_pdf_zI(z, stats: ChannelStats):
     z = _positive_finite(z, "exact_pdf_zI")
     i_cnt = stats.interferers
     s1 = stats.sigma1_sq
-    q = stats.delta * stats.sigma2_sq * z
+    d_s2 = stats.delta * stats.sigma2_sq
+    q = d_s2 * z
     t = stats.mu**2 * q / (2.0 * s1 * (s1 + q))
     log_pdf = (
-        0.25 * math.log(stats.delta * stats.sigma2_sq)
+        0.25 * math.log(d_s2)
         + math.lgamma(0.5 * (i_cnt + 1))
         - math.lgamma(0.5 * i_cnt)
         - 0.5 * math.log(math.pi)
-        - 0.5 * i_cnt * LN2
+        - 0.5 * i_cnt * _LN2
         - 0.5 * math.log(stats.mu)
         - 0.75 * np.log(z)
         - stats.mu**2 / (4.0 * s1) * (2.0 * s1 + q) / (s1 + q)
-        + 0.25 * (2 * i_cnt + 1) * (LN2 - np.log1p(q / s1))
+        + 0.25 * (2 * i_cnt + 1) * (_LN2 - np.log1p(q / s1))
         + 0.25 * np.log(t)
         + 0.5 * t
         + np.log(hyp1f1(-0.5 * i_cnt, 0.5, -t))
@@ -255,6 +256,8 @@ class ExactLaw:
 
     def __init__(self, pdf, scale: float, lo: float, hi: float):
         """Tabulate ``pdf`` (vectorised over z) for ln(z / scale) in [lo, hi]."""
+        if not 0.0 < scale < math.inf:
+            raise QuadratureError(f"law scale {scale} is not positive and finite")
         panels = math.ceil((hi - lo) / _PANEL)
         self._s0 = math.log(scale) + lo
         s = self._s0 + _PANEL * (np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0))
@@ -308,13 +311,13 @@ def exact_er(users: int, law: ExactLaw) -> float:
     """Ergodic sum rate U * E[log2(1 + Z)] of the raw SIR, bits per channel use."""
     if users < 2:
         raise DomainError(f"need at least 2 users, got {users}")
-    return users * law.expect(lambda z: np.log1p(z) / LN2)
+    return users * law.expect(lambda z: np.log1p(z) / _LN2)
 
 
 def exact_op(gamma_th: float, law: ExactLaw) -> float:
     """Outage probability: the raw-SIR CDF at 2^gamma_th - 1."""
-    if gamma_th <= 0.0:
-        raise DomainError(f"gamma_th must be positive, got {gamma_th}")
+    if not 0.0 < gamma_th < math.inf:
+        raise DomainError(f"gamma_th must be positive and finite, got {gamma_th}")
     return float(law.cdf(2.0**gamma_th - 1.0))
 
 
@@ -324,8 +327,8 @@ def exact_sop(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
     Both rate variables are raw SIRs, matching the rate convention of the
     ergodic-rate and outage metrics (and of the simulator).
     """
-    if rs < 0.0:
-        raise DomainError(f"secrecy rate must be nonnegative, got {rs}")
+    if not 0.0 <= rs < math.inf:
+        raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
     tau = 2.0**rs
     val = law_e.expect(lambda z: law_b.cdf(tau * (1.0 + z) - 1.0))
     return min(max(val, 0.0), 1.0)
@@ -333,8 +336,8 @@ def exact_sop(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
 
 def sop_lower_numeric(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
     """Lower bound Pr{Z_B < tau Z_E} = E_E[F_B(tau Z_E)], raw-SIR variables."""
-    if rs < 0.0:
-        raise DomainError(f"secrecy rate must be nonnegative, got {rs}")
+    if not 0.0 <= rs < math.inf:
+        raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
     tau = 2.0**rs
     val = law_e.expect(lambda z: law_b.cdf(tau * z))
     return min(max(val, 0.0), 1.0)

@@ -6,6 +6,11 @@ The sum of the two i.i.d. branches is then exactly Gamma(1, beta), i.e.
 exponential, which yields closed forms for ergodic rate, outage and the
 secrecy-outage lower bound.
 
+Every function here works in raw-SIR units, like the exact law and the
+simulator: beta = beta_I(stats) is the scale of the raw SIR. The paper
+writes its rate and outage forms for the sigma2^2-scaled SIR, with
+x = sigma2^2 / (sigma2^2 beta); that is the same x = 1 / beta.
+
 The linear coefficient uses E[sqrt(Q)] = sqrt(2) Gamma((I+1)/2) / Gamma(I/2)
 for the chi-square interference power Q with one degree of freedom per
 interferer:
@@ -20,7 +25,6 @@ exp(-mu^2 / (2 sigma1^2)) is far below underflow for very large arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import exp1, hyperu
@@ -29,9 +33,7 @@ from .analytic import ChannelStats
 from .specfun import DomainError
 
 __all__ = [
-    "GammaFit",
-    "AsymptoteCoeffs",
-    "asymptote_coeffs",
+    "asymptote_a0",
     "beta_I",
     "log_beta_I",
     "approx_pdf_zI",
@@ -42,44 +44,8 @@ __all__ = [
     "sop_lower_closed",
 ]
 
-LN_PI = math.log(math.pi)
-LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class GammaFit:
-    """Shape/scale of a fitted Gamma distribution.
-
-    The in-phase fit has alpha = 1/2 exactly; the total-SIR fit has
-    alpha = 1 exactly (exponential).
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise DomainError(f"GammaFit requires positive parameters, got {self}")
-
-
-@dataclass(frozen=True)
-class AsymptoteCoeffs:
-    """Small-z behavior of the in-phase density and its two-branch convolution.
-
-    f_I(z) ~ a0 * z^b0 with b0 = -1/2; combining J = 2 i.i.d. Gamma(1/2)
-    branches gives linear coefficient c0 = 1 / beta and combined order
-    d0 = 1 + sum of branch shapes = 2 (the convolved density's exponent
-    near zero is d0 - 2, and the fitted total shape is d0 - 1 = 1).
-    """
-
-    a0: float
-    b0: float
-    c0: float
-    d0: float
-
-    def __post_init__(self):
-        if self.a0 <= 0.0 or self.c0 <= 0.0:
-            raise DomainError("linear coefficients must be positive")
+_LN_PI = math.log(math.pi)
+_LN2 = math.log(2.0)
 
 
 def _log_a0(stats: ChannelStats) -> float:
@@ -87,35 +53,29 @@ def _log_a0(stats: ChannelStats) -> float:
     return (
         -stats.mu**2 / (2.0 * stats.sigma1_sq)
         + 0.5 * math.log(stats.delta * stats.sigma2_sq / stats.sigma1_sq)
-        - 0.5 * LN_PI
+        - 0.5 * _LN_PI
         + math.lgamma(0.5 * (i_cnt + 1))
         - math.lgamma(0.5 * i_cnt)
     )
 
 
+def asymptote_a0(stats: ChannelStats) -> float:
+    """Coefficient a0 of the in-phase density's small-z asymptote a0 z^(-1/2).
+
+    The other coefficients are fixed: the exponent is -1/2, and the
+    two-branch convolution's density tends to 1 / beta at z = 0.
+    """
+    return math.exp(_log_a0(stats))
+
+
 def log_beta_I(stats: ChannelStats) -> float:
     """log of the asymptote-matched Gamma scale (finite even when beta overflows)."""
-    return -LN_PI - 2.0 * _log_a0(stats)
+    return -_LN_PI - 2.0 * _log_a0(stats)
 
 
 def beta_I(stats: ChannelStats) -> float:
-    """Asymptote-matched scale beta = 1 / (pi a0^2) of the Gamma(1/2) fit."""
+    """Asymptote-matched raw-SIR scale beta = 1 / (pi a0^2) of the Gamma(1/2) fit."""
     return math.exp(log_beta_I(stats))
-
-
-def asymptote_coeffs(stats: ChannelStats) -> AsymptoteCoeffs:
-    """Linear and angular coefficients of the exact densities near zero."""
-    a0 = math.exp(_log_a0(stats))
-    beta = beta_I(stats)
-    return AsymptoteCoeffs(a0=a0, b0=-0.5, c0=1.0 / beta, d0=2.0)
-
-
-def gamma_fit_zI(stats: ChannelStats) -> GammaFit:
-    return GammaFit(alpha=0.5, beta=beta_I(stats))
-
-
-def gamma_fit_z(stats: ChannelStats) -> GammaFit:
-    return GammaFit(alpha=1.0, beta=beta_I(stats))
 
 
 def approx_pdf_zI(z: float, beta: float) -> float:
@@ -143,36 +103,34 @@ def approx_cdf_z(z, beta: float):
     return -np.expm1(-np.maximum(z, 0.0) / beta)
 
 
-def approx_er(users: int, beta: float, sigma2_sq: float) -> float:
-    """Closed-form ergodic sum rate U * e^x * Gamma(0, x) / ln 2, x = sigma2^2/beta."""
+def approx_er(users: int, beta: float) -> float:
+    """Closed-form ergodic sum rate U * e^x * Gamma(0, x) / ln 2, x = 1/beta."""
     if users < 2:
         raise DomainError(f"need at least 2 users, got {users}")
-    if beta <= 0.0 or sigma2_sq <= 0.0:
-        raise DomainError("beta and sigma2_sq must be positive")
-    x = sigma2_sq / beta
+    if beta <= 0.0:
+        raise DomainError(f"beta must be positive, got {beta}")
+    x = 1.0 / beta
     if not 0.0 < x < math.inf:
-        raise DomainError(f"sigma2_sq/beta = {x} left (0, inf); use log_beta_I directly")
+        raise DomainError(f"1/beta = {x} left (0, inf); use log_beta_I directly")
     # e^x E1(x); hyperu(1, 1, x) equals it without overflowing, but only
     # past x = 50 does it match exp1's accuracy (it is off by up to 5e-10
     # on [2, 50]), so it takes over where exp(x) would overflow
     exp_e1 = math.exp(x) * exp1(x) if x < 700.0 else hyperu(1.0, 1.0, x)
-    return users * float(exp_e1) / LN2
+    return users * float(exp_e1) / _LN2
 
 
-def approx_op(gamma_th: float, beta: float, sigma2_sq: float) -> float:
-    """Closed-form outage probability 1 - exp(-(2^g - 1) sigma2^2 / beta)."""
-    if gamma_th < 0.0:
-        raise DomainError(f"gamma_th must be nonnegative, got {gamma_th}")
-    if beta <= 0.0 or sigma2_sq <= 0.0:
-        raise DomainError("beta and sigma2_sq must be positive")
-    return float(approx_cdf_z((2.0**gamma_th - 1.0) * sigma2_sq, beta))
+def approx_op(gamma_th: float, beta: float) -> float:
+    """Closed-form outage probability 1 - exp(-(2^g - 1) / beta)."""
+    if not 0.0 <= gamma_th < math.inf:
+        raise DomainError(f"gamma_th must be nonnegative and finite, got {gamma_th}")
+    return float(approx_cdf_z(2.0**gamma_th - 1.0, beta))
 
 
 def sop_lower_closed(beta_b: float, beta_e: float, rs: float) -> float:
     """Closed-form secrecy-outage lower bound 1 - beta_B / (tau beta_E + beta_B)."""
     if beta_b <= 0.0 or beta_e <= 0.0:
         raise DomainError("both scales must be positive")
-    if rs < 0.0:
-        raise DomainError(f"secrecy rate must be nonnegative, got {rs}")
+    if not 0.0 <= rs < math.inf:
+        raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
     tau = 2.0**rs
     return tau * beta_e / (tau * beta_e + beta_b)

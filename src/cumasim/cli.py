@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import analytic, approx, harness, montecarlo
@@ -17,6 +18,8 @@ from .geometry import correlation_matrix, preset_grid, preset_names
 from .harness import SweepSpec, parse_config, run_sweep
 from .montecarlo import SeedSpec, SimConfig
 from .specfun import DomainError
+
+__all__ = ["EXIT_OK", "EXIT_VALIDATION", "EXIT_NUMERICAL", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -89,24 +92,23 @@ def _stats_for(args) -> ChannelStats:
 
 def _cmd_analyze(args) -> int:
     stats = _stats_for(args)
-    beta_raw = approx.beta_I(stats)
-    beta = stats.sigma2_sq * beta_raw
+    beta = approx.beta_I(stats)
     print(f"preset = {args.preset}")
     print(f"users = {args.users}")
     print(f"nbar = {stats.nbar}")
     print(f"mu = {stats.mu:.9g}")
     print(f"sigma1_sq = {stats.sigma1_sq:.9g}")
     print(f"sigma2_sq = {stats.sigma2_sq:.9g}")
-    print(f"beta = {beta_raw:.9g}")
-    print(f"er_approx = {approx.approx_er(args.users, beta, stats.sigma2_sq):.9g}")
-    print(f"op_approx = {approx.approx_op(args.gamma_th, beta, stats.sigma2_sq):.9g}")
+    print(f"beta = {beta:.9g}")
+    print(f"er_approx = {approx.approx_er(args.users, beta):.9g}")
+    print(f"op_approx = {approx.approx_op(args.gamma_th, beta):.9g}")
     if args.rs is not None:
         if args.eve_preset is None:
             raise DomainError("--rs needs --eve-preset")
         eve = ChannelStats.from_grid(
             preset_grid(args.eve_preset), args.users, delta=args.delta_e, omega=args.omega
         )
-        print(f"sop_lower_approx = {approx.sop_lower_closed(beta_raw, approx.beta_I(eve), args.rs):.9g}")
+        print(f"sop_lower_approx = {approx.sop_lower_closed(beta, approx.beta_I(eve), args.rs):.9g}")
     return EXIT_OK
 
 
@@ -131,7 +133,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     grid = preset_grid(args.preset)
     stats = _stats_for(args)
-    beta = stats.sigma2_sq * approx.beta_I(stats)
+    beta = approx.beta_I(stats)
     seed = SeedSpec(args.seed)
     config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta, omega=args.omega)
     samples = montecarlo.sir_samples(config, args.trials, seed)
@@ -140,11 +142,11 @@ def _cmd_compare(args) -> int:
     ks = harness.compare_distributions(config, stats, args.trials, seed)
     law = ExactLaw.from_stats(stats) if args.exact == "on" else None
     print(f"preset = {args.preset}  users = {args.users}  trials = {args.trials}")
-    print(f"er: approx = {approx.approx_er(args.users, beta, stats.sigma2_sq):.6g}", end="")
+    print(f"er: approx = {approx.approx_er(args.users, beta):.6g}", end="")
     if law is not None:
         print(f"  exact = {analytic.exact_er(args.users, law):.6g}", end="")
     print(f"  mc = {er:.6g} +- {er_se:.3g}")
-    print(f"op[{args.gamma_th:g}]: approx = {approx.approx_op(args.gamma_th, beta, stats.sigma2_sq):.6g}", end="")
+    print(f"op[{args.gamma_th:g}]: approx = {approx.approx_op(args.gamma_th, beta):.6g}", end="")
     if law is not None:
         print(f"  exact = {analytic.exact_op(args.gamma_th, law):.6g}", end="")
     print(f"  mc = {op:.6g} +- {op_se:.3g}")
@@ -153,18 +155,25 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _axis_values(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise DomainError(f"--values must be comma separated numbers, got {text!r}") from None
+
+
 def _cmd_sweep(args) -> int:
     if args.config:
         with open(args.config) as fh:
             spec = parse_config(fh.read())
         if args.out:
-            spec = SweepSpec(**{**spec.__dict__, "out": args.out})
+            spec = dataclasses.replace(spec, out=args.out)
     else:
         if not (args.axis and args.values and args.metrics):
             raise DomainError("sweep needs --config or all of --axis/--values/--metrics")
         spec = SweepSpec(
             axis=args.axis,
-            values=tuple(float(v) for v in args.values.split(",")),
+            values=_axis_values(args.values),
             metrics=tuple(m.strip() for m in args.metrics.split(",")),
             preset=args.preset,
             eve_preset=args.eve_preset,

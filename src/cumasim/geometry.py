@@ -25,6 +25,7 @@ __all__ = [
     "offset_correlation",
     "correlation_entries",
     "correlation_matrix",
+    "Preset",
     "PRESETS",
     "preset_grid",
     "preset_names",
@@ -135,11 +136,15 @@ class CorrelationMatrix:
     aperture in wavelengths rather than the port count.
     """
 
-    dim: int
     factor: np.ndarray
 
     def __post_init__(self):
         self.factor.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        """Port count N."""
+        return self.factor.shape[0]
 
 
 _RANK_CUT = 1e-12  # eigenvalues at or below this fraction of the largest are dropped
@@ -163,11 +168,13 @@ def correlation_matrix(grid: PortGrid) -> CorrelationMatrix:
         )
     keep = eigvals > _RANK_CUT * eigvals[-1]
     factor = np.ascontiguousarray(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
-    return CorrelationMatrix(dim=grid.total_ports, factor=factor)
+    return CorrelationMatrix(factor=factor)
 
 
 @dataclass(frozen=True)
 class Preset:
+    """Carrier frequency and target port spacings (wavelengths) of a named layout."""
+
     freq_hz: float
     spacing1: float
     spacing2: float = 0.5

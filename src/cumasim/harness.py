@@ -5,19 +5,13 @@ interference factor, or Bob's total port count) and evaluates the
 requested metrics three ways per point: closed-form approximation,
 the tabulated exact law (optional) and Monte Carlo with standard
 errors.
-
-Rates are log2(1 + raw SIR) on every route. Distribution-level
-comparisons (the KS checks) rescale SIR samples by sigma2^2 and use the
-correspondingly scaled fit, which leaves the statistic unchanged; the
-closed-form rate and outage formulas receive the scaled fit parameter so
-that their implied rate variable is the raw SIR, while the secrecy bound
-compares the two raw-unit scales directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,15 +71,14 @@ class SweepSpec:
     exact: str = "on"
     mc: bool = True
     out: str | None = None
-    schema: int = 1
 
     def __post_init__(self):
-        if self.schema != 1:
-            raise DomainError(f"unsupported sweep schema {self.schema}")
         if self.axis not in _AXES:
             raise DomainError(f"axis must be one of {_AXES}, got {self.axis!r}")
         if not self.values:
             raise DomainError("sweep needs at least one axis value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise DomainError(f"axis values must be finite, got {self.values}")
         if not self.metrics:
             raise DomainError("sweep needs at least one metric")
         bad = [m for m in self.metrics if m not in _METRICS]
@@ -193,15 +186,6 @@ class _Side:
     def with_delta(self, delta: float) -> "_Side":
         return self._replace({"delta": delta}, {"delta": delta})
 
-    def beta_raw(self) -> float:
-        """Gamma-fit scale in raw-SIR units (the rate variable's units)."""
-        return approx.beta_I(self.stats)
-
-
-def _beta_scaled(stats: ChannelStats) -> float:
-    """Gamma-fit scale in the sigma2^2-rescaled units used for comparisons."""
-    return stats.sigma2_sq * approx.beta_I(stats)
-
 
 def _ports_axis_grid(n2: int) -> PortGrid:
     freq = PRESETS["6GHz-VC"].freq_hz
@@ -262,25 +246,24 @@ def _point_rows(spec, axis_value, bob, eve, rs, seed):
         if tau_metrics:
             law_e = ExactLaw.from_stats(eve.stats)
 
-    beta_b = _beta_scaled(bob.stats)
-    s2_b = bob.stats.sigma2_sq
+    beta_b = approx.beta_I(bob.stats)
     rows = []
     for metric in spec.metrics:
         exact_val = mc_mean = mc_se = None
         if metric == "er":
-            approx_val = approx.approx_er(bob.users, beta_b, s2_b)
+            approx_val = approx.approx_er(bob.users, beta_b)
             if exact_on:
                 exact_val = analytic.exact_er(bob.users, law_b)
         elif metric == "op":
-            approx_val = approx.approx_op(spec.gamma_th, beta_b, s2_b)
+            approx_val = approx.approx_op(spec.gamma_th, beta_b)
             if exact_on:
                 exact_val = analytic.exact_op(spec.gamma_th, law_b)
         elif metric == "sop":
-            approx_val = approx.sop_lower_closed(bob.beta_raw(), eve.beta_raw(), rs)
+            approx_val = approx.sop_lower_closed(beta_b, approx.beta_I(eve.stats), rs)
             if exact_on:
                 exact_val = analytic.exact_sop(law_b, law_e, rs)
         else:  # sop_lower
-            approx_val = approx.sop_lower_closed(bob.beta_raw(), eve.beta_raw(), rs)
+            approx_val = approx.sop_lower_closed(beta_b, approx.beta_I(eve.stats), rs)
             if exact_on:
                 exact_val = analytic.sop_lower_numeric(law_b, law_e, rs)
         if bob_samples is not None:
@@ -327,48 +310,24 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
 class KSReport:
     ks_total: float
     ks_inphase: float
-    ks_total_exact: float | None
-    beta_scaled: float
     trials: int
 
 
-def compare_distributions(
-    config: SimConfig,
-    stats: ChannelStats,
-    trials: int,
-    seed: SeedSpec,
-    include_exact: bool = False,
-    beta_factor: float = 1.0,
-) -> KSReport:
+def compare_distributions(config: SimConfig, stats: ChannelStats, trials: int, seed: SeedSpec) -> KSReport:
     """KS distances between simulated SIR samples and the fitted laws.
 
     ``config`` and ``stats`` describe the same terminal (users, delta and
-    omega must agree). Samples are rescaled by sigma2^2; the total SIR
-    is tested against the exponential fit and the in-phase branch
-    against the Gamma(1/2) fit. ``beta_factor`` deliberately mis-scales
-    the fit for negative controls. Setting ``include_exact`` also reports
-    the distance to the exact law of the raw SIR, which is the
-    model-validation number.
+    omega must agree). The total SIR is tested against the exponential
+    fit and the in-phase branch against the Gamma(1/2) fit, both at the
+    raw-SIR scale beta_I.
     """
     if (config.users - 1, config.delta, config.omega) != (stats.interferers, stats.delta, stats.omega):
         raise DomainError("simulation config and channel stats describe different systems")
     samples = montecarlo.sir_samples(config, trials, seed)
-    s2 = stats.sigma2_sq
-    beta = _beta_scaled(stats) * beta_factor
-    z = s2 * samples.sir
-    z_i = s2 * samples.sir_i
-    ks_total = ks_statistic(z, lambda x: approx.approx_cdf_z(x, beta))
-    ks_i = ks_statistic(z_i, lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)))  # Gamma(1/2, beta)
-    ks_exact = None
-    if include_exact:
-        ks_exact = ks_statistic(samples.sir, ExactLaw.from_stats(stats).cdf)
-    return KSReport(
-        ks_total=ks_total,
-        ks_inphase=ks_i,
-        ks_total_exact=ks_exact,
-        beta_scaled=beta,
-        trials=trials,
-    )
+    beta = approx.beta_I(stats)
+    ks_total = ks_statistic(samples.sir, lambda x: approx.approx_cdf_z(x, beta))
+    ks_i = ks_statistic(samples.sir_i, lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)))  # Gamma(1/2, beta)
+    return KSReport(ks_total=ks_total, ks_inphase=ks_i, trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +348,13 @@ def parse_config(text: str) -> SweepSpec:
             raise DomainError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, val = body.split("=", 1)
         raw[key.strip().lower()] = val.strip()
-    if "schema" not in raw:
-        raise DomainError("config is missing the schema field")
 
     def take(key, conv, default):
         if key not in raw:
             return default
         try:
             return conv(raw.pop(key))
-        except (TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"config field {key}: {exc}") from None
 
     def floats(s):
@@ -406,8 +363,13 @@ def parse_config(text: str) -> SweepSpec:
     def words(s):
         return tuple(p.strip() for p in s.replace(",", " ").split())
 
+    if "schema" not in raw:
+        raise DomainError("config is missing the schema field")
+    schema = take("schema", int, None)
+    if schema != 1:
+        raise DomainError(f"unsupported sweep schema {schema}")
+
     spec = SweepSpec(
-        schema=take("schema", int, 1),
         axis=take("axis", str, ""),
         values=take("values", floats, ()),
         metrics=take("metrics", words, ()),

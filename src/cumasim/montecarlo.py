@@ -38,6 +38,7 @@ from .specfun import DomainError
 __all__ = [
     "SeedSpec",
     "SimConfig",
+    "SampleSet",
     "select_ports",
     "sir_sample",
     "sir_samples",
@@ -45,8 +46,9 @@ __all__ = [
 ]
 
 _MAX_REDRAWS = 64
-# A SampleSet holds five 8-byte values per trial; refuse runs past 1 GiB.
-_TRIAL_BYTES = 5 * 8
+# A SampleSet holds four 8-byte values per trial (sir, sir_i, |K_I|, q_I);
+# refuse runs past 1 GiB.
+_TRIAL_BYTES = 4 * 8
 _MAX_SAMPLE_BYTES = 1 << 30
 
 
@@ -102,7 +104,7 @@ def select_ports(desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, delta: float):
-    """One conditional draw: (sir, sir_i, |K_I|, |K_Q|, q_I), or None.
+    """One conditional draw: (sir, sir_i, |K_I|, q_I), or None.
 
     ``factor`` is the (N, r) correlation factor. The draw takes 2r
     standard normals for d = F z, then one chi-square(interferers)
@@ -128,7 +130,7 @@ def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, d
         return None
     sir_i = nu_i / xi_i
     sir = sir_i + nu_q / xi_q
-    return float(sir), float(sir_i), len(k_i), len(k_q), float(q_i)
+    return float(sir), float(sir_i), len(k_i), float(q_i)
 
 
 @dataclass
@@ -142,7 +144,6 @@ class SampleSet:
     sir: np.ndarray
     sir_i: np.ndarray
     k_i_sizes: np.ndarray
-    k_q_sizes: np.ndarray
     q_i: np.ndarray
     redrawn: int
 
@@ -166,7 +167,6 @@ def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int =
     sir = np.empty(trials)
     sir_i = np.empty(trials)
     ki = np.empty(trials, dtype=np.int64)
-    kq = np.empty(trials, dtype=np.int64)
     q_i = np.empty(trials)
     redrawn = 0
     for t in range(trials):
@@ -178,11 +178,11 @@ def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int =
             redrawn += 1
         else:
             raise DomainError(f"trial {t}: interference power stayed zero after {_MAX_REDRAWS} redraws")
-        sir[t], sir_i[t], ki[t], kq[t], q_i[t] = res
+        sir[t], sir_i[t], ki[t], q_i[t] = res
     bad = np.flatnonzero(~np.isfinite(sir))
     if bad.size:
         raise FloatingPointError(f"trial {bad[0]}: SIR sample is not finite")
-    return SampleSet(sir=sir, sir_i=sir_i, k_i_sizes=ki, k_q_sizes=kq, q_i=q_i, redrawn=redrawn)
+    return SampleSet(sir=sir, sir_i=sir_i, k_i_sizes=ki, q_i=q_i, redrawn=redrawn)
 
 
 def mc_estimate(
@@ -212,12 +212,14 @@ def mc_estimate(
         rates = np.log2(1.0 + bob.sir)
         return users * float(rates.mean()), users * float(rates.std(ddof=1)) / math.sqrt(n)
     if metric == "op":
+        if not math.isfinite(gamma_th):
+            raise DomainError(f"gamma_th must be finite, got {gamma_th}")
         hits = np.log2(1.0 + bob.sir) < gamma_th
     elif metric in ("sop", "sop_lower"):
         if eve is None:
             raise DomainError(f"{metric} needs Eve's samples")
-        if rs < 0.0:
-            raise DomainError(f"secrecy rate must be nonnegative, got {rs}")
+        if not 0.0 <= rs < math.inf:
+            raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
         if metric == "sop":
             hits = np.log2(1.0 + bob.sir) - np.log2(1.0 + eve.sir) < rs
         else:

@@ -1,26 +1,25 @@
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import exp1
 
 from cumasim.analytic import ChannelStats, ExactLaw, exact_er, exact_pdf_zI, sop_lower_numeric
 from cumasim.approx import (
-    AsymptoteCoeffs,
-    GammaFit,
     approx_cdf_z,
     approx_er,
     approx_op,
     approx_pdf_z,
     approx_pdf_zI,
-    asymptote_coeffs,
+    asymptote_a0,
     beta_I,
-    gamma_fit_z,
-    gamma_fit_zI,
     log_beta_I,
     sop_lower_closed,
 )
+from cumasim.geometry import preset_grid, preset_names
 from cumasim.specfun import DomainError
 
 
@@ -56,41 +55,24 @@ def random_stats(rng, n=20):
 
 
 class TestAsymptoteCoeffs:
-    def test_fixed_angular_coefficient(self, rng):
-        for st in random_stats(rng, 5):
-            co = asymptote_coeffs(st)
-            assert co.b0 == -0.5
-            assert co.d0 == 2.0
-
     def test_scale_identity(self, rng):
         for st in random_stats(rng, 20):
-            co = asymptote_coeffs(st)
-            beta = beta_I(st)
-            assert abs(beta * math.pi * co.a0**2 - 1.0) < 1e-12
-            assert co.c0 == pytest.approx(1.0 / beta, rel=1e-12)
+            assert abs(beta_I(st) * math.pi * asymptote_a0(st) ** 2 - 1.0) < 1e-12
 
     def test_matches_extracted_slope(self, case1_stats):
         # numerically extract lim z->0 f(z) sqrt(z) from the exact density
-        a0 = asymptote_coeffs(case1_stats).a0
+        a0 = asymptote_a0(case1_stats)
         z = 1e-12
         slope = exact_pdf_zI(z, case1_stats) * math.sqrt(z)
         assert slope == pytest.approx(a0, rel=1e-5)
 
-    def test_positive_fields_enforced(self):
-        with pytest.raises(DomainError):
-            AsymptoteCoeffs(a0=-1.0, b0=-0.5, c0=1.0, d0=2.0)
-
 
 class TestBetaI:
     def test_inverse_delta_scaling(self, case1_stats):
-        import dataclasses
-
         half = dataclasses.replace(case1_stats, delta=0.5)
         assert beta_I(half) == pytest.approx(2.0 * beta_I(case1_stats), rel=1e-12)
 
     def test_delta_times_beta_constant(self, case1_stats):
-        import dataclasses
-
         ref = case1_stats.delta * beta_I(case1_stats)
         for d in (0.07, 0.3, 0.9):
             st = dataclasses.replace(case1_stats, delta=d)
@@ -103,12 +85,6 @@ class TestBetaI:
 
     def test_log_form_agrees(self, case1_stats):
         assert math.exp(log_beta_I(case1_stats)) == pytest.approx(beta_I(case1_stats), rel=1e-13)
-
-    def test_fit_shapes(self, case1_stats):
-        assert gamma_fit_zI(case1_stats).alpha == 0.5
-        assert gamma_fit_z(case1_stats).alpha == 1.0
-        with pytest.raises(DomainError):
-            GammaFit(alpha=0.0, beta=1.0)
 
 
 class TestApproxPdfZI:
@@ -170,6 +146,7 @@ class TestApproxPdfZ:
 
 
 class TestApproxEr:
+    # (users, paper-unit scale, sigma2^2): the raw-SIR scale is their ratio
     @pytest.mark.parametrize(
         "users,beta,sigma2",
         [
@@ -186,46 +163,74 @@ class TestApproxEr:
         ],
     )
     def test_matches_quadrature(self, users, beta, sigma2):
-        # Z ~ Exp(beta) read as the rate variable Z / sigma2^2
         want = exact_er(users, exponential_law(beta / sigma2))
-        assert approx_er(users, beta, sigma2) == pytest.approx(want, rel=1e-6)
+        assert approx_er(users, beta / sigma2) == pytest.approx(want, rel=1e-6)
 
     def test_linear_in_users(self):
-        assert approx_er(20, 2.0, 1.0) == pytest.approx(2 * approx_er(10, 2.0, 1.0), rel=1e-14)
+        assert approx_er(20, 2.0) == pytest.approx(2 * approx_er(10, 2.0), rel=1e-14)
 
     def test_decreasing_in_interference_ratio(self):
-        assert approx_er(10, 1.0, 100.0) < approx_er(10, 1.0, 10.0)
+        assert approx_er(10, 0.01) < approx_er(10, 0.1)
 
     def test_extreme_ratio_uses_stable_branch(self):
-        # x = sigma2^2/beta beyond 700 must not overflow
-        val = approx_er(10, 1.0, 900.0)
+        # x = 1/beta beyond 700 must not overflow
+        val = approx_er(10, 1.0 / 900.0)
         want = float(10 * mp.exp(900) * mp.e1(900) / mp.log(2))
         assert val == pytest.approx(want, rel=1e-10)
 
     def test_tiny_ratio_uses_log_asymptote(self):
-        val = approx_er(10, 1e20, 1.0)
+        val = approx_er(10, 1e20)
         want = float(10 * (-mp.log(mp.mpf(1e-20)) - mp.euler) / mp.log(2))
         assert val == pytest.approx(want, rel=1e-9)
 
 
 class TestApproxOp:
     def test_zero_threshold(self):
-        assert approx_op(0.0, 2.0, 1.0) == 0.0
+        assert approx_op(0.0, 2.0) == 0.0
 
     def test_unit_scale_point(self):
-        # gamma_th = 1 and sigma2^2 = beta puts the threshold at one scale
-        assert approx_op(1.0, 5.0, 5.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-        assert approx_op(1.0, 5.0, 5.0) == pytest.approx(0.6321206, abs=1e-7)
+        # gamma_th = 1 and beta = 1 puts the threshold at one scale
+        assert approx_op(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        assert approx_op(1.0, 1.0) == pytest.approx(0.6321206, abs=1e-7)
 
     def test_matches_cdf(self):
-        beta, s2 = 3.0, 1.4
+        beta = 3.0 / 1.4
         for g in (0.2, 1.0, 3.3):
-            z_th = (2.0**g - 1.0) * s2
-            assert approx_op(g, beta, s2) == approx_cdf_z(z_th, beta)
+            assert approx_op(g, beta) == approx_cdf_z(2.0**g - 1.0, beta)
 
     def test_monotone_limits(self):
-        assert approx_op(1e-12, 2.0, 1.0) < 1e-12
-        assert approx_op(40.0, 2.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert approx_op(1e-12, 2.0) < 1e-12
+        assert approx_op(40.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma_th", [-0.5, math.nan, math.inf])
+    def test_domain(self, gamma_th):
+        with pytest.raises(DomainError):
+            approx_op(gamma_th, 2.0)
+
+
+def paper_er(users, beta_scaled, sigma2_sq):
+    """The paper's closed-form rate on its sigma2^2-scaled SIR, x = sigma2^2 / beta_scaled."""
+    x = sigma2_sq / beta_scaled
+    return users * math.exp(x) * float(exp1(x)) / math.log(2.0)
+
+
+def paper_op(gamma_th, beta_scaled, sigma2_sq):
+    """The paper's closed-form outage 1 - exp(-(2^g - 1) sigma2^2 / beta_scaled)."""
+    return -math.expm1(-(2.0**gamma_th - 1.0) * sigma2_sq / beta_scaled)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_raw_unit_closed_forms_match_the_paper_form(preset):
+    # the paper scales the SIR by sigma2^2 and the fit with it; the raw-unit
+    # forms must give the same rate and outage
+    base = ChannelStats.from_grid(preset_grid(preset), users=2)
+    for delta in (1.0, 0.1):
+        for users in range(2, 61):
+            st = dataclasses.replace(base, interferers=users - 1, delta=delta)
+            beta, s2 = beta_I(st), st.sigma2_sq
+            assert approx_er(users, beta) == pytest.approx(paper_er(users, s2 * beta, s2), rel=1e-14)
+            for g in (0.3, 1.0, 4.0):
+                assert approx_op(g, beta) == pytest.approx(paper_op(g, s2 * beta, s2), rel=1e-14)
 
 
 class TestSopLowerClosed:

@@ -6,7 +6,7 @@ from scipy.special import erf
 
 from cumasim import harness
 from cumasim.analytic import ChannelStats, ExactLaw
-from cumasim.approx import approx_cdf_z
+from cumasim.approx import approx_cdf_z, beta_I
 from cumasim.cli import main
 from cumasim.geometry import correlation_matrix, preset_grid
 from cumasim.harness import (
@@ -17,7 +17,7 @@ from cumasim.harness import (
     parse_config,
     run_sweep,
 )
-from cumasim.montecarlo import SeedSpec, SimConfig
+from cumasim.montecarlo import SeedSpec, SimConfig, sir_samples
 from cumasim.specfun import DomainError
 
 
@@ -49,6 +49,10 @@ class TestSweepSpecValidation:
         {"exact": "maybe"},
         {"values": (4.5, 8.0)},
         {"exact": "auto"},
+        {"values": (4.0, math.nan)},
+        {"values": (math.inf,)},
+        {"axis": "rs", "values": (math.nan,)},
+        {"axis": "ports", "preset": None, "values": (math.nan,)},
     ])
     def test_rejections(self, kw):
         with pytest.raises(DomainError):
@@ -272,23 +276,28 @@ def nc_system():
 
 
 @pytest.fixture(scope="module")
-def report(nc_system):
-    return compare_distributions(*nc_system, 20_000, SeedSpec(5), include_exact=True)
+def nc_samples(nc_system):
+    return sir_samples(nc_system[0], 20_000, SeedSpec(5))
 
 
 class TestCompareDistributions:
-    def test_exact_distribution_tracks_simulation(self, report):
+    def test_exact_distribution_tracks_simulation(self, nc_system, nc_samples):
         # the analytic chain is a Gaussian surrogate of the true port
         # selection; at this layout the gap stays near 0.1
-        assert report.ks_total_exact < 0.12
+        assert ks_statistic(nc_samples.sir, ExactLaw.from_stats(nc_system[1]).cdf) < 0.12
 
-    def test_fit_distance_reported(self, report):
+    def test_fit_distance_reported(self, nc_system, nc_samples):
+        # the raw samples against the raw-SIR scale beta_I
+        report = compare_distributions(*nc_system, 20_000, SeedSpec(5))
+        beta = beta_I(nc_system[1])
+        assert report.ks_total == ks_statistic(nc_samples.sir, lambda x: approx_cdf_z(x, beta))
+        assert report.ks_inphase == ks_statistic(nc_samples.sir_i, lambda x: erf(np.sqrt(x / beta)))
         assert 0.0 <= report.ks_total <= 1.0
         assert 0.0 <= report.ks_inphase <= 1.0
 
-    def test_negative_control_detects_misfit(self, nc_system):
-        rep = compare_distributions(*nc_system, 2000, SeedSpec(5), beta_factor=2.0)
-        assert rep.ks_total > 0.1
+    def test_negative_control_detects_misfit(self, nc_system, nc_samples):
+        beta = 2.0 * beta_I(nc_system[1])
+        assert ks_statistic(nc_samples.sir[:2000], lambda x: approx_cdf_z(x, beta)) > 0.1
 
     def test_rejects_mismatched_config_and_stats(self, nc_system):
         config, _ = nc_system
@@ -320,6 +329,14 @@ class TestConfigParsing:
     def test_schema_required(self):
         with pytest.raises(DomainError):
             parse_config("preset = 6GHz-NC\naxis = users\nvalues = 4\nmetrics = er")
+
+    def test_unsupported_schema_rejected(self):
+        with pytest.raises(DomainError, match="unsupported sweep schema 2"):
+            parse_config(self.GOOD.replace("schema = 1", "schema = 2"))
+
+    def test_bad_boolean_rejected(self):
+        with pytest.raises(DomainError):
+            parse_config(self.GOOD + "\nmc = maybe")
 
     def test_unknown_field_rejected(self):
         with pytest.raises(DomainError):
@@ -425,3 +442,29 @@ class TestCli:
         rc = main(["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", str(10**12)])
         assert rc == 2
         assert "GiB of samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "4,,5", "--metrics", "er", "--no-mc"],
+            ["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "4,abc", "--metrics", "er", "--no-mc"],
+            ["sweep", "--preset", "6GHz-NC", "--axis", "rs", "--values", "nan", "--metrics", "er", "--no-mc"],
+            ["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "4", "--gamma-th", "nan",
+             "--metrics", "op", "--no-mc"],
+            ["analyze", "--preset", "6GHz-NC", "--users", "8", "--gamma-th", "nan"],
+            ["analyze", "--preset", "6GHz-NC", "--users", "8", "--rs", "nan", "--eve-preset", "6GHz-NC"],
+            ["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "100", "--gamma-th", "nan"],
+        ],
+    )
+    def test_unusable_numbers_are_validation_errors(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "nan" not in captured.out
+
+    def test_unusable_law_scale_is_numerical_failure(self, capsys):
+        # 1e308 users: the exact law's scale, the mean SIR, underflows to zero
+        rc = main(["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "1e308",
+                   "--metrics", "er", "--no-mc"])
+        assert rc == 3
+        assert "law scale" in capsys.readouterr().err

@@ -42,7 +42,7 @@ class TestDrawRealization:
         assert np.array_equal(r1.interferers, r2.interferers)
 
     def test_per_port_variance_uncorrelated(self):
-        corr = CorrelationMatrix(dim=24, factor=np.eye(24))
+        corr = CorrelationMatrix(factor=np.eye(24))
         acc = []
         for t in range(800):
             r = draw_realization(corr, 1.0, 4, SEED, trial=t)
@@ -54,7 +54,7 @@ class TestDrawRealization:
         # fully correlated two-port layout: both entries identical
         entries = np.ones((2, 2))
         w, v = np.linalg.eigh(entries)
-        corr = CorrelationMatrix(dim=2, factor=v * np.sqrt(np.clip(w, 0, None)))
+        corr = CorrelationMatrix(factor=v * np.sqrt(np.clip(w, 0, None)))
         for t in range(20):
             r = draw_realization(corr, 1.0, 2, SEED, trial=t)
             assert r.desired[0] == pytest.approx(r.desired[1], rel=1e-12)
@@ -161,7 +161,7 @@ class TestConditionalKernel:
         # draws leave one branch empty
         draws = [sir_sample(SEED.rng(t), np.ones((1, 1)), 3, 1.0) for t in range(64)]
         assert 0 < draws.count(None) < 64
-        assert all(d[2:] == (1, 1, 1.0) for d in draws if d is not None)
+        assert all(d[2:] == (1, 1.0) for d in draws if d is not None)
 
     def test_validation(self, case1_corr):
         for interferers, delta in ((0, 1.0), (2, 0.0), (2, 1.2)):

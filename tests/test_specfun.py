@@ -87,7 +87,7 @@ def upper_gamma(a, x):
 
 def exp_e1(x):
     # e^x E1(x) as the closed-form rate evaluates it: U * e^x E1(x) / ln 2
-    return approx_er(2, 1.0, x) * math.log(2.0) / 2.0
+    return approx_er(2, 1.0 / x) * math.log(2.0) / 2.0
 
 
 class TestUpperIncompleteGamma:
@@ -132,13 +132,13 @@ class TestUpperIncompleteGamma:
             assert rel_err(exp_e1(float(x)), float(want)) < 5e-15
 
     def test_domain(self):
-        # x = sigma2^2 / beta must stay inside (0, inf)
+        # x = 1 / beta must stay inside (0, inf)
         with pytest.raises(DomainError):
-            approx_er(10, 1.0, -1.0)
+            approx_er(10, -1.0)
         with pytest.raises(DomainError):
-            approx_er(10, 1e300, 1e-300)
+            approx_er(10, math.inf)
         with pytest.raises(DomainError):
-            approx_er(10, 1e-300, 1e300)
+            approx_er(10, 5e-324)
 
 
 class TestKummer:
