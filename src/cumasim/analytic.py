@@ -7,6 +7,10 @@ is the residual-interference factor after (partial) cancellation. Its
 density has a closed form in terms of the Whittaker M function; the
 total SIR adds the i.i.d. quadrature branch by numerical convolution.
 
+The average channel power Omega is fixed at 1. It scales mu^2, sigma1^2
+and sigma2^2 alike, so it cancels from every SIR statistic and is no
+input anywhere in the package.
+
 Every exact metric is a one-dimensional sum over one or two tabulated
 laws (``ExactLaw``) of the raw SIR, so rates and thresholds are read in
 the same units as the simulator's samples.
@@ -22,7 +26,7 @@ from numpy.polynomial.legendre import leggauss, legint, legvander
 from scipy.special import hyp1f1
 
 from .geometry import PortGrid, offset_correlation
-from .specfun import DomainError
+from .specfun import DomainError, exp2
 
 __all__ = [
     "QuadratureError",
@@ -52,43 +56,34 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Analytic parameters of one user's SIR distribution."""
+    """Analytic parameters of one user's SIR distribution (unit channel power)."""
 
-    omega: float
     nbar: int
-    mu: float
     sigma1_sq: float
     sigma2_sq: float
     interferers: int
     delta: float
 
     def __post_init__(self):
-        if self.omega <= 0.0 or self.sigma1_sq <= 0.0 or self.sigma2_sq <= 0.0 or self.mu <= 0.0:
-            raise DomainError("omega, mu, sigma1_sq and sigma2_sq must all be positive")
+        if self.sigma1_sq <= 0.0 or self.sigma2_sq <= 0.0:
+            raise DomainError("sigma1_sq and sigma2_sq must both be positive")
         if self.nbar < 1 or self.interferers < 1:
             raise DomainError("need nbar >= 1 and at least one interferer")
         if not 0.0 < self.delta <= 1.0:
             raise DomainError(f"delta must lie in (0, 1], got {self.delta}")
-        mu_ref = 0.5 * self.nbar * math.sqrt(self.omega / math.pi)
-        if abs(self.mu - mu_ref) > 1e-12 * mu_ref:
-            raise DomainError(f"mu={self.mu} inconsistent with nbar={self.nbar}, omega={self.omega}")
+
+    @property
+    def mu(self) -> float:
+        """Mean of the aligned desired sum: nbar E[max(0, X)], X ~ N(0, 1/2)."""
+        return 0.5 * self.nbar * math.sqrt(1.0 / math.pi)
 
     @classmethod
-    def from_grid(
-        cls,
-        grid: PortGrid,
-        users: int,
-        delta: float = 1.0,
-        omega: float = 1.0,
-    ) -> "ChannelStats":
+    def from_grid(cls, grid: PortGrid, users: int, delta: float = 1.0) -> "ChannelStats":
         if users < 2:
             raise DomainError(f"need at least 2 users, got {users}")
-        sigma1_sq, sigma2_sq = sigma_sums(grid, omega)
-        nbar = grid.total_ports
+        sigma1_sq, sigma2_sq = sigma_sums(grid)
         return cls(
-            omega=omega,
-            nbar=nbar,
-            mu=0.5 * nbar * math.sqrt(omega / math.pi),
+            nbar=grid.total_ports,
             sigma1_sq=sigma1_sq,
             sigma2_sq=sigma2_sq,
             interferers=users - 1,
@@ -107,20 +102,18 @@ class ChannelStats:
 # ---------------------------------------------------------------------------
 
 
-def cov_pair(rho, omega: float):
-    """Covariance of the positive parts of two correlated N(0, Omega/2) variables.
+def cov_pair(rho):
+    """Covariance of the positive parts of two correlated N(0, 1/2) variables.
 
     Elementwise over an array of correlations. This is the degree-1
     arc-cosine kernel (Cho & Saul 2009), the elementary form of the
-    paper's W-function expression:
+    paper's W-function expression at unit power:
 
-        Omega/(4 pi) * (sqrt(1 - rho^2) + rho (pi/2 + asin rho) - 1)
+        1/(4 pi) * (sqrt(1 - rho^2) + rho (pi/2 + asin rho) - 1)
 
-    It is Omega(1/4 - 1/(4 pi)) at rho = 1, -Omega/(4 pi) at rho = -1 and
-    exactly 0 at rho = 0.
+    It is 1/4 - 1/(4 pi) at rho = 1, -1/(4 pi) at rho = -1 and exactly 0
+    at rho = 0.
     """
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"omega must be positive and finite, got {omega}")
     rho = np.asarray(rho, dtype=float)
     outside = ~(np.abs(rho) <= 1.0)
     if outside.any():
@@ -129,31 +122,29 @@ def cov_pair(rho, omega: float):
     # small |rho| free of cancellation; (1 - rho)(1 + rho) does the same
     # next to |rho| = 1
     root = np.sqrt((1.0 - rho) * (1.0 + rho))
-    return omega / (4.0 * math.pi) * (rho * (0.5 * math.pi + np.arcsin(rho)) - rho * rho / (1.0 + root))
+    return 1.0 / (4.0 * math.pi) * (rho * (0.5 * math.pi + np.arcsin(rho)) - rho * rho / (1.0 + root))
 
 
-def sigma_sums(grid: PortGrid, omega: float) -> tuple[float, float]:
-    """(sigma1^2, sigma2^2) over every port of the grid.
+def sigma_sums(grid: PortGrid) -> tuple[float, float]:
+    """(sigma1^2, sigma2^2) over every port of the grid, at unit power.
 
-    sigma2^2 = Omega/4 (N + sum rho) is the variance of one interferer's
-    activated-port sum; sigma1^2 = N Omega/4 (1 - 1/pi) + 2 sum cov is
-    the variance of the aligned desired-signal sum. Both sums run over
+    sigma2^2 = (N + sum rho) / 4 is the variance of one interferer's
+    activated-port sum; sigma1^2 = N/4 (1 - 1/pi) + 2 sum cov is the
+    variance of the aligned desired-signal sum. Both sums run over
     unordered port pairs, taken from the offset table: an offset (da, db)
     with da, db >= 1 occurs once per sign of db (same distance, same
     rho, double count); axis offsets occur once.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
     n1, n2 = grid.n1, grid.n2
     counts = np.outer(n1 - np.arange(n1), n2 - np.arange(n2)).astype(float)
     counts[1:, 1:] *= 2.0
     counts[0, 0] = 0.0  # zero offset is the diagonal, not a pair
     rho = offset_correlation(grid)
     sum_rho = float(np.sum(counts * rho))
-    sum_cov = float(np.sum(counts * cov_pair(rho, omega)))
+    sum_cov = float(np.sum(counts * cov_pair(rho)))
     n = grid.total_ports
-    sigma2_sq = omega / 4.0 * (n + sum_rho)
-    sigma1_sq = n * omega / 4.0 * (1.0 - 1.0 / math.pi) + 2.0 * sum_cov
+    sigma2_sq = (n + sum_rho) / 4.0
+    sigma1_sq = n / 4.0 * (1.0 - 1.0 / math.pi) + 2.0 * sum_cov
     return sigma1_sq, sigma2_sq
 
 
@@ -318,7 +309,7 @@ def exact_op(gamma_th: float, law: ExactLaw) -> float:
     """Outage probability: the raw-SIR CDF at 2^gamma_th - 1."""
     if not 0.0 < gamma_th < math.inf:
         raise DomainError(f"gamma_th must be positive and finite, got {gamma_th}")
-    return float(law.cdf(2.0**gamma_th - 1.0))
+    return float(law.cdf(exp2(gamma_th) - 1.0))
 
 
 def exact_sop(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
@@ -329,7 +320,7 @@ def exact_sop(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
     """
     if not 0.0 <= rs < math.inf:
         raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
-    tau = 2.0**rs
+    tau = exp2(rs)
     val = law_e.expect(lambda z: law_b.cdf(tau * (1.0 + z) - 1.0))
     return min(max(val, 0.0), 1.0)
 
@@ -338,6 +329,6 @@ def sop_lower_numeric(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
     """Lower bound Pr{Z_B < tau Z_E} = E_E[F_B(tau Z_E)], raw-SIR variables."""
     if not 0.0 <= rs < math.inf:
         raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
-    tau = 2.0**rs
+    tau = exp2(rs)
     val = law_e.expect(lambda z: law_b.cdf(tau * z))
     return min(max(val, 0.0), 1.0)

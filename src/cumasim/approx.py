@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import exp1, hyperu
 
 from .analytic import ChannelStats
-from .specfun import DomainError
+from .specfun import DomainError, exp2
 
 __all__ = [
     "asymptote_a0",
@@ -123,7 +123,7 @@ def approx_op(gamma_th: float, beta: float) -> float:
     """Closed-form outage probability 1 - exp(-(2^g - 1) / beta)."""
     if not 0.0 <= gamma_th < math.inf:
         raise DomainError(f"gamma_th must be nonnegative and finite, got {gamma_th}")
-    return float(approx_cdf_z(2.0**gamma_th - 1.0, beta))
+    return float(approx_cdf_z(exp2(gamma_th) - 1.0, beta))
 
 
 def sop_lower_closed(beta_b: float, beta_e: float, rs: float) -> float:
@@ -132,5 +132,7 @@ def sop_lower_closed(beta_b: float, beta_e: float, rs: float) -> float:
         raise DomainError("both scales must be positive")
     if not 0.0 <= rs < math.inf:
         raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
-    tau = 2.0**rs
-    return tau * beta_e / (tau * beta_e + beta_b)
+    eve_scale = exp2(rs) * beta_e
+    if eve_scale == math.inf:
+        return 1.0
+    return eve_scale / (eve_scale + beta_b)

@@ -2,14 +2,13 @@
 
 Subcommands: presets, analyze (closed-form only), simulate (Monte Carlo
 only), compare (both plus KS), sweep (figure recipes from a config file
-or flags). Exit codes: 0 success, 2 validation error, 3 numerical
-failure.
+or flags; flags given beside a file override its fields). Exit codes: 0
+success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import analytic, approx, harness, montecarlo
@@ -30,7 +29,6 @@ def _common_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", required=True, help="named port layout, see `presets`")
     p.add_argument("--users", type=int, default=20)
     p.add_argument("--delta", type=float, default=1.0, help="residual interference factor in (0,1]")
-    p.add_argument("--omega", type=float, default=1.0, help="average channel power")
     p.add_argument("--gamma-th", type=float, default=1.0, help="outage rate threshold (bits)")
 
 
@@ -57,23 +55,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", choices=("on", "off"), default="on")
 
-    p = sub.add_parser("sweep", help="run a sweep from a config file or flags")
-    p.add_argument("--config", help="key = value sweep description")
-    p.add_argument("--out", help="CSV output path (overrides the config)")
+    # a sweep flag that is not given stays off the namespace, so the config
+    # file's field, or else SweepSpec's default, applies
+    p = sub.add_parser(
+        "sweep", help="run a sweep from a config file or flags", argument_default=argparse.SUPPRESS
+    )
+    p.add_argument("--config", default=None, help="key = value sweep description; flags override its fields")
+    p.add_argument("--out", help="CSV output path")
     p.add_argument("--preset")
     p.add_argument("--eve-preset")
     p.add_argument("--axis", choices=("users", "rs", "delta_b", "ports"))
     p.add_argument("--values", help="comma separated axis values")
     p.add_argument("--metrics", help="comma separated subset of er,op,sop,sop_lower")
-    p.add_argument("--users", type=int, default=20)
-    p.add_argument("--gamma-th", type=float, default=1.0)
-    p.add_argument("--rs", type=float, default=1.0)
-    p.add_argument("--delta-b", type=float, default=1.0)
-    p.add_argument("--delta-e", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact", choices=("on", "off"), default="on")
-    p.add_argument("--no-mc", action="store_true", help="skip Monte Carlo columns")
+    p.add_argument("--users", type=int)
+    p.add_argument("--gamma-th", type=float)
+    p.add_argument("--rs", type=float)
+    p.add_argument("--delta-b", type=float)
+    p.add_argument("--delta-e", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--exact", choices=("on", "off"))
+    p.add_argument("--no-mc", dest="mc", action="store_false", help="skip Monte Carlo columns")
     return ap
 
 
@@ -87,36 +89,36 @@ def _cmd_presets() -> int:
 
 
 def _stats_for(args) -> ChannelStats:
-    return ChannelStats.from_grid(preset_grid(args.preset), args.users, delta=args.delta, omega=args.omega)
+    return ChannelStats.from_grid(preset_grid(args.preset), args.users, delta=args.delta)
 
 
 def _cmd_analyze(args) -> int:
     stats = _stats_for(args)
     beta = approx.beta_I(stats)
-    print(f"preset = {args.preset}")
-    print(f"users = {args.users}")
-    print(f"nbar = {stats.nbar}")
-    print(f"mu = {stats.mu:.9g}")
-    print(f"sigma1_sq = {stats.sigma1_sq:.9g}")
-    print(f"sigma2_sq = {stats.sigma2_sq:.9g}")
-    print(f"beta = {beta:.9g}")
-    print(f"er_approx = {approx.approx_er(args.users, beta):.9g}")
-    print(f"op_approx = {approx.approx_op(args.gamma_th, beta):.9g}")
+    lines = [
+        f"preset = {args.preset}",
+        f"users = {args.users}",
+        f"nbar = {stats.nbar}",
+        f"mu = {stats.mu:.9g}",
+        f"sigma1_sq = {stats.sigma1_sq:.9g}",
+        f"sigma2_sq = {stats.sigma2_sq:.9g}",
+        f"beta = {beta:.9g}",
+        f"er_approx = {approx.approx_er(args.users, beta):.9g}",
+        f"op_approx = {approx.approx_op(args.gamma_th, beta):.9g}",
+    ]
     if args.rs is not None:
         if args.eve_preset is None:
             raise DomainError("--rs needs --eve-preset")
-        eve = ChannelStats.from_grid(
-            preset_grid(args.eve_preset), args.users, delta=args.delta_e, omega=args.omega
-        )
-        print(f"sop_lower_approx = {approx.sop_lower_closed(beta, approx.beta_I(eve), args.rs):.9g}")
+        eve = ChannelStats.from_grid(preset_grid(args.eve_preset), args.users, delta=args.delta_e)
+        lines.append(f"sop_lower_approx = {approx.sop_lower_closed(beta, approx.beta_I(eve), args.rs):.9g}")
+    # every value is computed before the first line goes out
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
     grid = preset_grid(args.preset)
-    config = SimConfig(
-        corr=correlation_matrix(grid), users=args.users, delta=args.delta, omega=args.omega
-    )
+    config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta)
     samples = montecarlo.sir_samples(config, args.trials, SeedSpec(args.seed))
     er, er_se = montecarlo.mc_estimate("er", samples, users=args.users)
     op, op_se = montecarlo.mc_estimate("op", samples, gamma_th=args.gamma_th)
@@ -135,23 +137,25 @@ def _cmd_compare(args) -> int:
     stats = _stats_for(args)
     beta = approx.beta_I(stats)
     seed = SeedSpec(args.seed)
-    config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta, omega=args.omega)
+    config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta)
     samples = montecarlo.sir_samples(config, args.trials, seed)
     er, er_se = montecarlo.mc_estimate("er", samples, users=args.users)
     op, op_se = montecarlo.mc_estimate("op", samples, gamma_th=args.gamma_th)
     ks = harness.compare_distributions(config, stats, args.trials, seed)
-    law = ExactLaw.from_stats(stats) if args.exact == "on" else None
-    print(f"preset = {args.preset}  users = {args.users}  trials = {args.trials}")
-    print(f"er: approx = {approx.approx_er(args.users, beta):.6g}", end="")
-    if law is not None:
-        print(f"  exact = {analytic.exact_er(args.users, law):.6g}", end="")
-    print(f"  mc = {er:.6g} +- {er_se:.3g}")
-    print(f"op[{args.gamma_th:g}]: approx = {approx.approx_op(args.gamma_th, beta):.6g}", end="")
-    if law is not None:
-        print(f"  exact = {analytic.exact_op(args.gamma_th, law):.6g}", end="")
-    print(f"  mc = {op:.6g} +- {op_se:.3g}")
-    print(f"ks_total_vs_fit = {ks.ks_total:.4f}")
-    print(f"ks_inphase_vs_fit = {ks.ks_inphase:.4f}")
+    er_exact = op_exact = ""
+    if args.exact == "on":
+        law = ExactLaw.from_stats(stats)
+        er_exact = f"  exact = {analytic.exact_er(args.users, law):.6g}"
+        op_exact = f"  exact = {analytic.exact_op(args.gamma_th, law):.6g}"
+    lines = [
+        f"preset = {args.preset}  users = {args.users}  trials = {args.trials}",
+        f"er: approx = {approx.approx_er(args.users, beta):.6g}{er_exact}  mc = {er:.6g} +- {er_se:.3g}",
+        f"op[{args.gamma_th:g}]: approx = {approx.approx_op(args.gamma_th, beta):.6g}{op_exact}"
+        f"  mc = {op:.6g} +- {op_se:.3g}",
+        f"ks_total_vs_fit = {ks.ks_total:.4f}",
+        f"ks_inphase_vs_fit = {ks.ks_inphase:.4f}",
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -163,31 +167,18 @@ def _axis_values(text: str) -> tuple[float, ...]:
 
 
 def _cmd_sweep(args) -> int:
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    if "values" in given:
+        given["values"] = _axis_values(given["values"])
+    if "metrics" in given:
+        given["metrics"] = tuple(m.strip() for m in given["metrics"].split(","))
     if args.config:
         with open(args.config) as fh:
-            spec = parse_config(fh.read())
-        if args.out:
-            spec = dataclasses.replace(spec, out=args.out)
+            spec = parse_config(fh.read(), **given)
+    elif {"axis", "values", "metrics"} <= given.keys():
+        spec = SweepSpec(**given)
     else:
-        if not (args.axis and args.values and args.metrics):
-            raise DomainError("sweep needs --config or all of --axis/--values/--metrics")
-        spec = SweepSpec(
-            axis=args.axis,
-            values=_axis_values(args.values),
-            metrics=tuple(m.strip() for m in args.metrics.split(",")),
-            preset=args.preset,
-            eve_preset=args.eve_preset,
-            users=args.users,
-            gamma_th=args.gamma_th,
-            rs=args.rs,
-            delta_b=args.delta_b,
-            delta_e=args.delta_e,
-            trials=args.trials,
-            seed=args.seed,
-            exact=args.exact,
-            mc=not args.no_mc,
-            out=args.out,
-        )
+        raise DomainError("sweep needs --config or all of --axis/--values/--metrics")
     report = run_sweep(spec)
     if not spec.out:
         sys.stdout.write(report.to_csv())

@@ -65,7 +65,6 @@ class SweepSpec:
     rs: float = 1.0
     delta_b: float = 1.0
     delta_e: float = 1.0
-    omega: float = 1.0
     trials: int = 10_000
     seed: int = 0
     exact: str = "on"
@@ -165,11 +164,11 @@ class _Side:
     config: SimConfig | None
 
     @classmethod
-    def build(cls, grid: PortGrid, users: int, delta: float, omega: float, mc: bool) -> "_Side":
-        stats = ChannelStats.from_grid(grid, users, delta=delta, omega=omega)
+    def build(cls, grid: PortGrid, users: int, delta: float, mc: bool) -> "_Side":
+        stats = ChannelStats.from_grid(grid, users, delta=delta)
         config = None
         if mc:
-            config = SimConfig(corr=correlation_matrix(grid), users=users, delta=delta, omega=omega)
+            config = SimConfig(corr=correlation_matrix(grid), users=users, delta=delta)
         return cls(stats=stats, config=config)
 
     @property
@@ -200,10 +199,10 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
 
     bob_base = None
     if spec.axis != "ports":
-        bob_base = _Side.build(preset_grid(spec.preset), spec.users, spec.delta_b, spec.omega, spec.mc)
+        bob_base = _Side.build(preset_grid(spec.preset), spec.users, spec.delta_b, spec.mc)
     eve_base = None
     if any(m in _SOP_METRICS for m in spec.metrics):
-        eve_base = _Side.build(preset_grid(spec.eve_preset), spec.users, spec.delta_e, spec.omega, spec.mc)
+        eve_base = _Side.build(preset_grid(spec.eve_preset), spec.users, spec.delta_e, spec.mc)
 
     for v in spec.values:
         if spec.axis == "users":
@@ -220,7 +219,7 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
             axis_value, rs = float(v), spec.rs
         else:  # ports
             grid = _ports_axis_grid(int(v))
-            bob = _Side.build(grid, spec.users, spec.delta_b, spec.omega, spec.mc)
+            bob = _Side.build(grid, spec.users, spec.delta_b, spec.mc)
             eve = eve_base
             axis_value, rs = float(grid.total_ports), spec.rs
 
@@ -316,12 +315,12 @@ class KSReport:
 def compare_distributions(config: SimConfig, stats: ChannelStats, trials: int, seed: SeedSpec) -> KSReport:
     """KS distances between simulated SIR samples and the fitted laws.
 
-    ``config`` and ``stats`` describe the same terminal (users, delta and
-    omega must agree). The total SIR is tested against the exponential
+    ``config`` and ``stats`` describe the same terminal (users and delta
+    must agree). The total SIR is tested against the exponential
     fit and the in-phase branch against the Gamma(1/2) fit, both at the
     raw-SIR scale beta_I.
     """
-    if (config.users - 1, config.delta, config.omega) != (stats.interferers, stats.delta, stats.omega):
+    if (config.users - 1, config.delta) != (stats.interferers, stats.delta):
         raise DomainError("simulation config and channel stats describe different systems")
     samples = montecarlo.sir_samples(config, trials, seed)
     beta = approx.beta_I(stats)
@@ -337,8 +336,41 @@ def compare_distributions(config: SimConfig, stats: ChannelStats, trials: int, s
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def parse_config(text: str) -> SweepSpec:
-    """Parse the key = value sweep format (schema field required)."""
+def _floats(s):
+    return tuple(float(p) for p in s.replace(",", " ").split())
+
+
+def _words(s):
+    return tuple(s.replace(",", " ").split())
+
+
+# the config keys are SweepSpec's fields, each read by the converter of its type
+_CONVERTERS = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "float": float,
+    "bool": lambda s: _BOOL[s.lower()],
+    "tuple[float, ...]": _floats,
+    "tuple[str, ...]": _words,
+}
+_CONFIG_FIELDS = {f.name: _CONVERTERS[f.type] for f in dataclasses.fields(SweepSpec)}
+
+
+def _convert(key, conv, val):
+    try:
+        return conv(val)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"config field {key}: {exc}") from None
+
+
+def parse_config(text: str, **given) -> SweepSpec:
+    """Parse the key = value sweep format (schema field required).
+
+    ``given`` holds fields set elsewhere, such as the CLI's flags; they
+    override the file's. A field that neither sets keeps SweepSpec's
+    default.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
@@ -349,44 +381,18 @@ def parse_config(text: str) -> SweepSpec:
         key, val = body.split("=", 1)
         raw[key.strip().lower()] = val.strip()
 
-    def take(key, conv, default):
-        if key not in raw:
-            return default
-        try:
-            return conv(raw.pop(key))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"config field {key}: {exc}") from None
-
-    def floats(s):
-        return tuple(float(p) for p in s.replace(",", " ").split())
-
-    def words(s):
-        return tuple(p.strip() for p in s.replace(",", " ").split())
-
     if "schema" not in raw:
         raise DomainError("config is missing the schema field")
-    schema = take("schema", int, None)
+    schema = _convert("schema", int, raw.pop("schema"))
     if schema != 1:
         raise DomainError(f"unsupported sweep schema {schema}")
+    unknown = sorted(raw.keys() - _CONFIG_FIELDS.keys())
+    if unknown:
+        raise DomainError(f"unknown config fields: {', '.join(unknown)}")
 
-    spec = SweepSpec(
-        axis=take("axis", str, ""),
-        values=take("values", floats, ()),
-        metrics=take("metrics", words, ()),
-        preset=take("preset", str, None),
-        eve_preset=take("eve_preset", str, None),
-        users=take("users", int, 20),
-        gamma_th=take("gamma_th", float, 1.0),
-        rs=take("rs", float, 1.0),
-        delta_b=take("delta_b", float, 1.0),
-        delta_e=take("delta_e", float, 1.0),
-        omega=take("omega", float, 1.0),
-        trials=take("trials", int, 10_000),
-        seed=take("seed", int, 0),
-        exact=take("exact", str, "on"),
-        mc=take("mc", lambda s: _BOOL[s.lower()], True),
-        out=take("out", str, None),
-    )
-    if raw:
-        raise DomainError(f"unknown config fields: {', '.join(sorted(raw))}")
-    return spec
+    fields = {key: _convert(key, _CONFIG_FIELDS[key], val) for key, val in raw.items()}
+    fields.update(given)
+    missing = [key for key in ("axis", "values", "metrics") if key not in fields]
+    if missing:
+        raise DomainError(f"config is missing {', '.join(missing)}")
+    return SweepSpec(**fields)

@@ -15,8 +15,8 @@ m_I^T C m_I, and their power is exactly q_I times a chi-square variate
 with I degrees of freedom (likewise for Q, independently). A trial
 therefore costs two products with F and two chi-square variates, whatever
 the user count. Real and imaginary parts carry unit variance instead of
-omega/2: the channel power scales numerator and denominator alike, so
-the draws leave it out.
+the 1/2 of unit channel power: the scale multiplies numerator and
+denominator alike, so it cancels from the SIR.
 
 Reproducibility contract: trial t of a run draws from a dedicated
 generator derived from (master seed, trial index, substream), so a run
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CorrelationMatrix
-from .specfun import DomainError
+from .specfun import DomainError, exp2
 
 __all__ = [
     "SeedSpec",
@@ -75,15 +75,12 @@ class SimConfig:
     corr: CorrelationMatrix
     users: int
     delta: float = 1.0
-    omega: float = 1.0
 
     def __post_init__(self):
         if self.users < 2:
             raise DomainError(f"need at least 2 users, got {self.users}")
         if not 0.0 < self.delta <= 1.0:
             raise DomainError(f"delta must lie in (0, 1], got {self.delta}")
-        if not 0.0 < self.omega < math.inf:
-            raise DomainError(f"omega must be positive and finite, got {self.omega}")
 
     @property
     def interferers(self) -> int:
@@ -138,7 +135,8 @@ class SampleSet:
     """Per-trial outputs of a run, in trial order.
 
     ``q_i`` is each trial's m_I^T C m_I: one interferer's activated
-    in-phase sum is N(0, (omega / 2) q_i) given the desired draw.
+    in-phase sum is N(0, q_i / 2) at unit channel power, given the
+    desired draw.
     """
 
     sir: np.ndarray
@@ -223,7 +221,7 @@ def mc_estimate(
         if metric == "sop":
             hits = np.log2(1.0 + bob.sir) - np.log2(1.0 + eve.sir) < rs
         else:
-            hits = bob.sir < 2.0**rs * eve.sir
+            hits = bob.sir < exp2(rs) * eve.sir
     else:
         raise DomainError(f"unknown Monte Carlo metric {metric!r}")
     p = float(np.mean(hits))

@@ -322,7 +322,7 @@ def test_a09_sweep_trends():
 
 def test_a10_interference_variance_calibration(case1_config, case1_stats):
     t0 = time.time()
-    # each trial's sums are N(0, (omega/2) q_I) given its desired draw
+    # each trial's sums are N(0, q_I / 2) given its desired draw
     sums = interference_sums(sir_samples(case1_config, 100_000, SEED), case1_config, SEED)
     ratio = float(sums.var(ddof=1)) / case1_stats.sigma2_sq
     ok = abs(ratio - 1.0) < 0.10

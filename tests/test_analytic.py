@@ -84,7 +84,7 @@ class TestWFunc:
         # w_func(-1.2, 1, 1/2) corresponds to the positive-part covariance
         # at the correlation solving 2 rho^2/(1-rho^2) = 1.44
         rho = math.sqrt(1.44 / 3.44)
-        got = cov_pair(rho, 1.0)
+        got = cov_pair(rho)
         assert got == pytest.approx(cov_oracle(rho, 1.0), abs=1e-12)
         assert w_form_cov(rho, 1.0) == pytest.approx(cov_oracle(rho, 1.0), abs=1e-12)
         a = -math.sqrt(2.0 / (1.0 - rho * rho)) * rho
@@ -94,61 +94,62 @@ class TestWFunc:
     @pytest.mark.parametrize("omega", [1.0, 2.5])
     def test_matches_cov_pair(self, rho, omega):
         # the elementary form against the paper's, also next to rho = 1
-        # where the 2F1 argument -rho^2/(1-rho^2) runs past -1e4
-        assert cov_pair(rho, omega) == pytest.approx(w_form_cov(rho, omega), rel=1e-13)
+        # where the 2F1 argument -rho^2/(1-rho^2) runs past -1e4; the
+        # paper's form at channel power omega is omega times the unit kernel
+        assert omega * cov_pair(rho) == pytest.approx(w_form_cov(rho, omega), rel=1e-13)
 
     def test_domain(self):
-        # the kernel's b = 1/Omega must be positive, so Omega must be finite
+        # the kernel's argument is a correlation: inf and nan are refused
         with pytest.raises(DomainError):
-            cov_pair(0.5, math.inf)
+            cov_pair(math.inf)
         with pytest.raises(DomainError):
-            cov_pair(0.5, math.nan)
+            cov_pair(math.nan)
 
 
 class TestCovPair:
     def test_zero_correlation_is_exactly_zero(self):
-        assert cov_pair(0.0, 1.0) == 0.0
-        assert cov_pair(0.0, 3.7) == 0.0
+        assert cov_pair(0.0) == 0.0
+        assert np.array_equal(cov_pair(np.zeros(3)), np.zeros(3))
 
     @pytest.mark.parametrize("rho", [0.5, -0.5, 0.3, 0.9, -0.9, 0.05])
     @pytest.mark.parametrize("omega", [1.0, 2.5])
     def test_bivariate_oracle(self, rho, omega):
-        assert cov_pair(rho, omega) == pytest.approx(cov_oracle(rho, omega), abs=1e-11)
+        assert omega * cov_pair(rho) == pytest.approx(cov_oracle(rho, omega), abs=1e-11)
 
     def test_full_correlation_limit(self):
         # the endpoint value is the positive-part variance; the oracle just
         # inside the endpoint must approach it
         want = 1.0 * (0.25 - 1.0 / (4.0 * math.pi))
-        assert cov_pair(1.0, 1.0) == pytest.approx(want, rel=1e-14)
-        assert cov_pair(1.0, 1.0) == pytest.approx(cov_oracle(0.999, 1.0), abs=1e-3)
+        assert cov_pair(1.0) == pytest.approx(want, rel=1e-14)
+        assert cov_pair(1.0) == pytest.approx(cov_oracle(0.999, 1.0), abs=1e-3)
 
     def test_opposite_correlation_limit(self):
-        assert cov_pair(-1.0, 1.0) == pytest.approx(-1.0 / (4.0 * math.pi), rel=1e-14)
-        assert cov_pair(-1.0, 1.0) == pytest.approx(cov_oracle(-0.999, 1.0), abs=1e-3)
+        assert cov_pair(-1.0) == pytest.approx(-1.0 / (4.0 * math.pi), rel=1e-14)
+        assert cov_pair(-1.0) == pytest.approx(cov_oracle(-0.999, 1.0), abs=1e-3)
 
     def test_sign_tracks_correlation(self):
         for rho in np.linspace(-0.9, 0.9, 13):
             if rho == 0.0:
                 continue
-            got = cov_pair(float(rho), 1.0)
+            got = cov_pair(float(rho))
             assert math.copysign(1.0, got) == math.copysign(1.0, rho)
             assert got == pytest.approx(cov_oracle(float(rho), 1.0), abs=1e-11)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            cov_pair(1.5, 1.0)
+            cov_pair(1.5)
         with pytest.raises(DomainError):
-            cov_pair(0.5, -1.0)
+            cov_pair(np.array([0.5, -1.0001]))
 
 
 class TestSigmaSums:
     def test_full_grid_matches_direct_double_loop(self, case1_grid):
-        s1, s2 = sigma_sums(case1_grid, 1.0)
+        s1, s2 = sigma_sums(case1_grid)
         ent = correlation_entries(case1_grid)
         n = case1_grid.total_ports
         iu = np.triu_indices(n, 1)
         sum_rho = float(ent[iu].sum())
-        sum_cov = float(sum(cov_pair(float(r), 1.0) for r in ent[iu]))
+        sum_cov = float(sum(cov_pair(float(r)) for r in ent[iu]))
         assert s2 == pytest.approx((n + sum_rho) / 4.0, rel=1e-12)
         assert s1 == pytest.approx(n / 4.0 * (1 - 1 / math.pi) + 2 * sum_cov, rel=1e-12)
 
@@ -167,7 +168,7 @@ class TestSigmaSums:
                     x = 2 * mp.pi * mp.sqrt((da * mp.mpf(s1)) ** 2 + (db * mp.mpf(s2)) ** 2)
                     total += count * mp.mpf(w_form_cov(mp.sin(x) / x, 1.0))
             want = float(grid.total_ports / mp.mpf(4) * (1 - 1 / mp.pi) + 2 * total)
-        assert sigma_sums(grid, 1.0)[0] == pytest.approx(want, rel=1e-14)
+        assert sigma_sums(grid)[0] == pytest.approx(want, rel=1e-14)
 
     def test_positively_correlated_pairs_grow_sigma2(self):
         # every pair of a 3 x 2 grid lies within half a wavelength at these
@@ -175,15 +176,9 @@ class TestSigmaSums:
         # uncorrelated N/4 and grows as the pitch shrinks
         prev = 6 / 4.0
         for pitch in (0.2, 0.15, 0.1, 0.05):
-            _, s2 = sigma_sums(PortGrid(3, 2, 2 * pitch, pitch), 1.0)
+            _, s2 = sigma_sums(PortGrid(3, 2, 2 * pitch, pitch))
             assert s2 > prev
             prev = s2
-
-    def test_omega_scaling(self, case1_grid):
-        s1a, s2a = sigma_sums(case1_grid, 1.0)
-        s1b, s2b = sigma_sums(case1_grid, 2.0)
-        assert s2b == pytest.approx(2.0 * s2a, rel=1e-12)
-        assert s1b == pytest.approx(2.0 * s1a, rel=1e-12)
 
 
 class TestChannelStats:
@@ -201,11 +196,12 @@ class TestChannelStats:
         assert math.isfinite(st.sigma1_sq) and st.sigma1_sq > 0.0
         assert math.isfinite(st.sigma2_sq) and st.sigma2_sq > 0.0
 
-    def test_mu_invariant_enforced(self, case1_stats):
+    def test_mu_follows_nbar(self, case1_stats):
         import dataclasses
 
-        with pytest.raises(DomainError):
-            dataclasses.replace(case1_stats, mu=case1_stats.mu * 1.001)
+        # mu is derived, not stored: nbar E[max(0, X)] with X ~ N(0, 1/2)
+        assert dataclasses.replace(case1_stats, nbar=56).mu == 2.0 * case1_stats.mu
+        assert "mu" not in {f.name for f in dataclasses.fields(ChannelStats)}
 
     @pytest.mark.parametrize("field,value", [
         ("delta", 0.0),
@@ -220,17 +216,17 @@ class TestChannelStats:
             dataclasses.replace(case1_stats, **{field: value})
 
 
-def first_principles_pdf(z, stats):
-    """Density of the in-phase ratio from its definition, by quadrature.
+def first_principles_pdf(z, mu, sigma1_sq, sigma2_sq, delta, i_cnt):
+    """Density of the in-phase ratio Y^2 / (delta sigma2^2 Q) from its definition.
 
     Independent of the closed form: integrates the squared-Gaussian
-    numerator density against the chi-square interference power.
+    numerator density (Y ~ N(mu, sigma1^2)) against the chi-square
+    interference power Q with i_cnt degrees of freedom, by quadrature.
     """
-    i_cnt = stats.interferers
-    s1 = mp.mpf(stats.sigma1_sq)
-    s2 = mp.mpf(stats.sigma2_sq)
-    m = mp.mpf(stats.mu)
-    d = mp.mpf(stats.delta)
+    s1 = mp.mpf(sigma1_sq)
+    s2 = mp.mpf(sigma2_sq)
+    m = mp.mpf(mu)
+    d = mp.mpf(delta)
     z = mp.mpf(z)
 
     def integrand(q):
@@ -242,6 +238,12 @@ def first_principles_pdf(z, stats):
     return float(mp.quad(integrand, [0, i_cnt, 5 * i_cnt, mp.inf]))
 
 
+def channel_moments(stats, omega=1.0):
+    """(mu, sigma1^2, sigma2^2, delta, interferers) of ``stats`` at channel power omega."""
+    mu, s1, s2 = math.sqrt(omega) * stats.mu, omega * stats.sigma1_sq, omega * stats.sigma2_sq
+    return mu, s1, s2, stats.delta, stats.interferers
+
+
 class TestExactPdfZI:
     def test_normalizes(self, case1_stats):
         total = integrate.quad(
@@ -251,12 +253,20 @@ class TestExactPdfZI:
 
     def test_matches_first_principles_oracle(self, case1_stats):
         z = case1_stats.sigma2_sq
-        want = first_principles_pdf(z, case1_stats)
+        want = first_principles_pdf(z, *channel_moments(case1_stats))
         assert exact_pdf_zI(z, case1_stats) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("z", [0.01, 0.3, 2.0])
     def test_pointwise_oracle(self, case1_stats, z):
-        want = first_principles_pdf(z, case1_stats)
+        want = first_principles_pdf(z, *channel_moments(case1_stats))
+        assert exact_pdf_zI(z, case1_stats) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("z", [0.01, 2.0])
+    @pytest.mark.parametrize("omega", [1e-3, 2.5])
+    def test_channel_power_cancels(self, case1_stats, omega, z):
+        # mu scales with sqrt(omega), both variances with omega: the ratio's
+        # density at any channel power is the unit-power density
+        want = first_principles_pdf(z, *channel_moments(case1_stats, omega))
         assert exact_pdf_zI(z, case1_stats) == pytest.approx(want, rel=1e-9)
 
     def test_small_z_slope_reaches_asymptote(self, case1_stats):
@@ -428,6 +438,12 @@ class TestExactMetrics:
         assert exact_op(1e-9, case1_law) < 1e-6
         assert exact_op(30.0, case1_law) == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("gamma_th", [1024.0, 1e308])
+    def test_op_overflowing_threshold(self, case1_law, gamma_th):
+        # the threshold 2^gamma_th - 1 is inf: the CDF there is the law's
+        # whole mass, one within the tabulation's mass tolerance
+        assert exact_op(gamma_th, case1_law) == pytest.approx(1.0, abs=1e-8)
+
     def test_op_monotone_in_threshold(self, case1_law):
         vals = [exact_op(g, case1_law) for g in (0.25, 0.5, 1.0, 1.5, 2.2)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
@@ -482,6 +498,11 @@ class TestSecrecyMetrics:
     def test_sop_monotone_in_rate(self, bob_law, eve_law):
         vals = [exact_sop(bob_law, eve_law, rs) for rs in (0.5, 2.0, 5.0)]
         assert vals[0] <= vals[1] <= vals[2]
+
+    @pytest.mark.parametrize("rs", [1024.0, 1e308])
+    def test_overflowing_rate_is_certain_outage(self, bob_law, eve_law, rs):
+        assert exact_sop(bob_law, eve_law, rs) == pytest.approx(1.0, abs=2e-8)
+        assert sop_lower_numeric(bob_law, eve_law, rs) == pytest.approx(1.0, abs=2e-8)
 
     def test_lower_bound_symmetric_case(self, eve_law):
         assert sop_lower_numeric(eve_law, eve_law, 0.0) == pytest.approx(0.5, abs=1e-4)

@@ -33,18 +33,15 @@ def random_stats(rng, n=20):
     out = []
     for _ in range(n):
         nbar = int(rng.integers(1, 220))
-        omega = float(rng.uniform(0.25, 4.0))
-        mu = 0.5 * nbar * math.sqrt(omega / math.pi)
+        mu = 0.5 * nbar * math.sqrt(1.0 / math.pi)
         # keep the tail exponent below ~150 so linear-domain identities
         # stay representable
         expo = float(rng.uniform(0.2, 140.0))
         sigma1_sq = mu * mu / (2.0 * expo)
-        sigma2_sq = float(rng.uniform(0.2, 3.0)) * max(nbar, 4) * omega / 4.0
+        sigma2_sq = float(rng.uniform(0.05, 12.0)) * max(nbar, 4) / 4.0
         out.append(
             ChannelStats(
-                omega=omega,
                 nbar=nbar,
-                mu=mu,
                 sigma1_sq=sigma1_sq,
                 sigma2_sq=sigma2_sq,
                 interferers=int(rng.integers(1, 40)),
@@ -67,7 +64,26 @@ class TestAsymptoteCoeffs:
         assert slope == pytest.approx(a0, rel=1e-5)
 
 
+def paper_a0(mu, sigma1_sq, sigma2_sq, delta, interferers):
+    """The paper's a0 at explicit moments, in the linear domain.
+
+    a0 = exp(-mu^2 / (2 sigma1^2)) sqrt(delta) sigma2 E[sqrt Q] / (sqrt(2 pi) sigma1)
+    with E[sqrt Q] = sqrt(2) Gamma((I + 1)/2) / Gamma(I/2).
+    """
+    e_sqrt_q = math.sqrt(2.0) * math.gamma(0.5 * (interferers + 1)) / math.gamma(0.5 * interferers)
+    tail = math.exp(-mu * mu / (2.0 * sigma1_sq))
+    return tail * math.sqrt(delta * sigma2_sq) * e_sqrt_q / math.sqrt(2.0 * math.pi * sigma1_sq)
+
+
 class TestBetaI:
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 2.5, 40.0])
+    def test_channel_power_cancels(self, case1_stats, omega):
+        # mu scales with sqrt(omega) and both variances with omega, so the
+        # paper's a0, and with it beta = 1 / (pi a0^2), is the unit-power one
+        st = dataclasses.replace(case1_stats, delta=0.3)
+        a0 = paper_a0(math.sqrt(omega) * st.mu, omega * st.sigma1_sq, omega * st.sigma2_sq, st.delta, st.interferers)
+        assert -math.log(math.pi) - 2.0 * math.log(a0) == pytest.approx(log_beta_I(st), rel=1e-13)
+
     def test_inverse_delta_scaling(self, case1_stats):
         half = dataclasses.replace(case1_stats, delta=0.5)
         assert beta_I(half) == pytest.approx(2.0 * beta_I(case1_stats), rel=1e-12)
@@ -207,6 +223,11 @@ class TestApproxOp:
         with pytest.raises(DomainError):
             approx_op(gamma_th, 2.0)
 
+    @pytest.mark.parametrize("gamma_th", [1024.0, 1e308])
+    def test_overflowing_threshold_is_certain_outage(self, gamma_th):
+        # 2^gamma_th is past the largest double: the SIR threshold is inf
+        assert approx_op(gamma_th, 2.0) == 1.0
+
 
 def paper_er(users, beta_scaled, sigma2_sq):
     """The paper's closed-form rate on its sigma2^2-scaled SIR, x = sigma2^2 / beta_scaled."""
@@ -258,6 +279,11 @@ class TestSopLowerClosed:
     def test_matches_double_quadrature(self, bb, be, rs):
         want = sop_lower_numeric(exponential_law(bb), exponential_law(be), rs)
         assert sop_lower_closed(bb, be, rs) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("be,rs", [(1.0, 1e308), (1e300, 1000.0)])
+    def test_overflowing_eve_scale_is_certain_outage(self, be, rs):
+        # 2^rs beta_E overflows, from the rate alone or with a huge scale
+        assert sop_lower_closed(1.0, be, rs) == 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -346,6 +346,23 @@ class TestConfigParsing:
         with pytest.raises(DomainError):
             parse_config("schema = 1\nnonsense line")
 
+    def test_given_fields_override_the_file(self):
+        spec = parse_config(self.GOOD, seed=3, mc=False, metrics=("op",))
+        assert (spec.seed, spec.mc, spec.metrics) == (3, False, ("op",))
+        # fields given nowhere else keep the file's values, and the rest SweepSpec's defaults
+        assert (spec.trials, spec.values, spec.exact, spec.users) == (2000, (4.0, 8.0, 12.0), "off", 20)
+
+    def test_required_field_may_come_from_outside(self):
+        text = self.GOOD.replace("metrics = er, op", "")
+        with pytest.raises(DomainError, match="missing metrics"):
+            parse_config(text)
+        assert parse_config(text, metrics=("er",)).metrics == ("er",)
+
+    def test_channel_power_is_no_field(self):
+        # the package fixes the channel power at 1; omega is no key
+        with pytest.raises(DomainError, match="unknown config fields: omega"):
+            parse_config(self.GOOD + "\nomega = 1")
+
 
 class TestCli:
     def test_presets(self, capsys):
@@ -413,11 +430,70 @@ class TestCli:
     def test_bad_flag_usage(self, capsys):
         assert main(["analyze"]) == 2
 
-    @pytest.mark.parametrize("omega", ["inf", "nan"])
-    def test_simulate_non_finite_omega_is_validation_error(self, omega, capsys):
-        rc = main(["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "100", "--omega", omega])
-        assert rc == 2
-        assert "omega must be positive and finite" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare"])
+    def test_omega_flag_is_gone(self, command, capsys):
+        assert main([command, "--preset", "6GHz-NC", "--users", "8", "--omega", "2"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "flags,kw",
+        [
+            # given flags override the file's seed, trials, metrics and mc
+            (["--seed", "5", "--trials", "1000", "--metrics", "op", "--no-mc"],
+             {"seed": 5, "trials": 1000, "metrics": ("op",), "mc": False}),
+            # flags not given leave the file's seed and trials
+            (["--metrics", "er", "--no-mc", "--users", "6"], {"metrics": ("er",), "mc": False, "users": 6}),
+        ],
+    )
+    def test_sweep_flags_override_the_config(self, tmp_path, capsys, flags, kw):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TestConfigParsing.GOOD)
+        assert main(["sweep", "--config", str(cfg), *flags]) == 0
+        file_fields = dict(axis="users", values=(4.0, 8.0, 12.0), metrics=("er", "op"), preset="6GHz-NC",
+                           trials=2000, seed=9, exact="off")
+        assert capsys.readouterr().out == run_sweep(SweepSpec(**{**file_fields, **kw})).to_csv()
+
+    def test_config_file_with_omega_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TestConfigParsing.GOOD + "omega = 1\n")
+        assert main(["sweep", "--config", str(cfg), "--no-mc"]) == 2
+        assert "unknown config fields: omega" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "4", "--gamma-th", "1e308",
+             "--metrics", "op"],
+            ["sweep", "--preset", "6GHz-NC", "--eve-preset", "6GHz-NC", "--axis", "rs", "--values", "1e308",
+             "--metrics", "sop,sop_lower", "--users", "4"],
+        ],
+    )
+    def test_huge_threshold_gives_the_limit(self, argv, capsys):
+        # 2^1e308 overflows; outage and secrecy outage are then certain in
+        # every column (the exact ones within the law's mass tolerance)
+        assert main([*argv, "--trials", "1000", "--seed", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == argv.count("op") + 2 * argv.count("sop,sop_lower")
+        for row in rows:
+            approx_val, exact_val, mc_mean, mc_se = (float(c) for c in row.split(",")[2:6])
+            assert (approx_val, mc_mean, mc_se) == (1.0, 1.0, 0.0)
+            assert exact_val == pytest.approx(1.0, abs=2e-8)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--preset", "6GHz-NC", "--rs", "nan", "--eve-preset", "6GHz-NC"],
+            ["analyze", "--preset", "6GHz-NC", "--rs", "1"],
+            ["analyze", "--preset", "6GHz-NC", "--gamma-th", "-1"],
+            ["compare", "--preset", "6GHz-NC", "--users", "8", "--trials", "200", "--gamma-th", "0"],
+        ],
+    )
+    def test_failed_report_prints_nothing(self, argv, capsys):
+        # every value is computed before the first line is printed
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_single_trial_is_validation_error(self, command, capsys):
@@ -426,17 +502,6 @@ class TestCli:
         captured = capsys.readouterr()
         assert "at least 2 samples" in captured.err
         assert "nan" not in captured.out
-
-    def test_simulate_output_does_not_depend_on_omega(self, capsys):
-        # the SIR is invariant to the channel power, and the draws leave it
-        # out: subnormal and near-overflow powers print the unit-power figures
-        outs = []
-        for omega in ("1", "1e-323", "1e308"):
-            argv = ["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "300", "--seed", "3"]
-            assert main([*argv, "--omega", omega]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[1] == outs[0] and outs[2] == outs[0]
-        assert "nan" not in outs[0]
 
     def test_simulate_trial_cap_is_validation_error(self, capsys):
         rc = main(["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", str(10**12)])

@@ -183,7 +183,8 @@ class TestConditionalKernel:
         grid = preset_grid(preset)
         config = SimConfig(corr=correlation_matrix(grid), users=20)
         n = 5000
-        oracle = link_samples(config, correlation_entries(grid), n, SeedSpec(77))
+        # the oracle draws at channel power 2.5; the SIR does not depend on it
+        oracle = link_samples(config, correlation_entries(grid), n, SeedSpec(77), omega=2.5)
         ks = ks_2samp(sir_samples(config, n, SEED).sir, oracle).statistic
         # two-sample KS critical value at alpha = 0.001
         crit = math.sqrt(-math.log(0.001 / 2.0) * (n + n) / (2.0 * n * n))
@@ -218,11 +219,11 @@ class TestSampleRuns:
 def interference_sums(samples, config, seed=SEED):
     """Per-interferer activated in-phase sums, shape (trials, I).
 
-    Given its desired draw, trial t's sums are i.i.d. N(0, (omega/2) q_I);
-    the unit normals come from a stream of their own.
+    Given its desired draw, trial t's sums are i.i.d. N(0, q_I / 2) at unit
+    channel power; the unit normals come from a stream of their own.
     """
     z = np.random.default_rng(seed.master_seed).standard_normal((len(samples.q_i), config.interferers))
-    return np.sqrt(config.omega / 2.0 * samples.q_i)[:, None] * z
+    return np.sqrt(samples.q_i / 2.0)[:, None] * z
 
 
 class TestInterferenceCalibration:
@@ -291,6 +292,13 @@ class TestMcSop:
     def test_large_rate_saturates(self, case1_config):
         p, _ = mc_estimate("sop", *sop_pair(case1_config, case1_config, 2000), rs=40.0)
         assert p == 1.0
+
+    def test_overflowing_rate_saturates(self, case1_config):
+        # 2^rs overflows: every trial is an outage, no float error
+        pair = sop_pair(case1_config, case1_config, 200)
+        for metric in ("sop", "sop_lower"):
+            assert mc_estimate(metric, *pair, rs=1e308) == (1.0, 0.0)
+        assert mc_estimate("op", pair[0], gamma_th=1e308) == (1.0, 0.0)
 
     def test_interference_cancellation_ordering(self):
         bob_grid = preset_grid("6GHz-VC")
