@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss, legint, legvander
 from scipy.special import hyp1f1
 
 from .geometry import PortGrid, offset_correlation
-from .specfun import DomainError, exp2
+from .specfun import DomainError, _check_rate, exp2
 
 __all__ = [
     "QuadratureError",
@@ -307,8 +307,7 @@ def exact_er(users: int, law: ExactLaw) -> float:
 
 def exact_op(gamma_th: float, law: ExactLaw) -> float:
     """Outage probability: the raw-SIR CDF at 2^gamma_th - 1."""
-    if not 0.0 < gamma_th < math.inf:
-        raise DomainError(f"gamma_th must be positive and finite, got {gamma_th}")
+    _check_rate("gamma_th", gamma_th)
     return float(law.cdf(exp2(gamma_th) - 1.0))
 
 
@@ -318,17 +317,18 @@ def exact_sop(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
     Both rate variables are raw SIRs, matching the rate convention of the
     ergodic-rate and outage metrics (and of the simulator).
     """
-    if not 0.0 <= rs < math.inf:
-        raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
+    _check_rate("secrecy rate", rs)
     tau = exp2(rs)
-    val = law_e.expect(lambda z: law_b.cdf(tau * (1.0 + z) - 1.0))
+    # a finite tau times the law's upper nodes may overflow to inf, where F_B is 1
+    with np.errstate(over="ignore"):
+        val = law_e.expect(lambda z: law_b.cdf(tau * (1.0 + z) - 1.0))
     return min(max(val, 0.0), 1.0)
 
 
 def sop_lower_numeric(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
     """Lower bound Pr{Z_B < tau Z_E} = E_E[F_B(tau Z_E)], raw-SIR variables."""
-    if not 0.0 <= rs < math.inf:
-        raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
+    _check_rate("secrecy rate", rs)
     tau = exp2(rs)
-    val = law_e.expect(lambda z: law_b.cdf(tau * z))
+    with np.errstate(over="ignore"):  # as in exact_sop
+        val = law_e.expect(lambda z: law_b.cdf(tau * z))
     return min(max(val, 0.0), 1.0)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import exp1, hyperu
 
 from .analytic import ChannelStats
-from .specfun import DomainError, exp2
+from .specfun import DomainError, _check_rate, exp2
 
 __all__ = [
     "asymptote_a0",
@@ -121,8 +121,7 @@ def approx_er(users: int, beta: float) -> float:
 
 def approx_op(gamma_th: float, beta: float) -> float:
     """Closed-form outage probability 1 - exp(-(2^g - 1) / beta)."""
-    if not 0.0 <= gamma_th < math.inf:
-        raise DomainError(f"gamma_th must be nonnegative and finite, got {gamma_th}")
+    _check_rate("gamma_th", gamma_th)
     return float(approx_cdf_z(exp2(gamma_th) - 1.0, beta))
 
 
@@ -130,8 +129,7 @@ def sop_lower_closed(beta_b: float, beta_e: float, rs: float) -> float:
     """Closed-form secrecy-outage lower bound 1 - beta_B / (tau beta_E + beta_B)."""
     if beta_b <= 0.0 or beta_e <= 0.0:
         raise DomainError("both scales must be positive")
-    if not 0.0 <= rs < math.inf:
-        raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
+    _check_rate("secrecy rate", rs)
     eve_scale = exp2(rs) * beta_e
     if eve_scale == math.inf:
         return 1.0

@@ -9,6 +9,7 @@ success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import analytic, approx, harness, montecarlo
@@ -30,6 +31,15 @@ def _common_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--users", type=int, default=20)
     p.add_argument("--delta", type=float, default=1.0, help="residual interference factor in (0,1]")
     p.add_argument("--gamma-th", type=float, default=1.0, help="outage rate threshold (bits)")
+
+
+_SWEEP_HELP = {
+    "axis": "one of users, rs, delta_b, ports",
+    "values": "comma separated axis values",
+    "metrics": "comma separated subset of er,op,sop,sop_lower",
+    "exact": "on or off",
+    "out": "CSV output path",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,27 +65,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", choices=("on", "off"), default="on")
 
-    # a sweep flag that is not given stays off the namespace, so the config
-    # file's field, or else SweepSpec's default, applies
+    # one text flag per SweepSpec field, read by harness with the config
+    # file's converters; a flag that is not given stays off the namespace,
+    # so the file's field, or else SweepSpec's default, applies
     p = sub.add_parser(
         "sweep", help="run a sweep from a config file or flags", argument_default=argparse.SUPPRESS
     )
     p.add_argument("--config", default=None, help="key = value sweep description; flags override its fields")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--preset")
-    p.add_argument("--eve-preset")
-    p.add_argument("--axis", choices=("users", "rs", "delta_b", "ports"))
-    p.add_argument("--values", help="comma separated axis values")
-    p.add_argument("--metrics", help="comma separated subset of er,op,sop,sop_lower")
-    p.add_argument("--users", type=int)
-    p.add_argument("--gamma-th", type=float)
-    p.add_argument("--rs", type=float)
-    p.add_argument("--delta-b", type=float)
-    p.add_argument("--delta-e", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--exact", choices=("on", "off"))
-    p.add_argument("--no-mc", dest="mc", action="store_false", help="skip Monte Carlo columns")
+    for field in dataclasses.fields(SweepSpec):
+        if field.name != "mc":
+            p.add_argument("--" + field.name.replace("_", "-"), help=_SWEEP_HELP.get(field.name))
+    p.add_argument("--no-mc", dest="mc", action="store_const", const="false", help="skip Monte Carlo columns")
     return ap
 
 
@@ -159,26 +159,13 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _axis_values(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise DomainError(f"--values must be comma separated numbers, got {text!r}") from None
-
-
 def _cmd_sweep(args) -> int:
     given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    if "values" in given:
-        given["values"] = _axis_values(given["values"])
-    if "metrics" in given:
-        given["metrics"] = tuple(m.strip() for m in given["metrics"].split(","))
+    text = None
     if args.config:
         with open(args.config) as fh:
-            spec = parse_config(fh.read(), **given)
-    elif {"axis", "values", "metrics"} <= given.keys():
-        spec = SweepSpec(**given)
-    else:
-        raise DomainError("sweep needs --config or all of --axis/--values/--metrics")
+            text = fh.read()
+    spec = parse_config(text, **given)
     report = run_sweep(spec)
     if not spec.out:
         sys.stdout.write(report.to_csv())

@@ -105,6 +105,10 @@ class SweepSpec:
             raise DomainError("delta_b values must lie in (0, 1]")
         if self.axis == "rs" and any(v < 0.0 for v in self.values):
             raise DomainError("rs values must be nonnegative")
+        if self.users < 2:
+            raise DomainError(f"need at least 2 users, got {self.users}")
+        if not 0.0 < self.delta_b <= 1.0:
+            raise DomainError(f"delta_b must lie in (0, 1], got {self.delta_b}")
         if self.mc and self.trials < 1000:
             raise DomainError("Monte Carlo sweeps need at least 1000 trials")
 
@@ -123,7 +127,6 @@ class Row:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    spec: SweepSpec
     rows: tuple[Row, ...]
 
     def to_csv(self) -> str:
@@ -156,36 +159,6 @@ def _fmt(v) -> str:
     return format(v, ".12g")
 
 
-@dataclass(frozen=True)
-class _Side:
-    """One terminal's analytic bundle and, for Monte Carlo, its simulation config."""
-
-    stats: ChannelStats
-    config: SimConfig | None
-
-    @classmethod
-    def build(cls, grid: PortGrid, users: int, delta: float, mc: bool) -> "_Side":
-        stats = ChannelStats.from_grid(grid, users, delta=delta)
-        config = None
-        if mc:
-            config = SimConfig(corr=correlation_matrix(grid), users=users, delta=delta)
-        return cls(stats=stats, config=config)
-
-    @property
-    def users(self) -> int:
-        return self.stats.interferers + 1
-
-    def _replace(self, stats_kw: dict, config_kw: dict) -> "_Side":
-        config = dataclasses.replace(self.config, **config_kw) if self.config else None
-        return _Side(stats=dataclasses.replace(self.stats, **stats_kw), config=config)
-
-    def with_users(self, users: int) -> "_Side":
-        return self._replace({"interferers": users - 1}, {"users": users})
-
-    def with_delta(self, delta: float) -> "_Side":
-        return self._replace({"delta": delta}, {"delta": delta})
-
-
 def _ports_axis_grid(n2: int) -> PortGrid:
     freq = PRESETS["6GHz-VC"].freq_hz
     base = grid_from_aperture(*HANDSET_APERTURE_M, freq, _PORTS_AXIS_N1_SPACING, 0.5)
@@ -193,81 +166,82 @@ def _ports_axis_grid(n2: int) -> PortGrid:
 
 
 def run_sweep(spec: SweepSpec) -> ComparisonReport:
-    """Evaluate the sweep and (optionally) write its CSV."""
+    """Evaluate the sweep and (optionally) write its CSV.
+
+    Each grid's correlation factor is built once per sweep, and only for
+    Monte Carlo columns; each point builds its own stats and configs.
+    """
+
+    def factor(grid):
+        return correlation_matrix(grid) if spec.mc and grid is not None else None
+
     seed = SeedSpec(spec.seed)
+    secrecy = any(m in _SOP_METRICS for m in spec.metrics)
+    grid = None if spec.axis == "ports" else preset_grid(spec.preset)
+    eve_grid = preset_grid(spec.eve_preset) if secrecy else None
+    corr, eve_corr = factor(grid), factor(eve_grid)
+
     rows: list[Row] = []
-
-    bob_base = None
-    if spec.axis != "ports":
-        bob_base = _Side.build(preset_grid(spec.preset), spec.users, spec.delta_b, spec.mc)
-    eve_base = None
-    if any(m in _SOP_METRICS for m in spec.metrics):
-        eve_base = _Side.build(preset_grid(spec.eve_preset), spec.users, spec.delta_e, spec.mc)
-
     for v in spec.values:
+        users, delta_b, rs = spec.users, spec.delta_b, spec.rs
         if spec.axis == "users":
             users = int(v)
-            bob = bob_base.with_users(users)
-            eve = eve_base.with_users(users) if eve_base else None
-            axis_value, rs = float(users), spec.rs
         elif spec.axis == "rs":
-            bob, eve = bob_base, eve_base
-            axis_value, rs = float(v), float(v)
+            rs = float(v)
         elif spec.axis == "delta_b":
-            bob = bob_base.with_delta(float(v))
-            eve = eve_base
-            axis_value, rs = float(v), spec.rs
+            delta_b = float(v)
         else:  # ports
             grid = _ports_axis_grid(int(v))
-            bob = _Side.build(grid, spec.users, spec.delta_b, spec.mc)
-            eve = eve_base
-            axis_value, rs = float(grid.total_ports), spec.rs
+            corr = factor(grid)
+        axis_value = float(grid.total_ports) if spec.axis == "ports" else float(v)
 
-        rows.extend(_point_rows(spec, axis_value, bob, eve, rs, seed))
+        bob = ChannelStats.from_grid(grid, users, delta=delta_b)
+        eve = ChannelStats.from_grid(eve_grid, users, delta=spec.delta_e) if secrecy else None
+        bob_samples = eve_samples = None
+        if spec.mc:
+            bob_samples = montecarlo.sir_samples(SimConfig(corr, users, delta_b), spec.trials, seed, substream=0)
+            if secrecy:
+                eve_config = SimConfig(eve_corr, users, spec.delta_e)
+                eve_samples = montecarlo.sir_samples(eve_config, spec.trials, seed, substream=1)
+        rows.extend(_point_rows(spec, axis_value, users, rs, bob, eve, bob_samples, eve_samples))
 
-    report = ComparisonReport(spec=spec, rows=tuple(rows))
+    report = ComparisonReport(rows=tuple(rows))
     if spec.out:
         report.write(spec.out)
     return report
 
 
-def _point_rows(spec, axis_value, bob, eve, rs, seed):
-    tau_metrics = [m for m in spec.metrics if m in _SOP_METRICS]
-    bob_samples = eve_samples = None
-    if spec.mc:
-        bob_samples = montecarlo.sir_samples(bob.config, spec.trials, seed, substream=0)
-        if tau_metrics:
-            eve_samples = montecarlo.sir_samples(eve.config, spec.trials, seed, substream=1)
+def _point_rows(spec, axis_value, users, rs, bob, eve, bob_samples, eve_samples):
     exact_on = spec.exact == "on"
     law_b = law_e = None
     if exact_on:
-        law_b = ExactLaw.from_stats(bob.stats)
-        if tau_metrics:
-            law_e = ExactLaw.from_stats(eve.stats)
+        law_b = ExactLaw.from_stats(bob)
+        if eve is not None:
+            law_e = ExactLaw.from_stats(eve)
 
-    beta_b = approx.beta_I(bob.stats)
+    beta_b = approx.beta_I(bob)
     rows = []
     for metric in spec.metrics:
         exact_val = mc_mean = mc_se = None
         if metric == "er":
-            approx_val = approx.approx_er(bob.users, beta_b)
+            approx_val = approx.approx_er(users, beta_b)
             if exact_on:
-                exact_val = analytic.exact_er(bob.users, law_b)
+                exact_val = analytic.exact_er(users, law_b)
         elif metric == "op":
             approx_val = approx.approx_op(spec.gamma_th, beta_b)
             if exact_on:
                 exact_val = analytic.exact_op(spec.gamma_th, law_b)
         elif metric == "sop":
-            approx_val = approx.sop_lower_closed(beta_b, approx.beta_I(eve.stats), rs)
+            approx_val = approx.sop_lower_closed(beta_b, approx.beta_I(eve), rs)
             if exact_on:
                 exact_val = analytic.exact_sop(law_b, law_e, rs)
         else:  # sop_lower
-            approx_val = approx.sop_lower_closed(beta_b, approx.beta_I(eve.stats), rs)
+            approx_val = approx.sop_lower_closed(beta_b, approx.beta_I(eve), rs)
             if exact_on:
                 exact_val = analytic.sop_lower_numeric(law_b, law_e, rs)
         if bob_samples is not None:
             mc_mean, mc_se = montecarlo.mc_estimate(
-                metric, bob_samples, eve_samples, users=bob.users, gamma_th=spec.gamma_th, rs=rs
+                metric, bob_samples, eve_samples, users=users, gamma_th=spec.gamma_th, rs=rs
             )
         rows.append(
             Row(
@@ -309,7 +283,6 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
 class KSReport:
     ks_total: float
     ks_inphase: float
-    trials: int
 
 
 def compare_distributions(config: SimConfig, stats: ChannelStats, trials: int, seed: SeedSpec) -> KSReport:
@@ -326,33 +299,34 @@ def compare_distributions(config: SimConfig, stats: ChannelStats, trials: int, s
     beta = approx.beta_I(stats)
     ks_total = ks_statistic(samples.sir, lambda x: approx.approx_cdf_z(x, beta))
     ks_i = ks_statistic(samples.sir_i, lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)))  # Gamma(1/2, beta)
-    return KSReport(ks_total=ks_total, ks_inphase=ks_i, trials=trials)
+    return KSReport(ks_total=ks_total, ks_inphase=ks_i)
 
 
 # ---------------------------------------------------------------------------
-# config files
+# sweep fields from text: config files and CLI flags
 # ---------------------------------------------------------------------------
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _floats(s):
-    return tuple(float(p) for p in s.replace(",", " ").split())
+def _items(text):
+    """Split a list field: comma-separated items, blanks around an item ignored."""
+    items = tuple(item.strip() for item in text.split(","))
+    if "" in items:
+        raise ValueError(f"empty item in {text!r}")
+    return items
 
 
-def _words(s):
-    return tuple(s.replace(",", " ").split())
-
-
-# the config keys are SweepSpec's fields, each read by the converter of its type
+# the sweep fields are SweepSpec's, each read from text by the converter of
+# its type, whether the text comes from a config line or a CLI flag
 _CONVERTERS = {
     "str": str,
     "str | None": str,
     "int": int,
     "float": float,
     "bool": lambda s: _BOOL[s.lower()],
-    "tuple[float, ...]": _floats,
-    "tuple[str, ...]": _words,
+    "tuple[float, ...]": lambda s: tuple(float(item) for item in _items(s)),
+    "tuple[str, ...]": _items,
 }
 _CONFIG_FIELDS = {f.name: _CONVERTERS[f.type] for f in dataclasses.fields(SweepSpec)}
 
@@ -361,38 +335,42 @@ def _convert(key, conv, val):
     try:
         return conv(val)
     except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"config field {key}: {exc}") from None
+        raise DomainError(f"sweep field {key}: {exc}") from None
 
 
-def parse_config(text: str, **given) -> SweepSpec:
-    """Parse the key = value sweep format (schema field required).
+def parse_config(text: str | None, **given: str) -> SweepSpec:
+    """Build a SweepSpec from the key = value sweep format and text fields.
 
-    ``given`` holds fields set elsewhere, such as the CLI's flags; they
-    override the file's. A field that neither sets keeps SweepSpec's
-    default.
+    ``text`` is a config file's contents, whose schema field is required,
+    or None when there is no file. ``given`` holds fields set elsewhere,
+    such as the CLI's flags, as text; they override the file's. Every
+    field, from either source, is read by the converter of its SweepSpec
+    type: a list is comma separated, blanks around an item are ignored
+    and an empty item is an error. A field that neither sets keeps
+    SweepSpec's default.
     """
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise DomainError(f"config line {lineno}: expected 'key = value', got {line!r}")
-        key, val = body.split("=", 1)
-        raw[key.strip().lower()] = val.strip()
-
-    if "schema" not in raw:
-        raise DomainError("config is missing the schema field")
-    schema = _convert("schema", int, raw.pop("schema"))
-    if schema != 1:
-        raise DomainError(f"unsupported sweep schema {schema}")
+    if text is not None:
+        for lineno, line in enumerate(text.splitlines(), 1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise DomainError(f"config line {lineno}: expected 'key = value', got {line!r}")
+            key, val = body.split("=", 1)
+            raw[key.strip().lower()] = val.strip()
+        if "schema" not in raw:
+            raise DomainError("config is missing the schema field")
+        schema = _convert("schema", int, raw.pop("schema"))
+        if schema != 1:
+            raise DomainError(f"unsupported sweep schema {schema}")
+    raw.update(given)
     unknown = sorted(raw.keys() - _CONFIG_FIELDS.keys())
     if unknown:
         raise DomainError(f"unknown config fields: {', '.join(unknown)}")
 
     fields = {key: _convert(key, _CONFIG_FIELDS[key], val) for key, val in raw.items()}
-    fields.update(given)
     missing = [key for key in ("axis", "values", "metrics") if key not in fields]
     if missing:
-        raise DomainError(f"config is missing {', '.join(missing)}")
+        raise DomainError(f"sweep is missing {', '.join(missing)}")
     return SweepSpec(**fields)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CorrelationMatrix
-from .specfun import DomainError, exp2
+from .specfun import DomainError, _check_rate, exp2
 
 __all__ = [
     "SeedSpec",
@@ -210,14 +210,12 @@ def mc_estimate(
         rates = np.log2(1.0 + bob.sir)
         return users * float(rates.mean()), users * float(rates.std(ddof=1)) / math.sqrt(n)
     if metric == "op":
-        if not math.isfinite(gamma_th):
-            raise DomainError(f"gamma_th must be finite, got {gamma_th}")
+        _check_rate("gamma_th", gamma_th)
         hits = np.log2(1.0 + bob.sir) < gamma_th
     elif metric in ("sop", "sop_lower"):
         if eve is None:
             raise DomainError(f"{metric} needs Eve's samples")
-        if not 0.0 <= rs < math.inf:
-            raise DomainError(f"secrecy rate must be nonnegative and finite, got {rs}")
+        _check_rate("secrecy rate", rs)
         if metric == "sop":
             hits = np.log2(1.0 + bob.sir) - np.log2(1.0 + eve.sir) < rs
         else:

@@ -2,8 +2,9 @@
 
 The special functions behind the channel statistics come from
 ``scipy.special`` and ``math``; this module keeps the validation error
-that every module raises and the CLI maps to exit code 2, and the 2^x
-that turns rate thresholds into SIR thresholds.
+that every module raises and the CLI maps to exit code 2, the one check
+of a rate argument, and the 2^x that turns rate thresholds into SIR
+thresholds.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ __all__ = ["DomainError", "exp2"]
 
 class DomainError(ValueError):
     """Argument outside the supported domain of a function."""
+
+
+def _check_rate(name: str, rate: float) -> None:
+    """Refuse a rate (bits per channel use) that is negative or not finite."""
+    if not 0.0 <= rate < math.inf:
+        raise DomainError(f"{name} must be nonnegative and finite, got {rate}")
 
 
 def exp2(x: float) -> float:

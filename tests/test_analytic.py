@@ -434,6 +434,16 @@ class TestExactMetrics:
     def test_op_threshold_identity(self, case1_law):
         assert exact_op(1.0, case1_law) == case1_law.cdf(1.0)
 
+    def test_op_zero_threshold(self, case1_law):
+        # 2^0 - 1 = 0 and the SIR is positive: no outage, as in approx_op
+        # and the simulator
+        assert exact_op(0.0, case1_law) == 0.0
+
+    @pytest.mark.parametrize("gamma_th", [-0.5, math.nan, math.inf])
+    def test_op_domain(self, case1_law, gamma_th):
+        with pytest.raises(DomainError, match="gamma_th must be nonnegative and finite"):
+            exact_op(gamma_th, case1_law)
+
     def test_op_limits(self, case1_law):
         assert exact_op(1e-9, case1_law) < 1e-6
         assert exact_op(30.0, case1_law) == pytest.approx(1.0, abs=1e-3)

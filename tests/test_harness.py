@@ -1,16 +1,19 @@
+import argparse
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from cumasim import harness
+from cumasim import cli, harness
 from cumasim.analytic import ChannelStats, ExactLaw
 from cumasim.approx import approx_cdf_z, beta_I
 from cumasim.cli import main
 from cumasim.geometry import correlation_matrix, preset_grid
 from cumasim.harness import (
     CSV_HEADER,
+    ComparisonReport,
     SweepSpec,
     compare_distributions,
     ks_statistic,
@@ -53,6 +56,9 @@ class TestSweepSpecValidation:
         {"values": (math.inf,)},
         {"axis": "rs", "values": (math.nan,)},
         {"axis": "ports", "preset": None, "values": (math.nan,)},
+        # users and delta_b are checked even where the axis replaces them
+        {"users": 1},
+        {"axis": "delta_b", "values": (0.5,), "delta_b": 0.0},
     ])
     def test_rejections(self, kw):
         with pytest.raises(DomainError):
@@ -90,6 +96,19 @@ class TestRunSweep:
         report = run_sweep(spec)
         assert all(r.mc_mean is None for r in report.rows)
         assert all(r.analytic_approx is not None for r in report.rows)
+
+    def test_factor_is_built_once_per_grid(self, monkeypatch):
+        # three users-axis points share Bob's factor, and Eve's
+        grids = []
+
+        def counting(grid):
+            grids.append(grid)
+            return correlation_matrix(grid)
+
+        monkeypatch.setattr(harness, "correlation_matrix", counting)
+        spec = small_spec(values=(4.0, 6.0, 8.0), metrics=("er", "sop"), eve_preset="6GHz-C")
+        assert len(run_sweep(spec).rows) == 6
+        assert grids == [preset_grid("6GHz-NC"), preset_grid("6GHz-C")]
 
     @pytest.mark.parametrize("axis,values", [("users", (4.0, 8.0)), ("ports", (4.0,))])
     def test_closed_form_only_mode_factors_nothing(self, monkeypatch, axis, values):
@@ -347,7 +366,7 @@ class TestConfigParsing:
             parse_config("schema = 1\nnonsense line")
 
     def test_given_fields_override_the_file(self):
-        spec = parse_config(self.GOOD, seed=3, mc=False, metrics=("op",))
+        spec = parse_config(self.GOOD, seed="3", mc="false", metrics="op")
         assert (spec.seed, spec.mc, spec.metrics) == (3, False, ("op",))
         # fields given nowhere else keep the file's values, and the rest SweepSpec's defaults
         assert (spec.trials, spec.values, spec.exact, spec.users) == (2000, (4.0, 8.0, 12.0), "off", 20)
@@ -356,7 +375,13 @@ class TestConfigParsing:
         text = self.GOOD.replace("metrics = er, op", "")
         with pytest.raises(DomainError, match="missing metrics"):
             parse_config(text)
-        assert parse_config(text, metrics=("er",)).metrics == ("er",)
+        assert parse_config(text, metrics="er").metrics == ("er",)
+
+    def test_fields_without_a_file(self):
+        spec = parse_config(None, axis="users", values="4, 8", metrics="er", preset="6GHz-NC", users="6")
+        assert spec == SweepSpec(axis="users", values=(4.0, 8.0), metrics=("er",), preset="6GHz-NC", users=6)
+        with pytest.raises(DomainError, match="missing values, metrics"):
+            parse_config(None, axis="users")
 
     def test_channel_power_is_no_field(self):
         # the package fixes the channel power at 1; omega is no key
@@ -453,6 +478,50 @@ class TestCli:
                            trials=2000, seed=9, exact="off")
         assert capsys.readouterr().out == run_sweep(SweepSpec(**{**file_fields, **kw})).to_csv()
 
+    def test_sweep_flags_are_the_spec_fields(self):
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["sweep"]._actions} - {"help"}
+        assert dests == {f.name for f in dataclasses.fields(SweepSpec)} | {"config"}
+
+    @pytest.mark.parametrize(
+        "field,text,want",
+        [
+            ("values", "4,6", (4.0, 6.0)),
+            ("values", " 4 , 6 ", (4.0, 6.0)),
+            ("values", "4,,5", None),
+            ("values", "4,6,", None),
+            ("values", "4 6", None),
+            ("values", "4,abc", None),
+            ("metrics", "er,op", ("er", "op")),
+            ("metrics", " er , op ", ("er", "op")),
+            ("metrics", "er,,op", None),
+            ("metrics", "er op", None),
+        ],
+    )
+    def test_flag_and_config_line_share_one_grammar(self, tmp_path, monkeypatch, capsys, field, text, want):
+        specs = []
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: specs.append(spec) or ComparisonReport(rows=()))
+        fields = {"preset": "6GHz-NC", "axis": "users", "values": "4", "metrics": "er", field: text}
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("schema = 1\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+        flags = [arg for key, val in fields.items() for arg in (f"--{key}", val)]
+        codes = [main(["sweep", *flags]), main(["sweep", "--config", str(cfg)])]
+        if want is None:
+            assert codes == [2, 2] and specs == []
+            assert capsys.readouterr().out == ""
+        else:
+            assert codes == [0, 0]
+            base = dict(axis="users", values=(4.0,), metrics=("er",), preset="6GHz-NC")
+            assert specs == [SweepSpec(**{**base, field: want})] * 2
+
+    def test_zero_rate_threshold_is_no_outage(self, capsys):
+        # 2^0 - 1 = 0: no SIR lies below it, in every column
+        rc = main(["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "4", "--gamma-th", "0",
+                   "--metrics", "op", "--trials", "1000"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [[float(c) for c in row.split(",")[2:6]] for row in rows] == [[0.0, 0.0, 0.0, 0.0]]
+
     def test_config_file_with_omega_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(TestConfigParsing.GOOD + "omega = 1\n")
@@ -466,8 +535,13 @@ class TestCli:
              "--metrics", "op"],
             ["sweep", "--preset", "6GHz-NC", "--eve-preset", "6GHz-NC", "--axis", "rs", "--values", "1e308",
              "--metrics", "sop,sop_lower", "--users", "4"],
+            # 2^1000 is finite, but its products with the laws' upper nodes
+            # overflow to inf, the intended limit, without a warning
+            ["sweep", "--preset", "6GHz-NC", "--eve-preset", "6GHz-NC", "--axis", "rs", "--values", "1000",
+             "--metrics", "sop,sop_lower", "--users", "4"],
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_huge_threshold_gives_the_limit(self, argv, capsys):
         # 2^1e308 overflows; outage and secrecy outage are then certain in
         # every column (the exact ones within the law's mass tolerance)
@@ -485,7 +559,8 @@ class TestCli:
             ["analyze", "--preset", "6GHz-NC", "--rs", "nan", "--eve-preset", "6GHz-NC"],
             ["analyze", "--preset", "6GHz-NC", "--rs", "1"],
             ["analyze", "--preset", "6GHz-NC", "--gamma-th", "-1"],
-            ["compare", "--preset", "6GHz-NC", "--users", "8", "--trials", "200", "--gamma-th", "0"],
+            ["compare", "--preset", "6GHz-NC", "--users", "8", "--trials", "200", "--gamma-th", "-1"],
+            ["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "200", "--gamma-th", "-1"],
         ],
     )
     def test_failed_report_prints_nothing(self, argv, capsys):

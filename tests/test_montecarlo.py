@@ -278,6 +278,10 @@ class TestMcMetrics:
             mc_estimate("sop", s)
         with pytest.raises(DomainError):
             mc_estimate("sop_lower", s, s, rs=-0.5)
+        for gamma_th in (-0.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="gamma_th must be nonnegative and finite"):
+                mc_estimate("op", s, gamma_th=gamma_th)
+        assert mc_estimate("op", s, gamma_th=0.0) == (0.0, 0.0)
         one = sir_samples(case1_config, 1, SEED)
         for metric in ("er", "op"):
             with pytest.raises(DomainError):
