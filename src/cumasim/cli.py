@@ -15,7 +15,7 @@ import sys
 from . import analytic, approx, harness, montecarlo
 from .analytic import ChannelStats, ExactLaw, QuadratureError
 from .geometry import correlation_matrix, preset_grid, preset_names
-from .harness import SweepSpec, parse_config, run_sweep
+from .harness import SweepSpec, integer, parse_config, run_sweep
 from .montecarlo import SeedSpec, SimConfig
 from .specfun import DomainError
 
@@ -28,7 +28,7 @@ EXIT_NUMERICAL = 3
 
 def _common_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", required=True, help="named port layout, see `presets`")
-    p.add_argument("--users", type=int, default=20)
+    p.add_argument("--users", type=integer, default=20)
     p.add_argument("--delta", type=float, default=1.0, help="residual interference factor in (0,1]")
     p.add_argument("--gamma-th", type=float, default=1.0, help="outage rate threshold (bits)")
 
@@ -56,13 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo metrics only")
     _common_system_flags(p)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=integer, default=10_000)
+    p.add_argument("--seed", type=integer, default=0)
 
     p = sub.add_parser("compare", help="closed-form, exact and Monte Carlo side by side")
     _common_system_flags(p)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=integer, default=10_000)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--exact", choices=("on", "off"), default="on")
 
     # one text flag per SweepSpec field, read by harness with the config
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         raise DomainError(f"unknown command {args.command!r}")
-    except (DomainError, FileNotFoundError) as exc:
+    except (DomainError, OSError) as exc:  # OSError: a config or --out path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureError, OverflowError, FloatingPointError) as exc:

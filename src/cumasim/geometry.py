@@ -149,6 +149,18 @@ class CorrelationMatrix:
 
 _RANK_CUT = 1e-12  # eigenvalues at or below this fraction of the largest are dropped
 _PSD_TOL = 1e-8  # an eigenvalue below -_PSD_TOL is a real failure, not rounding
+# At its peak correlation_matrix holds about five N x N float64 arrays: the
+# gather, eigh's copy of it, the eigenvectors and the 2 N^2 divide-and-conquer
+# workspace. Peak RSS above the interpreter measured 5.1 x 8 N^2 bytes on
+# 26GHz-C (N = 1834) and 5.0 x on 26GHz-VC (N = 3654). The budget admits
+# every preset (40GHz-VC, N = 8822, needs about 2.9 GiB).
+_DENSE_ARRAYS = 5
+_FACTOR_BUDGET_BYTES = 4 << 30
+
+
+def _factor_bytes(grid: PortGrid) -> int:
+    """Estimated peak bytes of `correlation_matrix` on `grid`."""
+    return _DENSE_ARRAYS * 8 * grid.total_ports**2
 
 
 def correlation_matrix(grid: PortGrid) -> CorrelationMatrix:
@@ -158,8 +170,16 @@ def correlation_matrix(grid: PortGrid) -> CorrelationMatrix:
     go slightly indefinite in floating point at sub-wavelength spacing.
     An eigenvalue below -_PSD_TOL is treated as a real failure; the
     factor keeps only the eigenpairs above _RANK_CUT times the largest
-    eigenvalue, which also drops the tiny negative ones.
+    eigenvalue, which also drops the tiny negative ones. A grid whose
+    estimated peak memory passes _FACTOR_BUDGET_BYTES is refused before
+    any array is built.
     """
+    need = _factor_bytes(grid)
+    if need > _FACTOR_BUDGET_BYTES:
+        raise DomainError(
+            f"{grid.n1} x {grid.n2} ports: the dense correlation factor needs about "
+            f"{need / 2**30:.3g} GiB, past the {_FACTOR_BUDGET_BYTES / 2**30:.3g} GiB budget"
+        )
     eigvals, eigvecs = np.linalg.eigh(correlation_entries(grid))
     if eigvals.min() < -_PSD_TOL:
         raise DomainError(

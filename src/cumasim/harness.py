@@ -39,6 +39,7 @@ __all__ = [
     "compare_distributions",
     "ks_statistic",
     "parse_config",
+    "integer",
     "CSV_HEADER",
 ]
 
@@ -317,12 +318,27 @@ def _items(text):
     return items
 
 
+def integer(text: str) -> int:
+    """An integer read from text: '20', and integral floats such as '20.0' or '1e3'.
+
+    A fraction, inf or nan raises ValueError, and so does a float form
+    from 2^53 on, where a float no longer holds every integer.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer() or abs(value) >= 2**53:
+        raise ValueError(f"{text!r} is not an integer")
+    return int(value)
+
+
 # the sweep fields are SweepSpec's, each read from text by the converter of
 # its type, whether the text comes from a config line or a CLI flag
 _CONVERTERS = {
     "str": str,
     "str | None": str,
-    "int": int,
+    "int": integer,
     "float": float,
     "bool": lambda s: _BOOL[s.lower()],
     "tuple[float, ...]": lambda s: tuple(float(item) for item in _items(s)),
@@ -361,7 +377,7 @@ def parse_config(text: str | None, **given: str) -> SweepSpec:
             raw[key.strip().lower()] = val.strip()
         if "schema" not in raw:
             raise DomainError("config is missing the schema field")
-        schema = _convert("schema", int, raw.pop("schema"))
+        schema = _convert("schema", integer, raw.pop("schema"))
         if schema != 1:
             raise DomainError(f"unsupported sweep schema {schema}")
     raw.update(given)

@@ -18,11 +18,17 @@ the user count. Real and imaginary parts carry unit variance instead of
 the 1/2 of unit channel power: the scale multiplies numerator and
 denominator alike, so it cancels from the SIR.
 
+Trials run in blocks of _BLOCK: a block stacks its trials' normals into
+one (2 _BLOCK, r) matrix and costs two GEMMs with F, one for the draws
+and one for the masks, instead of two matrix-vector products per trial.
+
 Reproducibility contract: trial t of a run draws from a dedicated
-generator derived from (master seed, trial index, substream), so a run
-is bit-identical to any longer run's prefix. `sir_samples` is the one
-trial loop and `mc_estimate` the one reduction from its samples to a
-metric.
+generator derived from (master seed, trial index, substream), z first
+and then its two chi-square variates. Every GEMM has 2 _BLOCK rows, the
+last block's unused rows being zero, so trial t's stream and bits do
+not depend on the block or on the trial count: a run is bit-identical
+to any longer run's prefix. `sir_samples` is the one trial loop and
+`mc_estimate` the one reduction from its samples to a metric.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ __all__ = [
 ]
 
 _MAX_REDRAWS = 64
+# Trials per block: each block makes two GEMMs with the factor, of 2 * _BLOCK rows.
+_BLOCK = 64
 # A SampleSet holds four 8-byte values per trial (sir, sir_i, |K_I|, q_I);
 # refuse runs past 1 GiB.
 _TRIAL_BYTES = 4 * 8
@@ -100,34 +108,49 @@ def select_ports(desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(desired.real > 0.0), np.flatnonzero(desired.imag > 0.0)
 
 
-def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, delta: float):
-    """One conditional draw: (sir, sir_i, |K_I|, q_I), or None.
+def sir_sample(rngs, factor: np.ndarray, interferers: int, delta: float):
+    """Conditional draws for one block of trials: (sir, sir_i, |K_I|, q_I) arrays.
 
-    ``factor`` is the (N, r) correlation factor. The draw takes 2r
-    standard normals for d = F z, then one chi-square(interferers)
-    variate per branch. None means a branch has no interference (an
-    empty activation set, probability 2^-N per branch); the caller
-    redraws from the same generator.
+    ``rngs`` holds one generator per trial, at most _BLOCK of them, and
+    ``factor`` is the (N, r) correlation factor. Each generator draws the
+    2r standard normals of its d = F z, then one chi-square(interferers)
+    variate per branch. The block costs two GEMMs with F, each with
+    2 * _BLOCK rows whatever len(rngs) (the unused rows are zero), so a
+    trial's bits depend only on its generator and its row in the block. A
+    NaN SIR marks a trial with a branch without interference (an empty
+    activation set, probability 2^-N per branch); the caller redraws it
+    from the same generator.
     """
+    n = len(rngs)
+    if not 1 <= n <= _BLOCK:
+        raise DomainError(f"a block holds 1 to {_BLOCK} trials, got {n}")
     if interferers < 1:
         raise DomainError(f"need at least one interferer, got {interferers}")
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    d = rng.standard_normal((2, factor.shape[1])) @ factor.T  # rows: Re d, Im d
-    k_i, k_q = select_ports(d[0] + 1j * d[1])
+    z = np.zeros((2 * _BLOCK, factor.shape[1]))
+    chi = np.empty((n, 2))
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=z[2 * j : 2 * j + 2])
+        chi[j] = rng.chisquare(interferers, 2)
+    d = z @ factor.T  # rows 2j, 2j + 1: Re d, Im d of trial j
     masks = np.zeros_like(d)
-    masks[0, k_i] = 1.0
-    masks[1, k_q] = 1.0
-    q_i, q_q = np.square(masks @ factor).sum(axis=1)
-    nu_i, nu_q = np.square((masks * d).sum(axis=1))
-    chi_i, chi_q = rng.chisquare(interferers, 2)
-    xi_i = delta * q_i * chi_i
-    xi_q = delta * q_q * chi_q
-    if xi_i == 0.0 or xi_q == 0.0:
-        return None
-    sir_i = nu_i / xi_i
-    sir = sir_i + nu_q / xi_q
-    return float(sir), float(sir_i), len(k_i), float(q_i)
+    k_i = np.empty(n, dtype=np.int64)
+    for j in range(n):
+        on_i, on_q = select_ports(d[2 * j] + 1j * d[2 * j + 1])
+        masks[2 * j, on_i] = 1.0
+        masks[2 * j + 1, on_q] = 1.0
+        k_i[j] = len(on_i)
+    q = np.square(masks @ factor).sum(axis=1)[: 2 * n].reshape(n, 2)
+    nu = np.square((masks[: 2 * n] * d[: 2 * n]).sum(axis=1)).reshape(n, 2)
+    xi = delta * q * chi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = nu / xi
+    sir_i = ratio[:, 0]
+    sir = sir_i + ratio[:, 1]
+    empty = (xi == 0.0).any(axis=1)
+    sir[empty] = sir_i[empty] = np.nan
+    return sir, sir_i, k_i, q[:, 0]
 
 
 @dataclass
@@ -147,9 +170,10 @@ class SampleSet:
 
 
 def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int = 0) -> SampleSet:
-    """Draw `trials` independent SIR samples.
+    """Draw `trials` independent SIR samples, _BLOCK trials per `sir_sample` call.
 
-    A draw without interference is redrawn from the same trial's stream.
+    A draw without interference is redrawn from the same trial's stream,
+    as a block of one; `redrawn` counts the draws so discarded.
     A sample that is not finite raises FloatingPointError. A trial count
     whose sample arrays would pass _MAX_SAMPLE_BYTES is refused before
     anything is allocated.
@@ -167,16 +191,19 @@ def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int =
     ki = np.empty(trials, dtype=np.int64)
     q_i = np.empty(trials)
     redrawn = 0
-    for t in range(trials):
-        rng = seed.rng(t, substream)
-        for _ in range(_MAX_REDRAWS):
-            res = sir_sample(rng, factor, config.interferers, config.delta)
-            if res is not None:
-                break
-            redrawn += 1
-        else:
-            raise DomainError(f"trial {t}: interference power stayed zero after {_MAX_REDRAWS} redraws")
-        sir[t], sir_i[t], ki[t], q_i[t] = res
+    for start in range(0, trials, _BLOCK):
+        rngs = [seed.rng(t, substream) for t in range(start, min(start + _BLOCK, trials))]
+        block = slice(start, start + len(rngs))
+        sir[block], sir_i[block], ki[block], q_i[block] = sir_sample(rngs, factor, config.interferers, config.delta)
+        for j in np.flatnonzero(np.isnan(sir[block])):
+            for attempt in range(1, _MAX_REDRAWS):
+                res = sir_sample([rngs[j]], factor, config.interferers, config.delta)
+                if not np.isnan(res[0][0]):
+                    break
+            else:
+                raise DomainError(f"trial {start + j}: interference power stayed zero after {_MAX_REDRAWS} redraws")
+            redrawn += attempt
+            sir[start + j], sir_i[start + j], ki[start + j], q_i[start + j] = (a[0] for a in res)
     bad = np.flatnonzero(~np.isfinite(sir))
     if bad.size:
         raise FloatingPointError(f"trial {bad[0]}: SIR sample is not finite")

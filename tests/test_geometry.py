@@ -176,6 +176,22 @@ class TestCorrelationMatrix:
         grid = PortGrid(5, 3, 1.9, 0.8)
         assert np.array_equal(correlation_entries(grid), ref_entries(grid))
 
+    def test_budget_admits_every_preset(self):
+        for name in preset_names():
+            assert geometry._factor_bytes(preset_grid(name)) <= geometry._FACTOR_BUDGET_BYTES
+
+    def test_budget_refuses_before_allocating(self):
+        # the ports axis at 300 rows: 18,300 ports, whose gather alone is 2.5 GiB
+        grid = PortGrid(61, 300, 3.0, 149.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="GiB budget"):
+                correlation_matrix(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_assembly_memory_bound(self):
         # the gather writes the N x N output once; an elementwise sinc over
         # all N^2 pairs would hold several N x N temporaries

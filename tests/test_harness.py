@@ -16,6 +16,7 @@ from cumasim.harness import (
     ComparisonReport,
     SweepSpec,
     compare_distributions,
+    integer,
     ks_statistic,
     parse_config,
     run_sweep,
@@ -345,6 +346,16 @@ class TestConfigParsing:
         assert spec.trials == 2000
         assert spec.seed == 9
 
+    def test_integer_reader(self):
+        for text, want in (("20", 20), (" 20.0 ", 20), ("1e3", 1000), ("-3.0", -3), (str(2**64 - 1), 2**64 - 1)):
+            assert integer(text) == want
+        for text in ("20.5", "inf", "-inf", "nan", "abc", "", "1e16", "9007199254740993.0"):
+            with pytest.raises(ValueError):
+                integer(text)
+        assert parse_config(self.GOOD.replace("trials = 2000", "trials = 2e3")).trials == 2000
+        with pytest.raises(DomainError, match="sweep field seed"):
+            parse_config(self.GOOD.replace("seed = 9", "seed = 9.5"))
+
     def test_schema_required(self):
         with pytest.raises(DomainError):
             parse_config("preset = 6GHz-NC\naxis = users\nvalues = 4\nmetrics = er")
@@ -451,6 +462,43 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    def test_unopenable_path_is_validation_error(self, flag, tmp_path, capsys):
+        # a directory can be neither read as a config nor written as the CSV
+        argv = ["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "4", "--metrics", "er",
+                "--exact", "off", "--no-mc", flag, str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+    def test_oversized_factor_is_validation_error(self, capsys):
+        # 300 rows of the ports axis are 18,300 ports: refused before the
+        # 2.5 GiB gather that used to end in a MemoryError
+        assert main(["sweep", "--axis", "ports", "--values", "300", "--metrics", "er", "--trials", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "GiB budget" in captured.err
+
+    INTEGER_ARGV = {
+        "analyze": ["analyze", "--preset", "6GHz-NC", "--users"],
+        "simulate": ["simulate", "--preset", "6GHz-NC", "--users", "8", "--seed", "3", "--trials"],
+        "sweep": ["sweep", "--preset", "6GHz-NC", "--axis", "rs", "--values", "1", "--metrics", "er",
+                  "--exact", "off", "--no-mc", "--users"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(INTEGER_ARGV))
+    def test_integral_floats_read_as_integers(self, command, capsys):
+        argv = self.INTEGER_ARGV[command]
+        outputs = []
+        for text in ("1000", "1000.0", "1e3"):
+            assert main([*argv, text]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1:] == outputs[:1] * 2
+        for text in ("1000.5", "inf", "nan"):
+            assert main([*argv, text]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and text in captured.err
 
     def test_bad_flag_usage(self, capsys):
         assert main(["analyze"]) == 2

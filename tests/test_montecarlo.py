@@ -6,7 +6,7 @@ from scipy.stats import ks_2samp
 
 from cumasim.geometry import CorrelationMatrix, correlation_entries, correlation_matrix, preset_grid
 from cumasim.harness import ks_statistic
-from cumasim.montecarlo import SeedSpec, SimConfig, mc_estimate, select_ports, sir_sample, sir_samples
+from cumasim.montecarlo import _BLOCK, SeedSpec, SimConfig, mc_estimate, select_ports, sir_sample, sir_samples
 from cumasim.specfun import DomainError
 from link_oracle import ChannelRealization, draw_realization, link_samples, link_sir_sample
 
@@ -147,26 +147,54 @@ class TestSirSample:
 
 
 class TestConditionalKernel:
-    """The package's one-trial kernel, `sir_sample`, and its agreement with the oracle."""
+    """The package's block kernel, `sir_sample`, and its agreement with the oracle."""
 
     def test_delta_scaling(self, case1_corr):
-        full = sir_sample(SEED.rng(0), case1_corr.factor, 19, 1.0)
-        half = sir_sample(SEED.rng(0), case1_corr.factor, 19, 0.5)
-        assert half[0] == pytest.approx(2.0 * full[0], rel=1e-12)
-        assert half[1] == pytest.approx(2.0 * full[1], rel=1e-12)
-        assert half[2:] == full[2:]  # the same masks and q_I
+        full = sir_sample([SEED.rng(t) for t in range(5)], case1_corr.factor, 19, 1.0)
+        half = sir_sample([SEED.rng(t) for t in range(5)], case1_corr.factor, 19, 0.5)
+        np.testing.assert_allclose(half[0], 2.0 * full[0], rtol=1e-12)
+        np.testing.assert_allclose(half[1], 2.0 * full[1], rtol=1e-12)
+        for a, b in zip(half[2:], full[2:]):  # the same masks and q_I
+            assert np.array_equal(a, b)
 
-    def test_empty_activation_returns_none(self):
+    def test_empty_activation_is_nan(self):
         # a single port activates a branch with probability 1/2, so most
         # draws leave one branch empty
-        draws = [sir_sample(SEED.rng(t), np.ones((1, 1)), 3, 1.0) for t in range(64)]
-        assert 0 < draws.count(None) < 64
-        assert all(d[2:] == (1, 1.0) for d in draws if d is not None)
+        sir, sir_i, k_i, q_i = sir_sample([SEED.rng(t) for t in range(_BLOCK)], np.ones((1, 1)), 3, 1.0)
+        empty = np.isnan(sir)
+        assert 0 < empty.sum() < _BLOCK
+        assert np.array_equal(np.isnan(sir_i), empty)
+        assert np.all(k_i[~empty] == 1) and np.all(q_i[~empty] == 1.0)
 
     def test_validation(self, case1_corr):
         for interferers, delta in ((0, 1.0), (2, 0.0), (2, 1.2)):
             with pytest.raises(DomainError):
-                sir_sample(SEED.rng(0), case1_corr.factor, interferers, delta)
+                sir_sample([SEED.rng(0)], case1_corr.factor, interferers, delta)
+        for n in (0, _BLOCK + 1):
+            with pytest.raises(DomainError, match="a block holds"):
+                sir_sample([SEED.rng(t) for t in range(n)], case1_corr.factor, 2, 1.0)
+
+    def test_matches_per_trial_matrix_vector_reference(self):
+        # the loop the blocks replaced: two matrix-vector products with F per
+        # trial; the GEMMs sum in another order, so agreement is to rounding
+        config = SimConfig(corr=correlation_matrix(preset_grid("6GHz-VC")), users=20)
+        factor = config.corr.factor
+        n = 2 * _BLOCK + 3
+        want = np.empty((n, 4))
+        for t in range(n):
+            rng = SEED.rng(t)
+            z = rng.standard_normal((2, factor.shape[1]))
+            d = np.stack([factor @ z[0], factor @ z[1]])
+            masks = (d > 0.0).astype(float)
+            q = np.array([np.square(factor.T @ m).sum() for m in masks])
+            nu = np.square((masks * d).sum(axis=1))
+            ratio = nu / (config.delta * q * rng.chisquare(config.interferers, 2))
+            want[t] = ratio.sum(), ratio[0], masks[0].sum(), q[0]
+        s = sir_samples(config, n, SEED)
+        assert s.redrawn == 0
+        assert np.array_equal(s.k_i_sizes, want[:, 2])
+        for got, ref in ((s.sir, want[:, 0]), (s.sir_i, want[:, 1]), (s.q_i, want[:, 3])):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_mean_mask_quadratic_form(self):
         # E[m_k m_l] = 1/4 + asin(rho_kl) / (2 pi) (Sheppard), so
@@ -210,6 +238,33 @@ class TestSampleRuns:
         a = sir_samples(case1_config, 400, SEED)
         b = sir_samples(case1_config, 700, SEED)
         assert np.array_equal(a.sir, b.sir[:400])
+
+    @pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_block_edges_are_prefix_stable(self, trials):
+        # 6GHz-VC has rank 60, so a GEMM of another shape would round differently
+        config = SimConfig(corr=correlation_matrix(preset_grid("6GHz-VC")), users=20)
+        short = sir_samples(config, trials, SEED)
+        long = sir_samples(config, 3 * _BLOCK + 5, SEED)
+        for field in ("sir", "sir_i", "k_i_sizes", "q_i"):
+            assert np.array_equal(getattr(short, field), getattr(long, field)[:trials])
+
+    def test_redraws_inside_a_block(self):
+        # one port: each branch is empty with probability 1/2, so about three
+        # trials in four are redrawn, each from its own generator alone
+        config = SimConfig(corr=CorrelationMatrix(factor=np.ones((1, 1))), users=4)
+        trials = _BLOCK + 7
+        s = sir_samples(config, trials, SEED)
+        redrawn = 0
+        for t in range(trials):
+            rng = SEED.rng(t)
+            while True:
+                lone = sir_sample([rng], config.corr.factor, config.interferers, config.delta)
+                if not np.isnan(lone[0][0]):
+                    break
+                redrawn += 1
+            got = (s.sir[t], s.sir_i[t], s.k_i_sizes[t], s.q_i[t])
+            assert got == tuple(a[0] for a in lone)
+        assert s.redrawn == redrawn > trials // 2
 
     def test_branch_samples(self, case1_config):
         s = sir_samples(case1_config, 300, SEED)
