@@ -43,10 +43,11 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(np.finfo(float).max)  # e^s overflows from here on
 
 
 class QuadratureError(ArithmeticError):
-    """A tabulated exact law has no finite scale, is not finite or does not integrate to one."""
+    """A tabulated exact law has no finite scale, passes the float range, is not finite or does not integrate to one."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +137,10 @@ def sigma_sums(grid: PortGrid) -> tuple[float, float]:
     rho, double count); axis offsets occur once.
     """
     n1, n2 = grid.n1, grid.n2
+    rho = offset_correlation(grid)  # first: it refuses a table past the memory budget
     counts = np.outer(n1 - np.arange(n1), n2 - np.arange(n2)).astype(float)
     counts[1:, 1:] *= 2.0
     counts[0, 0] = 0.0  # zero offset is the diagonal, not a pair
-    rho = offset_correlation(grid)
     sum_rho = float(np.sum(counts * rho))
     sum_cov = float(np.sum(counts * cov_pair(rho)))
     n = grid.total_ports
@@ -252,6 +253,11 @@ class ExactLaw:
         panels = math.ceil((hi - lo) / _PANEL)
         self._s0 = math.log(scale) + lo
         s = self._s0 + _PANEL * (np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0))
+        if s.max() >= _LOG_MAX:
+            raise QuadratureError(
+                f"law on ln(z / {scale:g}) in [{lo:g}, {hi:g}] has nodes up to z = e^{s.max():.1f}, "
+                f"past the float range"
+            )
         self._z = np.exp(s)
         self._g = self._z * pdf(self._z)
         self._mass = 0.5 * _PANEL * _GL_W * self._g

@@ -12,10 +12,10 @@ import argparse
 import dataclasses
 import sys
 
-from . import analytic, approx, harness, montecarlo
-from .analytic import ChannelStats, ExactLaw, QuadratureError
+from . import approx, harness, montecarlo
+from .analytic import ChannelStats, QuadratureError
 from .geometry import correlation_matrix, preset_grid, preset_names
-from .harness import SweepSpec, integer, parse_config, run_sweep
+from .harness import SweepSpec, evaluate_point, integer, parse_config, run_sweep
 from .montecarlo import SeedSpec, SimConfig
 from .specfun import DomainError
 
@@ -88,13 +88,15 @@ def _cmd_presets() -> int:
     return EXIT_OK
 
 
-def _stats_for(args) -> ChannelStats:
-    return ChannelStats.from_grid(preset_grid(args.preset), args.users, delta=args.delta)
-
-
 def _cmd_analyze(args) -> int:
-    stats = _stats_for(args)
-    beta = approx.beta_I(stats)
+    if args.rs is not None and args.eve_preset is None:
+        raise DomainError("--rs needs --eve-preset")
+    stats = ChannelStats.from_grid(preset_grid(args.preset), args.users, delta=args.delta)
+    eve = None
+    if args.eve_preset is not None:
+        eve = ChannelStats.from_grid(preset_grid(args.eve_preset), args.users, delta=args.delta_e)
+    metrics = ("er", "op") if args.rs is None else ("er", "op", "sop_lower")
+    point = evaluate_point(metrics, args.users, gamma_th=args.gamma_th, rs=args.rs, bob=stats, eve=eve)
     lines = [
         f"preset = {args.preset}",
         f"users = {args.users}",
@@ -102,26 +104,19 @@ def _cmd_analyze(args) -> int:
         f"mu = {stats.mu:.9g}",
         f"sigma1_sq = {stats.sigma1_sq:.9g}",
         f"sigma2_sq = {stats.sigma2_sq:.9g}",
-        f"beta = {beta:.9g}",
-        f"er_approx = {approx.approx_er(args.users, beta):.9g}",
-        f"op_approx = {approx.approx_op(args.gamma_th, beta):.9g}",
+        f"beta = {approx.beta_I(stats):.9g}",
     ]
-    if args.rs is not None:
-        if args.eve_preset is None:
-            raise DomainError("--rs needs --eve-preset")
-        eve = ChannelStats.from_grid(preset_grid(args.eve_preset), args.users, delta=args.delta_e)
-        lines.append(f"sop_lower_approx = {approx.sop_lower_closed(beta, approx.beta_I(eve), args.rs):.9g}")
+    lines += [f"{metric}_approx = {cols[0]:.9g}" for metric, cols in point.items()]
     # every value is computed before the first line goes out
     print("\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    grid = preset_grid(args.preset)
-    config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta)
+    config = SimConfig(corr=correlation_matrix(preset_grid(args.preset)), users=args.users, delta=args.delta)
     samples = montecarlo.sir_samples(config, args.trials, SeedSpec(args.seed))
-    er, er_se = montecarlo.mc_estimate("er", samples, users=args.users)
-    op, op_se = montecarlo.mc_estimate("op", samples, gamma_th=args.gamma_th)
+    point = evaluate_point(("er", "op"), args.users, gamma_th=args.gamma_th, rs=None, bob_samples=samples)
+    (_, _, er, er_se), (_, _, op, op_se) = point.values()
     print(f"preset = {args.preset}")
     print(f"trials = {args.trials}")
     print(f"er_mc = {er:.9g} +- {er_se:.3g}")
@@ -133,28 +128,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    grid = preset_grid(args.preset)
-    stats = _stats_for(args)
-    beta = approx.beta_I(stats)
+    stats = ChannelStats.from_grid(preset_grid(args.preset), args.users, delta=args.delta)
     seed = SeedSpec(args.seed)
-    config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta)
+    config = SimConfig(corr=correlation_matrix(preset_grid(args.preset)), users=args.users, delta=args.delta)
     samples = montecarlo.sir_samples(config, args.trials, seed)
-    er, er_se = montecarlo.mc_estimate("er", samples, users=args.users)
-    op, op_se = montecarlo.mc_estimate("op", samples, gamma_th=args.gamma_th)
+    point = evaluate_point(
+        ("er", "op"), args.users, gamma_th=args.gamma_th, rs=None, bob=stats,
+        exact=args.exact == "on", bob_samples=samples,
+    )
     ks = harness.compare_distributions(config, stats, args.trials, seed)
-    er_exact = op_exact = ""
-    if args.exact == "on":
-        law = ExactLaw.from_stats(stats)
-        er_exact = f"  exact = {analytic.exact_er(args.users, law):.6g}"
-        op_exact = f"  exact = {analytic.exact_op(args.gamma_th, law):.6g}"
-    lines = [
-        f"preset = {args.preset}  users = {args.users}  trials = {args.trials}",
-        f"er: approx = {approx.approx_er(args.users, beta):.6g}{er_exact}  mc = {er:.6g} +- {er_se:.3g}",
-        f"op[{args.gamma_th:g}]: approx = {approx.approx_op(args.gamma_th, beta):.6g}{op_exact}"
-        f"  mc = {op:.6g} +- {op_se:.3g}",
-        f"ks_total_vs_fit = {ks.ks_total:.4f}",
-        f"ks_inphase_vs_fit = {ks.ks_inphase:.4f}",
-    ]
+    lines = [f"preset = {args.preset}  users = {args.users}  trials = {args.trials}"]
+    for label, (closed, exact, mc, mc_se) in zip(("er", f"op[{args.gamma_th:g}]"), point.values()):
+        exact_text = "" if exact is None else f"  exact = {exact:.6g}"
+        lines.append(f"{label}: approx = {closed:.6g}{exact_text}  mc = {mc:.6g} +- {mc_se:.3g}")
+    lines += [f"ks_total_vs_fit = {ks.ks_total:.4f}", f"ks_inphase_vs_fit = {ks.ks_inphase:.4f}"]
     print("\n".join(lines))
     return EXIT_OK
 

@@ -90,14 +90,45 @@ def grid_from_aperture(
     return PortGrid(n1=n1, n2=n2, w1=w1, w2=w2)
 
 
+# Memory budget of one grid's arrays. At its peak correlation_matrix holds
+# about five N x N float64 arrays: the gather, eigh's copy of it, the
+# eigenvectors and the 2 N^2 divide-and-conquer workspace. Peak RSS above
+# the interpreter measured 5.1 x 8 N^2 bytes on 26GHz-C (N = 1834) and 5.0 x
+# on 26GHz-VC (N = 3654). The budget admits every preset (40GHz-VC,
+# N = 8822, needs about 2.9 GiB). The offset table, with the pair sums of
+# analytic.sigma_sums over it, peaks at about seven (n1, n2) arrays: peak RSS
+# above the imported package measured 6.2-6.8 x 8 n1 n2 bytes on the ports
+# axis at 1e5 and 3e5 rows.
+_DENSE_ARRAYS = 5
+_TABLE_ARRAYS = 7
+_FACTOR_BUDGET_BYTES = 4 << 30
+
+
+def _factor_bytes(grid: PortGrid) -> int:
+    """Estimated peak bytes of `correlation_matrix` on `grid`."""
+    return _DENSE_ARRAYS * 8 * grid.total_ports**2
+
+
+def _check_budget(grid: PortGrid, what: str, need: int) -> None:
+    """Refuse, before any array is built, a grid whose `what` needs more than the budget."""
+    if need > _FACTOR_BUDGET_BYTES:
+        raise DomainError(
+            f"{grid.n1} x {grid.n2} ports: {what} needs about "
+            f"{need / 2**30:.3g} GiB, past the {_FACTOR_BUDGET_BYTES / 2**30:.3g} GiB budget"
+        )
+
+
 def offset_correlation(grid: PortGrid) -> np.ndarray:
     """Correlation j0(2*pi*d) of every port offset, as an (n1, n2) table.
 
     Entry [da, db] is the correlation between two ports da steps apart
     along dimension 1 and db steps apart along dimension 2. The kernel
     depends on the offset only, so this table holds every distinct
-    correlation of the grid.
+    correlation of the grid. A grid whose table, with the pair sums over
+    it, would pass _FACTOR_BUDGET_BYTES is refused before any array is
+    built.
     """
+    _check_budget(grid, "the port-offset table", _TABLE_ARRAYS * 8 * grid.total_ports)
     s1, s2 = grid.spacings
     da = np.arange(grid.n1)[:, None]
     db = np.arange(grid.n2)[None, :]
@@ -149,18 +180,6 @@ class CorrelationMatrix:
 
 _RANK_CUT = 1e-12  # eigenvalues at or below this fraction of the largest are dropped
 _PSD_TOL = 1e-8  # an eigenvalue below -_PSD_TOL is a real failure, not rounding
-# At its peak correlation_matrix holds about five N x N float64 arrays: the
-# gather, eigh's copy of it, the eigenvectors and the 2 N^2 divide-and-conquer
-# workspace. Peak RSS above the interpreter measured 5.1 x 8 N^2 bytes on
-# 26GHz-C (N = 1834) and 5.0 x on 26GHz-VC (N = 3654). The budget admits
-# every preset (40GHz-VC, N = 8822, needs about 2.9 GiB).
-_DENSE_ARRAYS = 5
-_FACTOR_BUDGET_BYTES = 4 << 30
-
-
-def _factor_bytes(grid: PortGrid) -> int:
-    """Estimated peak bytes of `correlation_matrix` on `grid`."""
-    return _DENSE_ARRAYS * 8 * grid.total_ports**2
 
 
 def correlation_matrix(grid: PortGrid) -> CorrelationMatrix:
@@ -174,12 +193,7 @@ def correlation_matrix(grid: PortGrid) -> CorrelationMatrix:
     estimated peak memory passes _FACTOR_BUDGET_BYTES is refused before
     any array is built.
     """
-    need = _factor_bytes(grid)
-    if need > _FACTOR_BUDGET_BYTES:
-        raise DomainError(
-            f"{grid.n1} x {grid.n2} ports: the dense correlation factor needs about "
-            f"{need / 2**30:.3g} GiB, past the {_FACTOR_BUDGET_BYTES / 2**30:.3g} GiB budget"
-        )
+    _check_budget(grid, "the dense correlation factor", _factor_bytes(grid))
     eigvals, eigvecs = np.linalg.eigh(correlation_entries(grid))
     if eigvals.min() < -_PSD_TOL:
         raise DomainError(

@@ -36,6 +36,7 @@ __all__ = [
     "ComparisonReport",
     "KSReport",
     "run_sweep",
+    "evaluate_point",
     "compare_distributions",
     "ks_statistic",
     "parse_config",
@@ -170,7 +171,8 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
     """Evaluate the sweep and (optionally) write its CSV.
 
     Each grid's correlation factor is built once per sweep, and only for
-    Monte Carlo columns; each point builds its own stats and configs.
+    Monte Carlo columns; each point builds its own stats and samples, and
+    `evaluate_point` fills the point's rows.
     """
 
     def factor(grid):
@@ -204,7 +206,11 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
             if secrecy:
                 eve_config = SimConfig(eve_corr, users, spec.delta_e)
                 eve_samples = montecarlo.sir_samples(eve_config, spec.trials, seed, substream=1)
-        rows.extend(_point_rows(spec, axis_value, users, rs, bob, eve, bob_samples, eve_samples))
+        point = evaluate_point(
+            spec.metrics, users, gamma_th=spec.gamma_th, rs=rs, bob=bob, eve=eve,
+            exact=spec.exact == "on", bob_samples=bob_samples, eve_samples=eve_samples,
+        )
+        rows.extend(Row(axis_value, m, *point[m], spec.trials, spec.seed) for m in spec.metrics)
 
     report = ComparisonReport(rows=tuple(rows))
     if spec.out:
@@ -212,51 +218,57 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
     return report
 
 
-def _point_rows(spec, axis_value, users, rs, bob, eve, bob_samples, eve_samples):
-    exact_on = spec.exact == "on"
-    law_b = law_e = None
-    if exact_on:
-        law_b = ExactLaw.from_stats(bob)
-        if eve is not None:
-            law_e = ExactLaw.from_stats(eve)
+def _route(metric, exact, users, gamma_th, rs, bob, eve):
+    """One metric from Bob's and Eve's Gamma scales, or from their exact laws if ``exact``.
 
-    beta_b = approx.beta_I(bob)
-    rows = []
-    for metric in spec.metrics:
-        exact_val = mc_mean = mc_se = None
-        if metric == "er":
-            approx_val = approx.approx_er(users, beta_b)
-            if exact_on:
-                exact_val = analytic.exact_er(users, law_b)
-        elif metric == "op":
-            approx_val = approx.approx_op(spec.gamma_th, beta_b)
-            if exact_on:
-                exact_val = analytic.exact_op(spec.gamma_th, law_b)
-        elif metric == "sop":
-            approx_val = approx.sop_lower_closed(beta_b, approx.beta_I(eve), rs)
-            if exact_on:
-                exact_val = analytic.exact_sop(law_b, law_e, rs)
-        else:  # sop_lower
-            approx_val = approx.sop_lower_closed(beta_b, approx.beta_I(eve), rs)
-            if exact_on:
-                exact_val = analytic.sop_lower_numeric(law_b, law_e, rs)
-        if bob_samples is not None:
-            mc_mean, mc_se = montecarlo.mc_estimate(
-                metric, bob_samples, eve_samples, users=users, gamma_th=spec.gamma_th, rs=rs
-            )
-        rows.append(
-            Row(
-                axis_value=axis_value,
-                metric=metric,
-                analytic_approx=approx_val,
-                analytic_exact=exact_val,
-                mc_mean=mc_mean,
-                mc_stderr=mc_se,
-                trials=spec.trials,
-                seed=spec.seed,
-            )
-        )
-    return rows
+    Each closed form takes the same arguments as its exact counterpart;
+    sop and sop_lower share the closed-form lower bound.
+    """
+    if metric == "er":
+        return (analytic.exact_er if exact else approx.approx_er)(users, bob)
+    if metric == "op":
+        return (analytic.exact_op if exact else approx.approx_op)(gamma_th, bob)
+    if not exact:
+        return approx.sop_lower_closed(bob, eve, rs)
+    return (analytic.exact_sop if metric == "sop" else analytic.sop_lower_numeric)(bob, eve, rs)
+
+
+def evaluate_point(
+    metrics, users, *, gamma_th, rs, bob=None, eve=None, exact=False, bob_samples=None, eve_samples=None
+) -> dict[str, tuple]:
+    """Closed-form, exact and Monte Carlo values of each metric at one system point.
+
+    Returns {metric: (approx, exact, mc_mean, mc_stderr)}, the value
+    columns of a sweep row. A column is computed only when its input is
+    given and is None otherwise: the closed form needs Bob's ChannelStats
+    ``bob``, the exact law needs ``bob`` and ``exact``, and Monte Carlo
+    needs Bob's SampleSet ``bob_samples``. The secrecy metrics also need
+    Eve's stats ``eve`` or samples ``eve_samples`` (``rs`` is read only by
+    them). The Monte Carlo reductions run first, so their validation
+    errors come before a failing law's; then each terminal's exact law is
+    tabulated once, feeding every exact column.
+    """
+    bad = [m for m in metrics if m not in _METRICS]
+    if bad:
+        raise DomainError(f"unknown metrics {bad}; known: {_METRICS}")
+    secrecy = any(m in _SOP_METRICS for m in metrics)
+    if secrecy and bob is not None and eve is None:
+        raise DomainError("secrecy metrics need Eve's stats")
+    mc = {m: (None, None) for m in metrics}
+    if bob_samples is not None:
+        mc = {m: montecarlo.mc_estimate(m, bob_samples, eve_samples, users=users, gamma_th=gamma_th, rs=rs)
+              for m in metrics}
+    laws = scales = None
+    if bob is not None:
+        sides = (bob, eve if secrecy else None)
+        laws = [None if s is None else ExactLaw.from_stats(s) for s in sides] if exact else None
+        scales = [None if s is None else approx.beta_I(s) for s in sides]
+    point = {}
+    for m in metrics:
+        closed = None if scales is None else _route(m, False, users, gamma_th, rs, *scales)
+        exact_val = None if laws is None else _route(m, True, users, gamma_th, rs, *laws)
+        point[m] = (closed, exact_val, *mc[m])
+    return point
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,17 @@ class TestExactLaw:
         with pytest.raises(QuadratureError):
             ExactLaw.from_pdf(pdf, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_range_past_the_float_range_is_refused(self, case1_grid):
+        # delta = 1e-300 puts the law's scale near 2e301; with 2 interferers
+        # the table's upper end, 35 past ln(scale), passes e^709.78, and the
+        # law is refused before e^s overflows. At 19 interferers the table
+        # ends 8.2 past ln(scale), inside the float range.
+        with pytest.raises(QuadratureError, match="past the float range"):
+            ExactLaw.from_stats(ChannelStats.from_grid(case1_grid, 3, delta=1e-300))
+        law = ExactLaw.from_stats(ChannelStats.from_grid(case1_grid, 20, delta=1e-300))
+        assert exact_er(20, law) == pytest.approx(19937.32, abs=0.01)
+
     @pytest.mark.parametrize("users", [10, 200])
     def test_mean_matches_closed_form(self, case1_grid, users):
         # E[Z] = 2 E[Y^2] / (delta sigma2^2 (I - 2)); the table's upper end

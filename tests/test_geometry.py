@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cumasim.geometry as geometry
+from cumasim.analytic import sigma_sums
 from cumasim.geometry import (
     CorrelationMatrix,
     PortGrid,
@@ -187,6 +188,19 @@ class TestCorrelationMatrix:
         try:
             with pytest.raises(DomainError, match="GiB budget"):
                 correlation_matrix(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_offset_table_budget_refuses_before_allocating(self):
+        # 61 x 1e7 offsets: the table with its pair sums would need about 32 GiB
+        grid = PortGrid(61, 10**7, 3.0, 5e6)
+        tracemalloc.start()
+        try:
+            for build in (offset_correlation, sigma_sums):
+                with pytest.raises(DomainError, match="port-offset table .* GiB budget"):
+                    build(grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from cumasim import cli, harness
+from cumasim import analytic, approx, cli, harness
 from cumasim.analytic import ChannelStats, ExactLaw
 from cumasim.approx import approx_cdf_z, beta_I
 from cumasim.cli import main
@@ -21,7 +21,7 @@ from cumasim.harness import (
     parse_config,
     run_sweep,
 )
-from cumasim.montecarlo import SeedSpec, SimConfig, sir_samples
+from cumasim.montecarlo import SeedSpec, SimConfig, mc_estimate, sir_samples
 from cumasim.specfun import DomainError
 
 
@@ -183,6 +183,53 @@ class TestRunSweep:
         vals = [r.analytic_approx for r in report.rows]
         assert vals[0] == pytest.approx(0.5, rel=1e-12)
         assert vals[0] < vals[1] < vals[2]
+
+
+class TestEvaluatePoint:
+    @pytest.fixture(scope="class")
+    def point_inputs(self):
+        bob = ChannelStats.from_grid(preset_grid("6GHz-NC"), 6)
+        eve = ChannelStats.from_grid(preset_grid("6GHz-C"), 6)
+        seed = SeedSpec(13)
+        bob_samples = sir_samples(SimConfig(correlation_matrix(preset_grid("6GHz-NC")), 6), 1000, seed, substream=0)
+        eve_samples = sir_samples(SimConfig(correlation_matrix(preset_grid("6GHz-C")), 6), 1000, seed, substream=1)
+        return dict(bob=bob, eve=eve, bob_samples=bob_samples, eve_samples=eve_samples)
+
+    def test_every_route_of_every_metric(self, point_inputs):
+        bob, eve = point_inputs["bob"], point_inputs["eve"]
+        point = harness.evaluate_point(harness._METRICS, 6, gamma_th=1.0, rs=0.5, exact=True, **point_inputs)
+        law_b, law_e = ExactLaw.from_stats(bob), ExactLaw.from_stats(eve)
+        beta_b, beta_e = beta_I(bob), beta_I(eve)
+        samples = (point_inputs["bob_samples"], point_inputs["eve_samples"])
+        want = {
+            "er": (approx.approx_er(6, beta_b), analytic.exact_er(6, law_b)),
+            "op": (approx.approx_op(1.0, beta_b), analytic.exact_op(1.0, law_b)),
+            "sop": (approx.sop_lower_closed(beta_b, beta_e, 0.5), analytic.exact_sop(law_b, law_e, 0.5)),
+            "sop_lower": (approx.sop_lower_closed(beta_b, beta_e, 0.5), analytic.sop_lower_numeric(law_b, law_e, 0.5)),
+        }
+        for metric, cols in want.items():
+            mc = mc_estimate(metric, *samples, users=6, gamma_th=1.0, rs=0.5)
+            assert point[metric] == (*cols, *mc)
+
+    def test_a_column_needs_its_input(self, point_inputs, monkeypatch):
+        def refuse(stats):
+            raise AssertionError("a law was tabulated without exact=True")
+
+        monkeypatch.setattr(ExactLaw, "from_stats", refuse)
+        closed = harness.evaluate_point(("er", "sop"), 6, gamma_th=1.0, rs=0.5, bob=point_inputs["bob"],
+                                        eve=point_inputs["eve"])
+        assert all(cols[0] is not None and cols[1:] == (None, None, None) for cols in closed.values())
+        mc = harness.evaluate_point(("er", "sop"), 6, gamma_th=1.0, rs=0.5, exact=True,
+                                    bob_samples=point_inputs["bob_samples"], eve_samples=point_inputs["eve_samples"])
+        assert all(cols[:2] == (None, None) and None not in cols[2:] for cols in mc.values())
+
+    def test_rejections(self, point_inputs):
+        with pytest.raises(DomainError, match="unknown metrics"):
+            harness.evaluate_point(("bogus",), 6, gamma_th=1.0, rs=0.5, bob=point_inputs["bob"])
+        with pytest.raises(DomainError, match="Eve"):
+            harness.evaluate_point(("sop",), 6, gamma_th=1.0, rs=0.5, bob=point_inputs["bob"])
+        with pytest.raises(DomainError, match="Eve"):
+            harness.evaluate_point(("sop",), 6, gamma_th=1.0, rs=0.5, bob_samples=point_inputs["bob_samples"])
 
 
 class TestCsv:
@@ -434,6 +481,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ks_total_vs_fit" in out
 
+    GOLDEN_STDOUT = {
+        "analyze --preset 6GHz-NC --users 12": (
+            "preset = 6GHz-NC\nusers = 12\nnbar = 28\nmu = 7.89865417\nsigma1_sq = 3.82407756\n"
+            "sigma2_sq = 5.81492297\nbeta = 1523087\ner_approx = 236.470016\nop_approx = 6.56561098e-07\n"
+        ),
+        "analyze --preset 6GHz-VC --users 12 --rs 1 --eve-preset 6GHz-NC": (
+            "preset = 6GHz-VC\nusers = 12\nnbar = 244\nmu = 68.8311292\nsigma1_sq = 303.541449\n"
+            "sigma2_sq = 220.498569\nbeta = 1572904.09\ner_approx = 237.027199\nop_approx = 6.3576647e-07\n"
+            "sop_lower_approx = 0.659476618\n"
+        ),
+        "simulate --preset 6GHz-NC --users 8 --trials 1500 --seed 3": (
+            "preset = 6GHz-NC\ntrials = 1500\ner_mc = 17.6235768 +- 0.129\nop_mc[1] = 0.00866666667 +- 0.00239\n"
+            "mean_sir = 4.1230757\nmean_k_i = 13.9326667\nredrawn = 0\n"
+        ),
+        "compare --preset 6GHz-NC --users 8 --trials 1500 --seed 3 --exact off": (
+            "preset = 6GHz-NC  users = 8  trials = 1500\ner: approx = 163.161  mc = 17.6236 +- 0.129\n"
+            "op[1]: approx = 4.07171e-07  mc = 0.00866667 +- 0.00239\nks_total_vs_fit = 1.0000\n"
+            "ks_inphase_vs_fit = 0.9965\n"
+        ),
+        "compare --preset 6GHz-NC --users 8 --trials 1000 --seed 5 --exact on": (
+            "preset = 6GHz-NC  users = 8  trials = 1000\ner: approx = 163.161  exact = 18.4571  mc = 17.478 +- 0.159\n"
+            "op[1]: approx = 4.07171e-07  exact = 0.0099498  mc = 0.014 +- 0.00372\nks_total_vs_fit = 1.0000\n"
+            "ks_inphase_vs_fit = 0.9966\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+    def test_golden_stdout(self, command, capsys):
+        # the whole report, byte for byte: the other CLI tests check substrings
+        assert main(command.split()) == 0
+        assert capsys.readouterr().out == self.GOLDEN_STDOUT[command]
+
     def test_sweep_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         out = tmp_path / "rows.csv"
@@ -454,6 +533,9 @@ class TestCli:
 
     def test_unknown_preset_is_validation_error(self, capsys):
         assert main(["analyze", "--preset", "9GHz-XL", "--users", "8"]) == 2
+        # Eve's preset is read even without --rs
+        assert main(["analyze", "--preset", "6GHz-NC", "--users", "3", "--eve-preset", "6GHz-XX"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_config_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -642,6 +724,7 @@ class TestCli:
             ["analyze", "--preset", "6GHz-NC", "--users", "8", "--gamma-th", "nan"],
             ["analyze", "--preset", "6GHz-NC", "--users", "8", "--rs", "nan", "--eve-preset", "6GHz-NC"],
             ["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "100", "--gamma-th", "nan"],
+            ["analyze", "--preset", "6GHz-NC", "--users", "3", "--eve-preset", "6GHz-NC", "--delta-e", "2"],
         ],
     )
     def test_unusable_numbers_are_validation_errors(self, argv, capsys):
@@ -650,9 +733,27 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert "nan" not in captured.out
 
+    @pytest.mark.filterwarnings("error")
     def test_unusable_law_scale_is_numerical_failure(self, capsys):
-        # 1e308 users: the exact law's scale, the mean SIR, underflows to zero
-        rc = main(["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "1e308",
-                   "--metrics", "er", "--no-mc"])
-        assert rc == 3
-        assert "law scale" in capsys.readouterr().err
+        cases = [
+            # 1e308 users: the exact law's scale, the mean SIR, underflows to zero
+            (["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "1e308", "--metrics", "er", "--no-mc"],
+             "law scale"),
+            # delta = 1e-300 at 3 users: the law's table would reach z = e^729
+            (["compare", "--preset", "6GHz-NC", "--users", "3", "--trials", "1000", "--delta", "1e-300"],
+             "past the float range"),
+            (["sweep", "--preset", "6GHz-NC", "--axis", "delta_b", "--values", "1e-300", "--users", "3",
+              "--metrics", "er", "--no-mc"], "past the float range"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err and "RuntimeWarning" not in captured.err
+
+    def test_oversized_offset_table_is_validation_error(self, capsys):
+        # a --no-mc ports sweep builds no factor, but its offset table has
+        # 61 x 1e30 entries: refused before numpy is asked for the array
+        assert main(["sweep", "--axis", "ports", "--values", "1e30", "--metrics", "er", "--no-mc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "port-offset table" in captured.err and "GiB budget" in captured.err
