@@ -35,6 +35,8 @@ SPEED_OF_LIGHT = 299792458.0
 
 # 15 cm x 8 cm, a typical phone-sized surface
 HANDSET_APERTURE_M = (0.15, 0.08)
+# Port pitch of dimension 2, in wavelengths: half a wavelength in every layout.
+_SPACING2 = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,28 +65,23 @@ class PortGrid:
         return self.w1 / (self.n1 - 1), self.w2 / (self.n2 - 1)
 
 
-def grid_from_aperture(
-    width_m: float,
-    height_m: float,
-    freq_hz: float,
-    spacing1: float,
-    spacing2: float,
-) -> PortGrid:
-    """Build a grid from a physical aperture, carrier frequency and target spacings.
+def grid_from_aperture(width_m: float, height_m: float, freq_hz: float, spacing1: float) -> PortGrid:
+    """Build a grid from a physical aperture, carrier frequency and dimension-1 spacing.
 
     The aperture is converted to wavelengths (w = size * f / c) and each
-    dimension gets floor(w / spacing) + 1 ports. Configurations that do
-    not fit at least two ports per dimension are rejected.
+    dimension gets floor(w / spacing) + 1 ports, dimension 2 at the
+    half-wavelength pitch _SPACING2. Configurations that do not fit at
+    least two ports per dimension are rejected.
     """
-    vals = (width_m, height_m, freq_hz, spacing1, spacing2)
+    vals = (width_m, height_m, freq_hz, spacing1)
     if not all(math.isfinite(v) and v > 0.0 for v in vals):
         raise DomainError(f"all grid parameters must be positive and finite, got {vals}")
     w1 = width_m * freq_hz / SPEED_OF_LIGHT
     w2 = height_m * freq_hz / SPEED_OF_LIGHT
-    if spacing1 > w1 or spacing2 > w2:
+    if spacing1 > w1 or _SPACING2 > w2:
         raise DomainError("port spacing exceeds the aperture; grid would degenerate")
     n1 = int(math.floor(w1 / spacing1)) + 1
-    n2 = int(math.floor(w2 / spacing2)) + 1
+    n2 = int(math.floor(w2 / _SPACING2)) + 1
     if n1 < 2 or n2 < 2:
         raise DomainError(f"aperture too small for spacing: would give {n1} x {n2} ports")
     return PortGrid(n1=n1, n2=n2, w1=w1, w2=w2)
@@ -207,11 +204,10 @@ def correlation_matrix(grid: PortGrid) -> CorrelationMatrix:
 
 @dataclass(frozen=True)
 class Preset:
-    """Carrier frequency and target port spacings (wavelengths) of a named layout."""
+    """Carrier frequency and dimension-1 port spacing (wavelengths) of a named layout."""
 
     freq_hz: float
     spacing1: float
-    spacing2: float = 0.5
 
 
 # Named compactness cases on the handset aperture. Dimension 2 keeps the
@@ -239,4 +235,4 @@ def preset_grid(name: str) -> PortGrid:
         p = PRESETS[name]
     except KeyError:
         raise DomainError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}") from None
-    return grid_from_aperture(*HANDSET_APERTURE_M, p.freq_hz, p.spacing1, p.spacing2)
+    return grid_from_aperture(*HANDSET_APERTURE_M, p.freq_hz, p.spacing1)

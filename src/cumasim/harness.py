@@ -85,6 +85,8 @@ class SweepSpec:
         bad = [m for m in self.metrics if m not in _METRICS]
         if bad:
             raise DomainError(f"unknown metrics {bad}; known: {_METRICS}")
+        if len(set(self.metrics)) < len(self.metrics):
+            raise DomainError(f"each metric may appear once, got {self.metrics}")
         if self.exact not in _EXACT_MODES:
             raise DomainError(f"exact must be one of {_EXACT_MODES}, got {self.exact!r}")
         if self.axis == "ports":
@@ -163,7 +165,7 @@ def _fmt(v) -> str:
 
 def _ports_axis_grid(n2: int) -> PortGrid:
     freq = PRESETS["6GHz-VC"].freq_hz
-    base = grid_from_aperture(*HANDSET_APERTURE_M, freq, _PORTS_AXIS_N1_SPACING, 0.5)
+    base = grid_from_aperture(*HANDSET_APERTURE_M, freq, _PORTS_AXIS_N1_SPACING)
     return PortGrid(n1=base.n1, n2=n2, w1=base.w1, w2=base.w2)
 
 

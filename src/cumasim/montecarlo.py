@@ -22,13 +22,14 @@ Trials run in blocks of _BLOCK: a block stacks its trials' normals into
 one (2 _BLOCK, r) matrix and costs two GEMMs with F, one for the draws
 and one for the masks, instead of two matrix-vector products per trial.
 
-Reproducibility contract: trial t of a run draws from a dedicated
-generator derived from (master seed, trial index, substream), z first
-and then its two chi-square variates. Every GEMM has 2 _BLOCK rows, the
-last block's unused rows being zero, so trial t's stream and bits do
-not depend on the block or on the trial count: a run is bit-identical
-to any longer run's prefix. `sir_samples` is the one trial loop and
-`mc_estimate` the one reduction from its samples to a metric.
+Reproducibility contract: block b of a run (trials b _BLOCK onwards)
+draws from the one generator derived from (master seed, b, substream):
+its 2 _BLOCK x r normals first, then its _BLOCK x 2 chi-square variates,
+then, round by round, the redraws of the trials still left with an empty
+branch, in trial order (normals, then variates). A block is always drawn
+in full and a short last block is cut to length, so a run is
+bit-identical to any longer run's prefix. `sir_samples` is the one trial
+loop and `mc_estimate` the one reduction from its samples to a metric.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ _MAX_SAMPLE_BYTES = 1 << 30
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed plus the derivation rule for per-trial streams."""
+    """Master seed plus the derivation rule for per-block streams."""
 
     master_seed: int
 
@@ -70,9 +71,9 @@ class SeedSpec:
         if not 0 <= self.master_seed < 2**64:
             raise DomainError(f"master seed must be a u64, got {self.master_seed}")
 
-    def rng(self, trial: int, substream: int = 0) -> np.random.Generator:
-        """Generator for one (trial, substream); identical inputs give identical streams."""
-        key = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(trial, substream))
+    def rng(self, block: int, substream: int = 0) -> np.random.Generator:
+        """Generator for one (block, substream); identical inputs give identical streams."""
+        key = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(block, substream))
         return np.random.default_rng(key)
 
 
@@ -108,49 +109,47 @@ def select_ports(desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(desired.real > 0.0), np.flatnonzero(desired.imag > 0.0)
 
 
-def sir_sample(rngs, factor: np.ndarray, interferers: int, delta: float):
-    """Conditional draws for one block of trials: (sir, sir_i, |K_I|, q_I) arrays.
+def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, delta: float):
+    """Conditional draws for one block of _BLOCK trials: (sir, sir_i, |K_I|, q_I, redraws) arrays.
 
-    ``rngs`` holds one generator per trial, at most _BLOCK of them, and
-    ``factor`` is the (N, r) correlation factor. Each generator draws the
-    2r standard normals of its d = F z, then one chi-square(interferers)
-    variate per branch. The block costs two GEMMs with F, each with
-    2 * _BLOCK rows whatever len(rngs) (the unused rows are zero), so a
-    trial's bits depend only on its generator and its row in the block. A
-    NaN SIR marks a trial with a branch without interference (an empty
-    activation set, probability 2^-N per branch); the caller redraws it
-    from the same generator.
+    ``factor`` is the (N, r) correlation factor, and every draw comes from
+    the one generator ``rng``, in rounds. A round draws 2r standard normals
+    per trial (its d = F z) and then one chi-square(interferers) variate per
+    trial and branch, and costs two GEMMs with F. The first round draws the
+    whole block; each later one redraws, in trial order, the trials left
+    with a branch without interference (an empty activation set,
+    probability 2^-N per branch). ``redraws`` counts each trial's discarded
+    draws.
     """
-    n = len(rngs)
-    if not 1 <= n <= _BLOCK:
-        raise DomainError(f"a block holds 1 to {_BLOCK} trials, got {n}")
     if interferers < 1:
         raise DomainError(f"need at least one interferer, got {interferers}")
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    z = np.zeros((2 * _BLOCK, factor.shape[1]))
-    chi = np.empty((n, 2))
-    for j, rng in enumerate(rngs):
-        rng.standard_normal(out=z[2 * j : 2 * j + 2])
-        chi[j] = rng.chisquare(interferers, 2)
-    d = z @ factor.T  # rows 2j, 2j + 1: Re d, Im d of trial j
-    masks = np.zeros_like(d)
-    k_i = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        on_i, on_q = select_ports(d[2 * j] + 1j * d[2 * j + 1])
-        masks[2 * j, on_i] = 1.0
-        masks[2 * j + 1, on_q] = 1.0
-        k_i[j] = len(on_i)
-    q = np.square(masks @ factor).sum(axis=1)[: 2 * n].reshape(n, 2)
-    nu = np.square((masks[: 2 * n] * d[: 2 * n]).sum(axis=1)).reshape(n, 2)
-    xi = delta * q * chi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = nu / xi
-    sir_i = ratio[:, 0]
-    sir = sir_i + ratio[:, 1]
-    empty = (xi == 0.0).any(axis=1)
-    sir[empty] = sir_i[empty] = np.nan
-    return sir, sir_i, k_i, q[:, 0]
+    sir, sir_i, q_i = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
+    k_i = np.empty(_BLOCK, dtype=np.int64)
+    redraws = np.zeros(_BLOCK, dtype=np.int64)
+    rows = np.arange(_BLOCK)
+    for attempt in range(_MAX_REDRAWS + 1):
+        n = len(rows)
+        redraws[rows] = attempt
+        d = rng.standard_normal((2 * n, factor.shape[1])) @ factor.T  # rows 2j, 2j + 1: Re d, Im d
+        chi = rng.chisquare(interferers, (n, 2))
+        masks = np.zeros_like(d)
+        for j, t in enumerate(rows):
+            on_i, on_q = select_ports(d[2 * j] + 1j * d[2 * j + 1])
+            masks[2 * j, on_i] = 1.0
+            masks[2 * j + 1, on_q] = 1.0
+            k_i[t] = len(on_i)
+        q = np.square(masks @ factor).sum(axis=1).reshape(n, 2)
+        nu = np.square((masks * d).sum(axis=1)).reshape(n, 2)
+        xi = delta * q * chi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = nu / xi
+        sir_i[rows], sir[rows], q_i[rows] = ratio[:, 0], ratio[:, 0] + ratio[:, 1], q[:, 0]
+        rows = rows[(xi == 0.0).any(axis=1)]
+        if not rows.size:
+            return sir, sir_i, k_i, q_i, redraws
+    raise DomainError(f"interference power stayed zero after {_MAX_REDRAWS} redraws")
 
 
 @dataclass
@@ -170,13 +169,13 @@ class SampleSet:
 
 
 def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int = 0) -> SampleSet:
-    """Draw `trials` independent SIR samples, _BLOCK trials per `sir_sample` call.
+    """Draw `trials` independent SIR samples, one `sir_sample` block per _BLOCK trials.
 
-    A draw without interference is redrawn from the same trial's stream,
-    as a block of one; `redrawn` counts the draws so discarded.
-    A sample that is not finite raises FloatingPointError. A trial count
-    whose sample arrays would pass _MAX_SAMPLE_BYTES is refused before
-    anything is allocated.
+    Block b draws from ``seed.rng(b, substream)`` and a short last block is
+    cut to length; `redrawn` counts the discarded draws of the returned
+    trials. A sample that is not finite raises FloatingPointError. A
+    trial count whose sample arrays would pass _MAX_SAMPLE_BYTES is
+    refused before anything is allocated.
     """
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials}")
@@ -191,19 +190,12 @@ def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int =
     ki = np.empty(trials, dtype=np.int64)
     q_i = np.empty(trials)
     redrawn = 0
-    for start in range(0, trials, _BLOCK):
-        rngs = [seed.rng(t, substream) for t in range(start, min(start + _BLOCK, trials))]
-        block = slice(start, start + len(rngs))
-        sir[block], sir_i[block], ki[block], q_i[block] = sir_sample(rngs, factor, config.interferers, config.delta)
-        for j in np.flatnonzero(np.isnan(sir[block])):
-            for attempt in range(1, _MAX_REDRAWS):
-                res = sir_sample([rngs[j]], factor, config.interferers, config.delta)
-                if not np.isnan(res[0][0]):
-                    break
-            else:
-                raise DomainError(f"trial {start + j}: interference power stayed zero after {_MAX_REDRAWS} redraws")
-            redrawn += attempt
-            sir[start + j], sir_i[start + j], ki[start + j], q_i[start + j] = (a[0] for a in res)
+    for b, start in enumerate(range(0, trials, _BLOCK)):
+        n = min(_BLOCK, trials - start)
+        *block, redraws = sir_sample(seed.rng(b, substream), factor, config.interferers, config.delta)
+        for arr, got in zip((sir, sir_i, ki, q_i), block):
+            arr[start : start + n] = got[:n]
+        redrawn += int(redraws[:n].sum())
     bad = np.flatnonzero(~np.isfinite(sir))
     if bad.size:
         raise FloatingPointError(f"trial {bad[0]}: SIR sample is not finite")

@@ -62,7 +62,7 @@ def test_a01_port_layout_reproduction():
     }
     got = {k: None for k in cells}
     for (freq, sp1), want in cells.items():
-        g = grid_from_aperture(*APERTURE, freq, sp1, 0.5)
+        g = grid_from_aperture(*APERTURE, freq, sp1)
         got[(freq, sp1)] = (g.n1, g.n2)
     ok = got == cells
     report("A01 layout-reproduction", ok, f"9/9 cells exact={ok} elapsed={time.time()-t0:.2f}s")

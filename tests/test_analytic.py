@@ -191,7 +191,7 @@ class TestChannelStats:
     @pytest.mark.parametrize("spacing", [0.006, 0.005, 0.004])
     def test_dense_handset_grid(self, spacing):
         # 2004 to 3004 ports with neighbour correlations within 1e-4 of one
-        grid = grid_from_aperture(*HANDSET_APERTURE_M, 6e9, spacing, 0.5)
+        grid = grid_from_aperture(*HANDSET_APERTURE_M, 6e9, spacing)
         st = ChannelStats.from_grid(grid, users=20)
         assert math.isfinite(st.sigma1_sq) and st.sigma1_sq > 0.0
         assert math.isfinite(st.sigma2_sq) and st.sigma2_sq > 0.0

@@ -62,7 +62,7 @@ TABLE_CELLS = [
 class TestGridFromAperture:
     @pytest.mark.parametrize("freq,sp1,expected", TABLE_CELLS)
     def test_handset_layouts(self, freq, sp1, expected):
-        g = grid_from_aperture(*APERTURE, freq, sp1, 0.5)
+        g = grid_from_aperture(*APERTURE, freq, sp1)
         assert (g.n1, g.n2) == expected
 
     def test_preset_names_cover_all_cases(self):
@@ -71,12 +71,12 @@ class TestGridFromAperture:
 
     def test_rejects_spacing_larger_than_aperture(self):
         with pytest.raises(DomainError):
-            grid_from_aperture(0.01, 0.08, 6e9, 0.5, 0.5)
+            grid_from_aperture(0.01, 0.08, 6e9, 0.5)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonfinite_or_nonpositive(self, bad):
         with pytest.raises(DomainError):
-            grid_from_aperture(bad, 0.08, 6e9, 0.5, 0.5)
+            grid_from_aperture(bad, 0.08, 6e9, 0.5)
 
     def test_port_grid_validation(self):
         with pytest.raises(DomainError):

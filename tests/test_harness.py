@@ -60,6 +60,8 @@ class TestSweepSpecValidation:
         # users and delta_b are checked even where the axis replaces them
         {"users": 1},
         {"axis": "delta_b", "values": (0.5,), "delta_b": 0.0},
+        # a repeated metric would print its rows twice
+        {"metrics": ("er", "op", "er")},
     ])
     def test_rejections(self, kw):
         with pytest.raises(DomainError):
@@ -235,7 +237,7 @@ class TestEvaluatePoint:
 class TestCsv:
     def test_golden_mc_columns(self):
         # all four Monte Carlo reductions of one small sweep, frozen from the
-        # first run of the conditional-Gaussian kernel at this seed
+        # first run of the one-generator-per-block stream at this seed
         spec = SweepSpec(
             axis="delta_b",
             values=(1.0, 0.25),
@@ -250,14 +252,14 @@ class TestCsv:
         )
         cells = [line.split(",") for line in run_sweep(spec).to_csv().splitlines()[1:]]
         assert [",".join(c[:2] + c[4:6]) for c in cells] == [
-            "1,er,16.3961564503,0.154281290709",
-            "1,op,0.002,0.001412798641",
-            "1,sop,0.718,0.0142294061717",
-            "1,sop_lower,0.694,0.014572714229",
-            "0.25,er,27.1705449696,0.173559450392",
+            "1,er,16.4181229044,0.152225560921",
+            "1,op,0.003,0.00172945077987",
+            "1,sop,0.711,0.014334538709",
+            "1,sop_lower,0.679,0.0147634345597",
+            "0.25,er,27.1999677345,0.171346681081",
             "0.25,op,0,0",
-            "0.25,sop,0.144,0.011102432166",
-            "0.25,sop_lower,0.141,0.0110054077616",
+            "0.25,sop,0.123,0.0103860964756",
+            "0.25,sop_lower,0.116,0.0101264011376",
         ]
 
     def test_header_and_shape(self):
@@ -492,18 +494,18 @@ class TestCli:
             "sop_lower_approx = 0.659476618\n"
         ),
         "simulate --preset 6GHz-NC --users 8 --trials 1500 --seed 3": (
-            "preset = 6GHz-NC\ntrials = 1500\ner_mc = 17.6235768 +- 0.129\nop_mc[1] = 0.00866666667 +- 0.00239\n"
-            "mean_sir = 4.1230757\nmean_k_i = 13.9326667\nredrawn = 0\n"
+            "preset = 6GHz-NC\ntrials = 1500\ner_mc = 17.709239 +- 0.123\nop_mc[1] = 0.00866666667 +- 0.00239\n"
+            "mean_sir = 4.07850661\nmean_k_i = 13.8753333\nredrawn = 0\n"
         ),
         "compare --preset 6GHz-NC --users 8 --trials 1500 --seed 3 --exact off": (
-            "preset = 6GHz-NC  users = 8  trials = 1500\ner: approx = 163.161  mc = 17.6236 +- 0.129\n"
+            "preset = 6GHz-NC  users = 8  trials = 1500\ner: approx = 163.161  mc = 17.7092 +- 0.123\n"
             "op[1]: approx = 4.07171e-07  mc = 0.00866667 +- 0.00239\nks_total_vs_fit = 1.0000\n"
-            "ks_inphase_vs_fit = 0.9965\n"
+            "ks_inphase_vs_fit = 0.9967\n"
         ),
         "compare --preset 6GHz-NC --users 8 --trials 1000 --seed 5 --exact on": (
-            "preset = 6GHz-NC  users = 8  trials = 1000\ner: approx = 163.161  exact = 18.4571  mc = 17.478 +- 0.159\n"
-            "op[1]: approx = 4.07171e-07  exact = 0.0099498  mc = 0.014 +- 0.00372\nks_total_vs_fit = 1.0000\n"
-            "ks_inphase_vs_fit = 0.9966\n"
+            "preset = 6GHz-NC  users = 8  trials = 1000\ner: approx = 163.161  exact = 18.4571  mc = 17.664 +- 0.158\n"
+            "op[1]: approx = 4.07171e-07  exact = 0.0099498  mc = 0.007 +- 0.00264\nks_total_vs_fit = 1.0000\n"
+            "ks_inphase_vs_fit = 0.9962\n"
         ),
     }
 
@@ -691,6 +693,8 @@ class TestCli:
             ["analyze", "--preset", "6GHz-NC", "--gamma-th", "-1"],
             ["compare", "--preset", "6GHz-NC", "--users", "8", "--trials", "200", "--gamma-th", "-1"],
             ["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "200", "--gamma-th", "-1"],
+            ["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "4", "--metrics", "er,op,er",
+             "--no-mc", "--exact", "off"],
         ],
     )
     def test_failed_report_prints_nothing(self, argv, capsys):

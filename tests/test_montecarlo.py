@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from cumasim.geometry import CorrelationMatrix, correlation_entries, correlation_matrix, preset_grid
+from cumasim.geometry import CorrelationMatrix, PortGrid, correlation_entries, correlation_matrix, preset_grid
 from cumasim.harness import ks_statistic
 from cumasim.montecarlo import _BLOCK, SeedSpec, SimConfig, mc_estimate, select_ports, sir_sample, sir_samples
 from cumasim.specfun import DomainError
@@ -150,29 +150,28 @@ class TestConditionalKernel:
     """The package's block kernel, `sir_sample`, and its agreement with the oracle."""
 
     def test_delta_scaling(self, case1_corr):
-        full = sir_sample([SEED.rng(t) for t in range(5)], case1_corr.factor, 19, 1.0)
-        half = sir_sample([SEED.rng(t) for t in range(5)], case1_corr.factor, 19, 0.5)
+        full = sir_sample(SEED.rng(0), case1_corr.factor, 19, 1.0)
+        half = sir_sample(SEED.rng(0), case1_corr.factor, 19, 0.5)
         np.testing.assert_allclose(half[0], 2.0 * full[0], rtol=1e-12)
         np.testing.assert_allclose(half[1], 2.0 * full[1], rtol=1e-12)
-        for a, b in zip(half[2:], full[2:]):  # the same masks and q_I
+        for a, b in zip(half[2:], full[2:]):  # the same masks, q_I and redraws
             assert np.array_equal(a, b)
 
-    def test_empty_activation_is_nan(self):
+    def test_empty_activation_is_redrawn(self):
         # a single port activates a branch with probability 1/2, so most
-        # draws leave one branch empty
-        sir, sir_i, k_i, q_i = sir_sample([SEED.rng(t) for t in range(_BLOCK)], np.ones((1, 1)), 3, 1.0)
-        empty = np.isnan(sir)
-        assert 0 < empty.sum() < _BLOCK
-        assert np.array_equal(np.isnan(sir_i), empty)
-        assert np.all(k_i[~empty] == 1) and np.all(q_i[~empty] == 1.0)
+        # trials are redrawn, and every returned trial has both branches
+        sir, sir_i, k_i, q_i, redraws = sir_sample(SEED.rng(0), np.ones((1, 1)), 3, 1.0)
+        assert 0 < np.count_nonzero(redraws) < _BLOCK
+        assert np.all(np.isfinite(sir)) and np.all(sir_i < sir)
+        assert np.all(k_i == 1) and np.all(q_i == 1.0)
 
     def test_validation(self, case1_corr):
         for interferers, delta in ((0, 1.0), (2, 0.0), (2, 1.2)):
             with pytest.raises(DomainError):
-                sir_sample([SEED.rng(0)], case1_corr.factor, interferers, delta)
-        for n in (0, _BLOCK + 1):
-            with pytest.raises(DomainError, match="a block holds"):
-                sir_sample([SEED.rng(t) for t in range(n)], case1_corr.factor, 2, 1.0)
+                sir_sample(SEED.rng(0), case1_corr.factor, interferers, delta)
+        # no port ever activates: every trial stays empty
+        with pytest.raises(DomainError, match="redraws"):
+            sir_sample(SEED.rng(0), np.zeros((2, 1)), 2, 1.0)
 
     def test_matches_per_trial_matrix_vector_reference(self):
         # the loop the blocks replaced: two matrix-vector products with F per
@@ -180,20 +179,22 @@ class TestConditionalKernel:
         config = SimConfig(corr=correlation_matrix(preset_grid("6GHz-VC")), users=20)
         factor = config.corr.factor
         n = 2 * _BLOCK + 3
-        want = np.empty((n, 4))
-        for t in range(n):
-            rng = SEED.rng(t)
-            z = rng.standard_normal((2, factor.shape[1]))
-            d = np.stack([factor @ z[0], factor @ z[1]])
-            masks = (d > 0.0).astype(float)
-            q = np.array([np.square(factor.T @ m).sum() for m in masks])
-            nu = np.square((masks * d).sum(axis=1))
-            ratio = nu / (config.delta * q * rng.chisquare(config.interferers, 2))
-            want[t] = ratio.sum(), ratio[0], masks[0].sum(), q[0]
+        want = np.empty((3 * _BLOCK, 4))
+        for b in range(3):
+            rng = SEED.rng(b)
+            z = rng.standard_normal((2 * _BLOCK, factor.shape[1]))
+            chi = rng.chisquare(config.interferers, (_BLOCK, 2))
+            for j in range(_BLOCK):
+                d = np.stack([factor @ z[2 * j], factor @ z[2 * j + 1]])
+                masks = (d > 0.0).astype(float)
+                q = np.array([np.square(factor.T @ m).sum() for m in masks])
+                nu = np.square((masks * d).sum(axis=1))
+                ratio = nu / (config.delta * q * chi[j])
+                want[b * _BLOCK + j] = ratio.sum(), ratio[0], masks[0].sum(), q[0]
         s = sir_samples(config, n, SEED)
         assert s.redrawn == 0
-        assert np.array_equal(s.k_i_sizes, want[:, 2])
-        for got, ref in ((s.sir, want[:, 0]), (s.sir_i, want[:, 1]), (s.q_i, want[:, 3])):
+        assert np.array_equal(s.k_i_sizes, want[:n, 2])
+        for got, ref in ((s.sir, want[:n, 0]), (s.sir_i, want[:n, 1]), (s.q_i, want[:n, 3])):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_mean_mask_quadratic_form(self):
@@ -241,30 +242,46 @@ class TestSampleRuns:
 
     @pytest.mark.parametrize("trials", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
     def test_block_edges_are_prefix_stable(self, trials):
-        # 6GHz-VC has rank 60, so a GEMM of another shape would round differently
-        config = SimConfig(corr=correlation_matrix(preset_grid("6GHz-VC")), users=20)
-        short = sir_samples(config, trials, SEED)
-        long = sir_samples(config, 3 * _BLOCK + 5, SEED)
-        for field in ("sir", "sir_i", "k_i_sizes", "q_i"):
-            assert np.array_equal(getattr(short, field), getattr(long, field)[:trials])
+        # 6GHz-VC has rank 60, so a GEMM of another shape would round
+        # differently; on four ports 0.1 wavelength apart about three trials
+        # in five are redrawn
+        for grid in (preset_grid("6GHz-VC"), PortGrid(n1=2, n2=2, w1=0.1, w2=0.1)):
+            config = SimConfig(corr=correlation_matrix(grid), users=20)
+            short = sir_samples(config, trials, SEED)
+            long = sir_samples(config, 3 * _BLOCK + 5, SEED)
+            for field in ("sir", "sir_i", "k_i_sizes", "q_i"):
+                assert np.array_equal(getattr(short, field), getattr(long, field)[:trials])
+            # redrawn counts the returned trials' redraws, not the whole last block's
+            blocks = [sir_sample(SEED.rng(b), config.corr.factor, config.interferers, config.delta) for b in range(4)]
+            redraws = np.concatenate([block[4] for block in blocks])
+            assert short.redrawn == redraws[:trials].sum()
+            assert long.redrawn == redraws[: 3 * _BLOCK + 5].sum()
 
     def test_redraws_inside_a_block(self):
-        # one port: each branch is empty with probability 1/2, so about three
-        # trials in four are redrawn, each from its own generator alone
+        # one port with F = 1, so d = z, q = 1 per active branch and the SIR
+        # is sum z^2 / chi exactly: rebuild the block's stream by hand. Every
+        # round draws its trials' normals, then their chi-square variates;
+        # the first round is the whole block, each later one the trials
+        # still with an empty branch, in trial order.
         config = SimConfig(corr=CorrelationMatrix(factor=np.ones((1, 1))), users=4)
         trials = _BLOCK + 7
         s = sir_samples(config, trials, SEED)
-        redrawn = 0
-        for t in range(trials):
-            rng = SEED.rng(t)
-            while True:
-                lone = sir_sample([rng], config.corr.factor, config.interferers, config.delta)
-                if not np.isnan(lone[0][0]):
-                    break
-                redrawn += 1
-            got = (s.sir[t], s.sir_i[t], s.k_i_sizes[t], s.q_i[t])
-            assert got == tuple(a[0] for a in lone)
-        assert s.redrawn == redrawn > trials // 2
+        want = np.empty((2 * _BLOCK, 2))
+        redraws = np.zeros(2 * _BLOCK, dtype=int)
+        for b in range(2):
+            rng = SEED.rng(b)
+            rows = list(range(_BLOCK))
+            while rows:
+                z = rng.standard_normal((len(rows), 2))
+                chi = rng.chisquare(config.interferers, (len(rows), 2))
+                for t, zt, ct in zip(rows, z, chi):
+                    want[b * _BLOCK + t] = (zt[0] ** 2 / ct[0] + zt[1] ** 2 / ct[1], zt[0] ** 2 / ct[0])
+                rows = [t for t, zt in zip(rows, z) if min(zt) <= 0.0]
+                redraws[[b * _BLOCK + t for t in rows]] += 1
+        assert np.array_equal(s.sir, want[:trials, 0])
+        assert np.array_equal(s.sir_i, want[:trials, 1])
+        assert np.all(s.k_i_sizes == 1) and np.all(s.q_i == 1.0)
+        assert s.redrawn == redraws[:trials].sum() > trials // 2
 
     def test_branch_samples(self, case1_config):
         s = sir_samples(case1_config, 300, SEED)
@@ -306,13 +323,13 @@ class TestMcMetrics:
         assert abs(ratio - math.sqrt(2.0)) < 0.2 * math.sqrt(2.0)
 
     def test_golden_run(self, case1_config):
-        # frozen from the first run of the conditional-Gaussian kernel at
+        # frozen from the first run of the one-generator-per-block stream at
         # this seed (the link-level sampler gave 22.20694317794273 and 0.3831)
         s = sir_samples(case1_config, 20_000, SeedSpec(1234))
         er, _ = mc_estimate("er", s, users=case1_config.users)
         op, _ = mc_estimate("op", s, gamma_th=1.0)
-        assert er == pytest.approx(22.275137189117977, rel=1e-9)
-        assert op == pytest.approx(0.38105, abs=1e-12)
+        assert er == pytest.approx(22.319858272696887, rel=1e-9)
+        assert op == pytest.approx(0.37535, abs=1e-12)
         assert s.redrawn == 0
 
     def test_trial_floor(self, case1_config):
