@@ -128,9 +128,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    stats = ChannelStats.from_grid(preset_grid(args.preset), args.users, delta=args.delta)
+    grid = preset_grid(args.preset)
+    stats = ChannelStats.from_grid(grid, args.users, delta=args.delta)
     seed = SeedSpec(args.seed)
-    config = SimConfig(corr=correlation_matrix(preset_grid(args.preset)), users=args.users, delta=args.delta)
+    config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta)
     samples = montecarlo.sir_samples(config, args.trials, seed)
     point = evaluate_point(
         ("er", "op"), args.users, gamma_th=args.gamma_th, rs=None, bob=stats,

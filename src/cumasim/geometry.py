@@ -94,8 +94,8 @@ def grid_from_aperture(width_m: float, height_m: float, freq_hz: float, spacing1
 # on 26GHz-VC (N = 3654). The budget admits every preset (40GHz-VC,
 # N = 8822, needs about 2.9 GiB). The offset table, with the pair sums of
 # analytic.sigma_sums over it, peaks at about seven (n1, n2) arrays: peak RSS
-# above the imported package measured 6.2-6.8 x 8 n1 n2 bytes on the ports
-# axis at 1e5 and 3e5 rows.
+# above the imported package measured 6.1 x 8 n1 n2 bytes on the ports axis
+# at 1e5 and 3e5 rows.
 _DENSE_ARRAYS = 5
 _TABLE_ARRAYS = 7
 _FACTOR_BUDGET_BYTES = 4 << 30
@@ -129,11 +129,7 @@ def offset_correlation(grid: PortGrid) -> np.ndarray:
     s1, s2 = grid.spacings
     da = np.arange(grid.n1)[:, None]
     db = np.arange(grid.n2)[None, :]
-    x = 2.0 * np.pi * np.hypot(da * s1, db * s2)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)  # placeholder to keep sin(x)/x well defined
-    x2 = x * x
-    return np.where(small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0), np.sin(xs) / xs)
+    return np.sinc(2.0 * np.hypot(da * s1, db * s2))
 
 
 def correlation_entries(grid: PortGrid) -> np.ndarray:

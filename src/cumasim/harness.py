@@ -4,12 +4,14 @@ A sweep walks one axis (number of users, secrecy rate, Bob's residual
 interference factor, or Bob's total port count) and evaluates the
 requested metrics three ways per point: closed-form approximation,
 the tabulated exact law (optional) and Monte Carlo with standard
-errors.
+errors. Each receiver, Bob's or Eve's, is built once while the axis
+leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from .geometry import (
     preset_grid,
 )
 from .montecarlo import SeedSpec, SimConfig
-from .specfun import DomainError
+from .specfun import DomainError, _check_rate
 
 __all__ = [
     "SweepSpec",
@@ -111,8 +113,11 @@ class SweepSpec:
             raise DomainError("rs values must be nonnegative")
         if self.users < 2:
             raise DomainError(f"need at least 2 users, got {self.users}")
-        if not 0.0 < self.delta_b <= 1.0:
-            raise DomainError(f"delta_b must lie in (0, 1], got {self.delta_b}")
+        for name, delta in (("delta_b", self.delta_b), ("delta", self.delta_e)):
+            if not 0.0 < delta <= 1.0:
+                raise DomainError(f"{name} must lie in (0, 1], got {delta}")
+        _check_rate("gamma_th", self.gamma_th)
+        _check_rate("secrecy rate", self.rs)
         if self.mc and self.trials < 1000:
             raise DomainError("Monte Carlo sweeps need at least 1000 trials")
 
@@ -172,19 +177,23 @@ def _ports_axis_grid(n2: int) -> PortGrid:
 def run_sweep(spec: SweepSpec) -> ComparisonReport:
     """Evaluate the sweep and (optionally) write its CSV.
 
-    Each grid's correlation factor is built once per sweep, and only for
-    Monte Carlo columns; each point builds its own stats and samples, and
-    `evaluate_point` fills the point's rows.
+    A receiver's stats, and its samples for Monte Carlo columns, depend
+    only on its grid, users and delta, so each is built once while the
+    axis leaves those unchanged; the last Bob and Eve are kept. Only Monte
+    Carlo columns build a grid's correlation factor, once per grid.
     """
+    factor = functools.lru_cache(maxsize=2)(correlation_matrix)
 
-    def factor(grid):
-        return correlation_matrix(grid) if spec.mc and grid is not None else None
+    @functools.lru_cache(maxsize=2)
+    def receiver(grid, users, delta, substream):
+        # the factor first: its budget refuses a huge ports-axis grid before the stats build its table
+        config = SimConfig(factor(grid), users, delta) if spec.mc else None
+        stats = ChannelStats.from_grid(grid, users, delta=delta)
+        return stats, config and montecarlo.sir_samples(config, spec.trials, SeedSpec(spec.seed), substream=substream)
 
-    seed = SeedSpec(spec.seed)
     secrecy = any(m in _SOP_METRICS for m in spec.metrics)
     grid = None if spec.axis == "ports" else preset_grid(spec.preset)
     eve_grid = preset_grid(spec.eve_preset) if secrecy else None
-    corr, eve_corr = factor(grid), factor(eve_grid)
 
     rows: list[Row] = []
     for v in spec.values:
@@ -197,17 +206,10 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
             delta_b = float(v)
         else:  # ports
             grid = _ports_axis_grid(int(v))
-            corr = factor(grid)
         axis_value = float(grid.total_ports) if spec.axis == "ports" else float(v)
 
-        bob = ChannelStats.from_grid(grid, users, delta=delta_b)
-        eve = ChannelStats.from_grid(eve_grid, users, delta=spec.delta_e) if secrecy else None
-        bob_samples = eve_samples = None
-        if spec.mc:
-            bob_samples = montecarlo.sir_samples(SimConfig(corr, users, delta_b), spec.trials, seed, substream=0)
-            if secrecy:
-                eve_config = SimConfig(eve_corr, users, spec.delta_e)
-                eve_samples = montecarlo.sir_samples(eve_config, spec.trials, seed, substream=1)
+        bob, bob_samples = receiver(grid, users, delta_b, 0)
+        eve, eve_samples = receiver(eve_grid, users, spec.delta_e, 1) if secrecy else (None, None)
         point = evaluate_point(
             spec.metrics, users, gamma_th=spec.gamma_th, rs=rs, bob=bob, eve=eve,
             exact=spec.exact == "on", bob_samples=bob_samples, eve_samples=eve_samples,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from cumasim import analytic, approx, cli, harness
+from cumasim import analytic, approx, cli, harness, montecarlo
 from cumasim.analytic import ChannelStats, ExactLaw
 from cumasim.approx import approx_cdf_z, beta_I
 from cumasim.cli import main
@@ -62,6 +62,13 @@ class TestSweepSpecValidation:
         {"axis": "delta_b", "values": (0.5,), "delta_b": 0.0},
         # a repeated metric would print its rows twice
         {"metrics": ("er", "op", "er")},
+        # the fields that only some metrics read are checked for every sweep
+        {"metrics": ("er",), "gamma_th": math.nan},
+        {"gamma_th": -1.0},
+        {"rs": -1.0},
+        {"axis": "rs", "values": (1.0,), "rs": math.inf},
+        {"delta_e": 2.0},
+        {"delta_e": 0.0},
     ])
     def test_rejections(self, kw):
         with pytest.raises(DomainError):
@@ -100,7 +107,11 @@ class TestRunSweep:
         assert all(r.mc_mean is None for r in report.rows)
         assert all(r.analytic_approx is not None for r in report.rows)
 
-    def test_factor_is_built_once_per_grid(self, monkeypatch):
+    @pytest.mark.parametrize("eve_preset,factored", [
+        ("6GHz-C", ["6GHz-NC", "6GHz-C"]),
+        ("6GHz-NC", ["6GHz-NC"]),  # Bob and Eve on one grid share its factor
+    ], ids=["two-grids", "one-grid"])
+    def test_factor_is_built_once_per_grid(self, monkeypatch, eve_preset, factored):
         # three users-axis points share Bob's factor, and Eve's
         grids = []
 
@@ -109,9 +120,30 @@ class TestRunSweep:
             return correlation_matrix(grid)
 
         monkeypatch.setattr(harness, "correlation_matrix", counting)
-        spec = small_spec(values=(4.0, 6.0, 8.0), metrics=("er", "sop"), eve_preset="6GHz-C")
+        spec = small_spec(values=(4.0, 6.0, 8.0), metrics=("er", "sop"), eve_preset=eve_preset)
         assert len(run_sweep(spec).rows) == 6
-        assert grids == [preset_grid("6GHz-NC"), preset_grid("6GHz-C")]
+        assert grids == [preset_grid(name) for name in factored]
+
+    @pytest.mark.parametrize("axis,values,draws", [
+        ("rs", (0.0, 1.0, 2.0), 2),  # neither receiver depends on the secrecy rate
+        ("delta_b", (1.0, 0.5, 0.25), 4),  # Eve is drawn once
+        ("ports", (3.0, 4.0, 5.0), 4),
+        ("users", (4.0, 6.0, 8.0), 6),  # both receivers change at every point
+    ])
+    def test_each_receiver_is_drawn_once_per_system(self, monkeypatch, axis, values, draws):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sir_samples(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sir_samples", counting)
+        spec = small_spec(
+            axis=axis, values=values, metrics=("er", "sop"), eve_preset="6GHz-C",
+            preset=None if axis == "ports" else "6GHz-NC", users=6,
+        )
+        assert len(run_sweep(spec).rows) == 6
+        assert len(calls) == draws
 
     @pytest.mark.parametrize("axis,values", [("users", (4.0, 8.0)), ("ports", (4.0,))])
     def test_closed_form_only_mode_factors_nothing(self, monkeypatch, axis, values):
@@ -501,6 +533,22 @@ class TestCli:
             "preset = 6GHz-NC  users = 8  trials = 1500\ner: approx = 163.161  mc = 17.7092 +- 0.123\n"
             "op[1]: approx = 4.07171e-07  mc = 0.00866667 +- 0.00239\nks_total_vs_fit = 1.0000\n"
             "ks_inphase_vs_fit = 0.9967\n"
+        ),
+        "sweep --preset 6GHz-NC --eve-preset 6GHz-C --axis rs --values 0,1,2 --metrics sop,sop_lower "
+        "--users 8 --trials 1000 --seed 3 --exact off": (
+            f"{CSV_HEADER}\n0,sop,0.535978121092,,0.538,0.0157656588825,1000,3\n"
+            "0,sop_lower,0.535978121092,,0.538,0.0157656588825,1000,3\n"
+            "1,sop,0.697898119422,,0.901,0.0094445222219,1000,3\n"
+            "1,sop_lower,0.697898119422,,0.846,0.0114142016804,1000,3\n"
+            "2,sop,0.822073022449,,0.991,0.00298646948754,1000,3\n"
+            "2,sop_lower,0.822073022449,,0.978,0.00463853425125,1000,3\n"
+        ),
+        "sweep --axis ports --values 3,4 --eve-preset 6GHz-NC --metrics sop,er --users 6 --trials 1000 "
+        "--seed 5 --exact off": (
+            f"{CSV_HEADER}\n183,sop,0.976457974599,,0.871,0.0105999528301,1000,5\n"
+            "183,er,99.2822627063,,15.2550487883,0.151634616199,1000,5\n"
+            "244,sop,0.659476617873,,0.811,0.0123805896467,1000,5\n"
+            "244,er,125.805746327,,16.8755760457,0.144964105818,1000,5\n"
         ),
         "compare --preset 6GHz-NC --users 8 --trials 1000 --seed 5 --exact on": (
             "preset = 6GHz-NC  users = 8  trials = 1000\ner: approx = 163.161  exact = 18.4571  mc = 17.664 +- 0.158\n"
