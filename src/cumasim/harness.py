@@ -142,16 +142,8 @@ class ComparisonReport:
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
         for r in self.rows:
-            cells = [
-                _fmt(r.axis_value),
-                r.metric,
-                _fmt(r.analytic_approx),
-                _fmt(r.analytic_exact),
-                _fmt(r.mc_mean),
-                _fmt(r.mc_stderr),
-                str(r.trials),
-                str(r.seed),
-            ]
+            values = (r.analytic_approx, r.analytic_exact, r.mc_mean, r.mc_stderr)
+            cells = [_fmt(r.axis_value), r.metric, *map(_fmt, values), str(r.trials), str(r.seed)]
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
 
@@ -179,17 +171,23 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
 
     A receiver's stats, and its samples for Monte Carlo columns, depend
     only on its grid, users and delta, so each is built once while the
-    axis leaves those unchanged; the last Bob and Eve are kept. Only Monte
-    Carlo columns build a grid's correlation factor, once per grid.
+    axis leaves those unchanged and released before its replacement is
+    built. Only Monte Carlo columns build a grid's factor, once per grid.
     """
     factor = functools.lru_cache(maxsize=2)(correlation_matrix)
+    built = {}  # substream -> ((grid, users, delta), (stats, samples)): the last Bob (0) and the last Eve (1)
+    seed = SeedSpec(spec.seed)
 
-    @functools.lru_cache(maxsize=2)
     def receiver(grid, users, delta, substream):
-        # the factor first: its budget refuses a huge ports-axis grid before the stats build its table
-        config = SimConfig(factor(grid), users, delta) if spec.mc else None
-        stats = ChannelStats.from_grid(grid, users, delta=delta)
-        return stats, config and montecarlo.sir_samples(config, spec.trials, SeedSpec(spec.seed), substream=substream)
+        key = (grid, users, delta)
+        if built.get(substream, (None,))[0] != key:
+            built.pop(substream, None)
+            # the factor first: its budget refuses a huge ports-axis grid before the stats build its table
+            config = SimConfig(factor(grid), users, delta) if spec.mc else None
+            stats = ChannelStats.from_grid(grid, users, delta=delta)
+            samples = montecarlo.sir_samples(config, spec.trials, seed, substream=substream) if spec.mc else None
+            built[substream] = key, (stats, samples)
+        return built[substream][1]
 
     secrecy = any(m in _SOP_METRICS for m in spec.metrics)
     grid = None if spec.axis == "ports" else preset_grid(spec.preset)
@@ -208,6 +206,7 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
             grid = _ports_axis_grid(int(v))
         axis_value = float(grid.total_ports) if spec.axis == "ports" else float(v)
 
+        bob_samples = eve_samples = None  # so that a replaced receiver is freed before its redraw
         bob, bob_samples = receiver(grid, users, delta_b, 0)
         eve, eve_samples = receiver(eve_grid, users, spec.delta_e, 1) if secrecy else (None, None)
         point = evaluate_point(

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -144,6 +145,28 @@ class TestRunSweep:
         )
         assert len(run_sweep(spec).rows) == 6
         assert len(calls) == draws
+
+    @pytest.mark.parametrize("axis", ["users", "ports", "delta_b"])
+    @pytest.mark.parametrize("metrics", [("er",), ("er", "sop")], ids=["bob", "bob-and-eve"])
+    def test_a_sweep_holds_one_bob_and_one_eve(self, monkeypatch, axis, metrics):
+        # a replaced receiver is released before its successor is drawn
+        live, others = [], []
+
+        def counting(*args, **kwargs):
+            others.append(sum(ref() is not None for ref in live))
+            samples = sir_samples(*args, **kwargs)
+            live.append(weakref.ref(samples))
+            return samples
+
+        monkeypatch.setattr(montecarlo, "sir_samples", counting)
+        values = (1.0, 0.5, 0.25) if axis == "delta_b" else (4.0, 6.0, 8.0)
+        spec = small_spec(
+            axis=axis, values=values, metrics=metrics, eve_preset="6GHz-C",
+            preset=None if axis == "ports" else "6GHz-NC",
+        )
+        run_sweep(spec)
+        assert len(others) >= 3
+        assert max(others) <= len(metrics) - 1
 
     @pytest.mark.parametrize("axis,values", [("users", (4.0, 8.0)), ("ports", (4.0,))])
     def test_closed_form_only_mode_factors_nothing(self, monkeypatch, axis, values):
