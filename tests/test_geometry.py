@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -45,6 +48,13 @@ def ref_correlation(k, m, grid):
 def ref_entries(grid):
     ports = range(1, grid.total_ports + 1)
     return np.array([[ref_correlation(k, m, grid) for m in ports] for k in ports])
+
+
+def dense_eigenvalues(grid):
+    """Reference spectrum: eigh of the whole N x N matrix, cut as `correlation_matrix` cuts."""
+    eigvals = np.linalg.eigh(correlation_entries(grid))[0]
+    return eigvals[eigvals > geometry._RANK_CUT * eigvals[-1]]
+
 
 TABLE_CELLS = [
     (6e9, 0.5, (7, 4)),
@@ -164,7 +174,8 @@ class TestCorrelationMatrix:
 
     def test_beyond_tolerance_raises(self, monkeypatch):
         # the very compact layout carries tiny negative eigenvalues from
-        # floating point; an absurdly small budget must trip the check
+        # floating point in its parity blocks; an absurdly small budget must
+        # trip the check on the smallest of them
         monkeypatch.setattr(geometry, "_PSD_TOL", 1e-18)
         with pytest.raises(DomainError):
             correlation_matrix(preset_grid("6GHz-VC"))
@@ -182,8 +193,9 @@ class TestCorrelationMatrix:
             assert geometry._factor_bytes(preset_grid(name)) <= geometry._FACTOR_BUDGET_BYTES
 
     def test_budget_refuses_before_allocating(self):
-        # the ports axis at 300 rows: 18,300 ports, whose gather alone is 2.5 GiB
-        grid = PortGrid(61, 300, 3.0, 149.5)
+        # the ports axis at 331 rows, the first it refuses: 20,191 ports, whose
+        # factor at full rank alone would be 3.0 GiB
+        grid = PortGrid(61, 331, 3.0, 165.0)
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match="GiB budget"):
@@ -218,3 +230,59 @@ class TestCorrelationMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 3 * n * n * 8
+
+
+# (n1, n2) parities (odd, odd), (odd, even), (even, odd), (even, even); the
+# compact ones are cut below full rank
+FOLD_GRIDS = [
+    PortGrid(2, 2, 0.5, 0.5),
+    PortGrid(3, 2, 0.2, 0.5),
+    PortGrid(2, 3, 0.5, 0.2),
+    PortGrid(3, 3, 1.0, 1.0),
+    PortGrid(9, 7, 0.4, 3.0),
+    PortGrid(12, 5, 1.1, 0.3),
+    PortGrid(10, 9, 0.45, 4.0),
+    PortGrid(16, 6, 0.75, 2.5),
+    *(preset_grid(name) for name in ("6GHz-NC", "6GHz-C", "6GHz-VC", "26GHz-NC")),
+]
+
+
+class TestParityFold:
+    """The folded factor against eigh of the whole matrix."""
+
+    @pytest.mark.parametrize("grid", FOLD_GRIDS, ids=lambda g: f"{g.n1}x{g.n2}")
+    def test_matches_dense_eigh(self, grid):
+        eigvals = dense_eigenvalues(grid)
+        f = correlation_matrix(grid).factor
+        assert f.shape == (grid.total_ports, eigvals.size)
+        assert np.max(np.abs(f @ f.T - correlation_entries(grid))) <= 1e-8
+        gram = f.T @ f
+        scale = eigvals[-1]
+        # ascending eigenvalues on the diagonal, orthogonal columns off it
+        assert np.max(np.abs(np.diag(gram) - eigvals)) <= 1e-10 * scale
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("grid", FOLD_GRIDS, ids=lambda g: f"{g.n1}x{g.n2}")
+    def test_columns_are_even_or_odd_under_each_reflection(self, grid):
+        cols = correlation_matrix(grid).factor.T.reshape(-1, grid.n2, grid.n1)
+        for axis in (1, 2):
+            mirrored = np.flip(cols, axis=axis)
+            even = np.all(mirrored == cols, axis=(1, 2))
+            odd = np.all(mirrored == -cols, axis=(1, 2))
+            assert np.all(even | odd)
+
+    def test_large_grid_rank_and_peak_memory(self):
+        # 26GHz-VC, 3654 ports, in a fresh process: its dense eigh peaked at
+        # about 570 MB; the folded factor must stay under 400 MB
+        code = (
+            "import resource; from cumasim.geometry import correlation_matrix, preset_grid; "
+            "cm = correlation_matrix(preset_grid('26GHz-VC')); "
+            "print(cm.factor.shape[1], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        src = os.path.dirname(os.path.dirname(geometry.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        rank, max_rss_kib = map(int, child.stdout.split())
+        assert rank == 515
+        assert max_rss_kib * 1024 < 400e6

@@ -292,7 +292,8 @@ class TestEvaluatePoint:
 class TestCsv:
     def test_golden_mc_columns(self):
         # all four Monte Carlo reductions of one small sweep, frozen from the
-        # first run of the one-generator-per-block stream at this seed
+        # first run of the one-generator-per-block stream on the
+        # reflection-folded factor at this seed
         spec = SweepSpec(
             axis="delta_b",
             values=(1.0, 0.25),
@@ -307,14 +308,14 @@ class TestCsv:
         )
         cells = [line.split(",") for line in run_sweep(spec).to_csv().splitlines()[1:]]
         assert [",".join(c[:2] + c[4:6]) for c in cells] == [
-            "1,er,16.4181229044,0.152225560921",
+            "1,er,16.4107138673,0.151238089934",
             "1,op,0.003,0.00172945077987",
-            "1,sop,0.711,0.014334538709",
-            "1,sop_lower,0.679,0.0147634345597",
-            "0.25,er,27.1999677345,0.171346681081",
+            "1,sop,0.703,0.0144496020706",
+            "1,sop_lower,0.672,0.0148464137084",
+            "0.25,er,27.1922620792,0.170451043098",
             "0.25,op,0,0",
-            "0.25,sop,0.123,0.0103860964756",
-            "0.25,sop_lower,0.116,0.0101264011376",
+            "0.25,sop,0.136,0.010839926199",
+            "0.25,sop_lower,0.129,0.0105999528301",
         ]
 
     def test_header_and_shape(self):
@@ -549,34 +550,34 @@ class TestCli:
             "sop_lower_approx = 0.659476618\n"
         ),
         "simulate --preset 6GHz-NC --users 8 --trials 1500 --seed 3": (
-            "preset = 6GHz-NC\ntrials = 1500\ner_mc = 17.709239 +- 0.123\nop_mc[1] = 0.00866666667 +- 0.00239\n"
-            "mean_sir = 4.07850661\nmean_k_i = 13.8753333\nredrawn = 0\n"
+            "preset = 6GHz-NC\ntrials = 1500\ner_mc = 17.6865209 +- 0.122\nop_mc[1] = 0.00866666667 +- 0.00239\n"
+            "mean_sir = 4.05951807\nmean_k_i = 13.96\nredrawn = 0\n"
         ),
         "compare --preset 6GHz-NC --users 8 --trials 1500 --seed 3 --exact off": (
-            "preset = 6GHz-NC  users = 8  trials = 1500\ner: approx = 163.161  mc = 17.7092 +- 0.123\n"
+            "preset = 6GHz-NC  users = 8  trials = 1500\ner: approx = 163.161  mc = 17.6865 +- 0.122\n"
             "op[1]: approx = 4.07171e-07  mc = 0.00866667 +- 0.00239\nks_total_vs_fit = 1.0000\n"
-            "ks_inphase_vs_fit = 0.9967\n"
+            "ks_inphase_vs_fit = 0.9968\n"
         ),
         "sweep --preset 6GHz-NC --eve-preset 6GHz-C --axis rs --values 0,1,2 --metrics sop,sop_lower "
         "--users 8 --trials 1000 --seed 3 --exact off": (
-            f"{CSV_HEADER}\n0,sop,0.535978121092,,0.538,0.0157656588825,1000,3\n"
-            "0,sop_lower,0.535978121092,,0.538,0.0157656588825,1000,3\n"
+            f"{CSV_HEADER}\n0,sop,0.535978121092,,0.541,0.0157581407533,1000,3\n"
+            "0,sop_lower,0.535978121092,,0.541,0.0157581407533,1000,3\n"
             "1,sop,0.697898119422,,0.901,0.0094445222219,1000,3\n"
-            "1,sop_lower,0.697898119422,,0.846,0.0114142016804,1000,3\n"
-            "2,sop,0.822073022449,,0.991,0.00298646948754,1000,3\n"
-            "2,sop_lower,0.822073022449,,0.978,0.00463853425125,1000,3\n"
+            "1,sop_lower,0.697898119422,,0.854,0.0111661989952,1000,3\n"
+            "2,sop,0.822073022449,,0.994,0.00244213021766,1000,3\n"
+            "2,sop_lower,0.822073022449,,0.977,0.00474035863622,1000,3\n"
         ),
         "sweep --axis ports --values 3,4 --eve-preset 6GHz-NC --metrics sop,er --users 6 --trials 1000 "
         "--seed 5 --exact off": (
             f"{CSV_HEADER}\n183,sop,0.976457974599,,0.871,0.0105999528301,1000,5\n"
-            "183,er,99.2822627063,,15.2550487883,0.151634616199,1000,5\n"
-            "244,sop,0.659476617873,,0.811,0.0123805896467,1000,5\n"
-            "244,er,125.805746327,,16.8755760457,0.144964105818,1000,5\n"
+            "183,er,99.2822627063,,15.1780930733,0.146638893161,1000,5\n"
+            "244,sop,0.659476617873,,0.806,0.0125045591686,1000,5\n"
+            "244,er,125.805746327,,16.8198723612,0.146532128772,1000,5\n"
         ),
         "compare --preset 6GHz-NC --users 8 --trials 1000 --seed 5 --exact on": (
-            "preset = 6GHz-NC  users = 8  trials = 1000\ner: approx = 163.161  exact = 18.4571  mc = 17.664 +- 0.158\n"
-            "op[1]: approx = 4.07171e-07  exact = 0.0099498  mc = 0.007 +- 0.00264\nks_total_vs_fit = 1.0000\n"
-            "ks_inphase_vs_fit = 0.9962\n"
+            "preset = 6GHz-NC  users = 8  trials = 1000\ner: approx = 163.161  exact = 18.4571  mc = 17.6566 +- 0.16\n"
+            "op[1]: approx = 4.07171e-07  exact = 0.0099498  mc = 0.009 +- 0.00299\nks_total_vs_fit = 1.0000\n"
+            "ks_inphase_vs_fit = 0.9965\n"
         ),
     }
 
@@ -629,9 +630,9 @@ class TestCli:
         assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
 
     def test_oversized_factor_is_validation_error(self, capsys):
-        # 300 rows of the ports axis are 18,300 ports: refused before the
-        # 2.5 GiB gather that used to end in a MemoryError
-        assert main(["sweep", "--axis", "ports", "--values", "300", "--metrics", "er", "--trials", "1000"]) == 2
+        # 331 rows of the ports axis, the first the factor's budget refuses,
+        # are 20,191 ports: refused before any array is built
+        assert main(["sweep", "--axis", "ports", "--values", "331", "--metrics", "er", "--trials", "1000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "GiB budget" in captured.err
 
