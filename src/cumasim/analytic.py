@@ -18,6 +18,7 @@ the same units as the simulator's samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,6 +97,15 @@ class ChannelStats:
         m2 = self.mu * self.mu + self.sigma1_sq
         dof = max(self.interferers - 2, 1)
         return 2.0 * m2 / (dof * (self.delta * self.sigma2_sq))
+
+    @functools.cached_property
+    def law(self) -> "ExactLaw":
+        """Exact law of the raw total SIR, centred at its mean; tabulated on first use, then kept.
+
+        The upper end tracks the z^(-I/2) tail of the survival function.
+        """
+        hi = min(60.0 / self.interferers + 5.0, 80.0)
+        return ExactLaw(lambda z: exact_pdf_z(z, self), self.mean_sir(), -30.0, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +278,6 @@ class ExactLaw:
                 f"tabulated law has mass {total} (tolerance {_MASS_TOL}) on ln(z / {scale:g}) in [{lo:g}, {hi:g}]"
             )
 
-    @classmethod
-    def from_stats(cls, stats: ChannelStats) -> "ExactLaw":
-        """Exact law of the raw total SIR, centred at its mean.
-
-        The upper end tracks the z^(-I/2) tail of the survival function.
-        """
-        hi = min(60.0 / stats.interferers + 5.0, 80.0)
-        return cls(lambda z: exact_pdf_z(z, stats), stats.mean_sir(), -30.0, hi)
-
-    @classmethod
-    def from_pdf(cls, pdf, scale: float) -> "ExactLaw":
-        """Law of a vectorised density ``pdf`` that lives on the scale ``scale``."""
-        return cls(pdf, scale, -40.0, 40.0)
-
     def expect(self, phi) -> float:
         """E[phi(Z)] for ``phi`` vectorised over z."""
         return float(np.sum(self._mass * phi(self._z)))
@@ -317,24 +313,25 @@ def exact_op(gamma_th: float, law: ExactLaw) -> float:
     return float(law.cdf(exp2(gamma_th) - 1.0))
 
 
+def _secrecy_expect(law_b: ExactLaw, law_e: ExactLaw, rs: float, shift: float) -> float:
+    """E_E[F_B(tau (shift + Z_E) - shift)], tau = 2^rs, clamped to [0, 1]."""
+    _check_rate("secrecy rate", rs)
+    tau = exp2(rs)
+    # a finite tau times the law's upper nodes may overflow to inf, where F_B is 1
+    with np.errstate(over="ignore"):
+        val = law_e.expect(lambda z: law_b.cdf(tau * (shift + z) - shift))
+    return min(max(val, 0.0), 1.0)
+
+
 def exact_sop(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
     """Secrecy outage probability E_E[F_B(tau (1 + Z_E) - 1)], tau = 2^rs.
 
     Both rate variables are raw SIRs, matching the rate convention of the
     ergodic-rate and outage metrics (and of the simulator).
     """
-    _check_rate("secrecy rate", rs)
-    tau = exp2(rs)
-    # a finite tau times the law's upper nodes may overflow to inf, where F_B is 1
-    with np.errstate(over="ignore"):
-        val = law_e.expect(lambda z: law_b.cdf(tau * (1.0 + z) - 1.0))
-    return min(max(val, 0.0), 1.0)
+    return _secrecy_expect(law_b, law_e, rs, 1.0)
 
 
 def sop_lower_numeric(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
     """Lower bound Pr{Z_B < tau Z_E} = E_E[F_B(tau Z_E)], raw-SIR variables."""
-    _check_rate("secrecy rate", rs)
-    tau = exp2(rs)
-    with np.errstate(over="ignore"):  # as in exact_sop
-        val = law_e.expect(lambda z: law_b.cdf(tau * z))
-    return min(max(val, 0.0), 1.0)
+    return _secrecy_expect(law_b, law_e, rs, 0.0)

@@ -5,7 +5,7 @@ interference factor, or Bob's total port count) and evaluates the
 requested metrics three ways per point: closed-form approximation,
 the tabulated exact law (optional) and Monte Carlo with standard
 errors. Each receiver, Bob's or Eve's, is built once while the axis
-leaves it unchanged.
+leaves it unchanged, and so is its exact law.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import analytic, approx, montecarlo
-from .analytic import ChannelStats, ExactLaw
+from .analytic import ChannelStats
 from .geometry import (
     HANDSET_APERTURE_M,
     PortGrid,
@@ -169,10 +169,10 @@ def _ports_axis_grid(n2: int) -> PortGrid:
 def run_sweep(spec: SweepSpec) -> ComparisonReport:
     """Evaluate the sweep and (optionally) write its CSV.
 
-    A receiver's stats, and its samples for Monte Carlo columns, depend
-    only on its grid, users and delta, so each is built once while the
-    axis leaves those unchanged and released before its replacement is
-    built. Only Monte Carlo columns build a grid's factor, once per grid.
+    A receiver's stats (which keep its exact law) and its samples for Monte
+    Carlo columns depend only on its grid, users and delta, so each is built
+    once while the axis leaves those unchanged and released before its
+    replacement. Only Monte Carlo columns build a grid's factor, once per grid.
     """
     factor = functools.lru_cache(maxsize=2)(correlation_matrix)
     built = {}  # substream -> ((grid, users, delta), (stats, samples)): the last Bob (0) and the last Eve (1)
@@ -248,8 +248,8 @@ def evaluate_point(
     needs Bob's SampleSet ``bob_samples``. The secrecy metrics also need
     Eve's stats ``eve`` or samples ``eve_samples`` (``rs`` is read only by
     them). The Monte Carlo reductions run first, so their validation
-    errors come before a failing law's; then each terminal's exact law is
-    tabulated once, feeding every exact column.
+    errors come before a failing law's; then each terminal's exact law,
+    ``ChannelStats.law``, is read, tabulated on its first use.
     """
     bad = [m for m in metrics if m not in _METRICS]
     if bad:
@@ -264,7 +264,7 @@ def evaluate_point(
     laws = scales = None
     if bob is not None:
         sides = (bob, eve if secrecy else None)
-        laws = [None if s is None else ExactLaw.from_stats(s) for s in sides] if exact else None
+        laws = [None if s is None else s.law for s in sides] if exact else None
         scales = [None if s is None else approx.beta_I(s) for s in sides]
     point = {}
     for m in metrics:
@@ -304,12 +304,12 @@ class KSReport:
 def compare_distributions(config: SimConfig, stats: ChannelStats, trials: int, seed: SeedSpec) -> KSReport:
     """KS distances between simulated SIR samples and the fitted laws.
 
-    ``config`` and ``stats`` describe the same terminal (users and delta
-    must agree). The total SIR is tested against the exponential
+    ``config`` and ``stats`` describe the same terminal (ports, users and
+    delta must agree). The total SIR is tested against the exponential
     fit and the in-phase branch against the Gamma(1/2) fit, both at the
     raw-SIR scale beta_I.
     """
-    if (config.users - 1, config.delta) != (stats.interferers, stats.delta):
+    if (config.corr.dim, config.users - 1, config.delta) != (stats.nbar, stats.interferers, stats.delta):
         raise DomainError("simulation config and channel stats describe different systems")
     samples = montecarlo.sir_samples(config, trials, seed)
     beta = approx.beta_I(stats)

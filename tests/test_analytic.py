@@ -368,7 +368,7 @@ class TestExactPdfZ:
 
 @pytest.fixture(scope="module")
 def case1_law(case1_stats):
-    return ExactLaw.from_stats(case1_stats)
+    return case1_stats.law
 
 
 class TestExactLaw:
@@ -391,7 +391,7 @@ class TestExactLaw:
     @pytest.mark.parametrize("pdf", [lambda z: 2.0 * np.exp(-z), lambda z: np.where(z > 1.0, np.nan, np.exp(-z))])
     def test_failure_check(self, pdf):
         with pytest.raises(QuadratureError):
-            ExactLaw.from_pdf(pdf, 1.0)
+            ExactLaw(pdf, 1.0, -40.0, 40.0)
 
     @pytest.mark.filterwarnings("error")
     def test_range_past_the_float_range_is_refused(self, case1_grid):
@@ -400,8 +400,8 @@ class TestExactLaw:
         # law is refused before e^s overflows. At 19 interferers the table
         # ends 8.2 past ln(scale), inside the float range.
         with pytest.raises(QuadratureError, match="past the float range"):
-            ExactLaw.from_stats(ChannelStats.from_grid(case1_grid, 3, delta=1e-300))
-        law = ExactLaw.from_stats(ChannelStats.from_grid(case1_grid, 20, delta=1e-300))
+            ChannelStats.from_grid(case1_grid, 3, delta=1e-300).law
+        law = ChannelStats.from_grid(case1_grid, 20, delta=1e-300).law
         assert exact_er(20, law) == pytest.approx(19937.32, abs=0.01)
 
     @pytest.mark.parametrize("users", [10, 200])
@@ -409,7 +409,7 @@ class TestExactLaw:
         # E[Z] = 2 E[Y^2] / (delta sigma2^2 (I - 2)); the table's upper end
         # follows the z^(-I/2) tail at few and at many interferers
         stats = ChannelStats.from_grid(case1_grid, users)
-        assert ExactLaw.from_stats(stats).expect(lambda z: z) == pytest.approx(stats.mean_sir(), rel=1e-10)
+        assert stats.law.expect(lambda z: z) == pytest.approx(stats.mean_sir(), rel=1e-10)
 
 
 class TestExactMetrics:
@@ -417,7 +417,7 @@ class TestExactMetrics:
         # Z ~ Exp(eps) read as the rate variable Z / sigma2^2
         eps = 1e-12
         beta = eps / case1_stats.sigma2_sq
-        val = exact_er(20, ExactLaw.from_pdf(lambda z: np.exp(-z / beta) / beta, beta))
+        val = exact_er(20, ExactLaw(lambda z: np.exp(-z / beta) / beta, beta, -40.0, 40.0))
         assert val < 1e-6
 
     def test_er_linear_in_users(self, case1_law):
@@ -476,15 +476,15 @@ class TestExactMetrics:
 
     def test_golden_secrecy_preset_pair(self):
         # values of the nested adaptive quadrature at tolerance 1e-6
-        bob = ExactLaw.from_stats(ChannelStats.from_grid(preset_grid("6GHz-VC"), users=20))
-        eve = ExactLaw.from_stats(ChannelStats.from_grid(preset_grid("6GHz-NC"), users=20))
+        bob = ChannelStats.from_grid(preset_grid("6GHz-VC"), users=20).law
+        eve = ChannelStats.from_grid(preset_grid("6GHz-NC"), users=20).law
         assert exact_er(20, bob) == pytest.approx(36.27374512077206, rel=1e-7)
         assert exact_op(1.0, bob) == pytest.approx(0.028866236558766377, rel=1e-7)
         assert exact_sop(bob, eve, 1.0) == pytest.approx(0.7468193366319631, rel=1e-7)
 
     def test_golden_heavy_tail(self, case1_grid):
         # one interferer: the survival function decays only like z^(-1/2)
-        law = ExactLaw.from_stats(ChannelStats.from_grid(case1_grid, users=2))
+        law = ChannelStats.from_grid(case1_grid, users=2).law
         assert exact_er(2, law) == pytest.approx(14.490997484553361, rel=1e-7)
         assert exact_op(1.0, law) == pytest.approx(1.614967397478048e-05, rel=1e-7)
 
@@ -501,12 +501,12 @@ def bob_stats():
 
 @pytest.fixture(scope="module")
 def eve_law(eve_stats):
-    return ExactLaw.from_stats(eve_stats)
+    return eve_stats.law
 
 
 @pytest.fixture(scope="module")
 def bob_law(bob_stats):
-    return ExactLaw.from_stats(bob_stats)
+    return bob_stats.law
 
 
 class TestSecrecyMetrics:
@@ -554,8 +554,8 @@ class TestSubstitutedDensities:
 
         beta_b, beta_e, rs = 2.4, 0.9, 1.3
         got = sop_lower_numeric(
-            ExactLaw.from_pdf(lambda z: np.exp(-z / beta_b) / beta_b, beta_b),
-            ExactLaw.from_pdf(lambda z: np.exp(-z / beta_e) / beta_e, beta_e),
+            ExactLaw(lambda z: np.exp(-z / beta_b) / beta_b, beta_b, -40.0, 40.0),
+            ExactLaw(lambda z: np.exp(-z / beta_e) / beta_e, beta_e, -40.0, 40.0),
             rs,
         )
         assert got == pytest.approx(sop_lower_closed(beta_b, beta_e, rs), abs=1e-6)
@@ -566,7 +566,7 @@ class TestSubstitutedDensities:
         tau = 2.0**rs
 
         def gamma_half(beta):
-            return ExactLaw.from_pdf(lambda z: np.exp(-z / beta) / np.sqrt(np.pi * beta * z), beta)
+            return ExactLaw(lambda z: np.exp(-z / beta) / np.sqrt(np.pi * beta * z), beta, -40.0, 40.0)
 
         got = sop_lower_numeric(gamma_half(beta_b), gamma_half(beta_e), rs)
         want = 2.0 / math.pi * math.atan(math.sqrt(tau * beta_e / beta_b))

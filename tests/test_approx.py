@@ -25,7 +25,7 @@ from cumasim.specfun import DomainError
 
 def exponential_law(beta):
     """Tabulated law of the exponential fit Exp(beta), the closed forms' reference."""
-    return ExactLaw.from_pdf(lambda z: np.exp(-z / beta) / beta, beta)
+    return ExactLaw(lambda z: np.exp(-z / beta) / beta, beta, -40.0, 40.0)
 
 
 def random_stats(rng, n=20):

@@ -132,19 +132,26 @@ class TestRunSweep:
         ("users", (4.0, 6.0, 8.0), 6),  # both receivers change at every point
     ])
     def test_each_receiver_is_drawn_once_per_system(self, monkeypatch, axis, values, draws):
-        calls = []
+        # a receiver's samples and its exact law alike
+        calls, laws = [], []
+        init = ExactLaw.__init__
 
         def counting(*args, **kwargs):
             calls.append(args)
             return sir_samples(*args, **kwargs)
 
+        def tabulating(law, *args):
+            laws.append(args)
+            init(law, *args)
+
         monkeypatch.setattr(montecarlo, "sir_samples", counting)
+        monkeypatch.setattr(ExactLaw, "__init__", tabulating)
         spec = small_spec(
             axis=axis, values=values, metrics=("er", "sop"), eve_preset="6GHz-C",
-            preset=None if axis == "ports" else "6GHz-NC", users=6,
+            preset=None if axis == "ports" else "6GHz-NC", users=6, exact="on",
         )
         assert len(run_sweep(spec).rows) == 6
-        assert len(calls) == draws
+        assert len(calls) == len(laws) == draws
 
     @pytest.mark.parametrize("axis", ["users", "ports", "delta_b"])
     @pytest.mark.parametrize("metrics", [("er",), ("er", "sop")], ids=["bob", "bob-and-eve"])
@@ -255,7 +262,7 @@ class TestEvaluatePoint:
     def test_every_route_of_every_metric(self, point_inputs):
         bob, eve = point_inputs["bob"], point_inputs["eve"]
         point = harness.evaluate_point(harness._METRICS, 6, gamma_th=1.0, rs=0.5, exact=True, **point_inputs)
-        law_b, law_e = ExactLaw.from_stats(bob), ExactLaw.from_stats(eve)
+        law_b, law_e = bob.law, eve.law
         beta_b, beta_e = beta_I(bob), beta_I(eve)
         samples = (point_inputs["bob_samples"], point_inputs["eve_samples"])
         want = {
@@ -270,9 +277,10 @@ class TestEvaluatePoint:
 
     def test_a_column_needs_its_input(self, point_inputs, monkeypatch):
         def refuse(stats):
-            raise AssertionError("a law was tabulated without exact=True")
+            raise AssertionError("a law was read without exact=True")
 
-        monkeypatch.setattr(ExactLaw, "from_stats", refuse)
+        # a property outranks the law already cached on the fixture's stats
+        monkeypatch.setattr(ChannelStats, "law", property(refuse))
         closed = harness.evaluate_point(("er", "sop"), 6, gamma_th=1.0, rs=0.5, bob=point_inputs["bob"],
                                         eve=point_inputs["eve"])
         assert all(cols[0] is not None and cols[1:] == (None, None, None) for cols in closed.values())
@@ -384,7 +392,7 @@ class TestKsStatistic:
                 lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)),
                 lambda x: math.erf(math.sqrt(max(x, 0.0) / beta)),
             ),
-            "exact": (ExactLaw.from_stats(case1_stats).cdf, ExactLaw.from_stats(case1_stats).cdf),
+            "exact": (case1_stats.law.cdf, case1_stats.law.cdf),
         }
         vec, scalar = cdfs[law]
         x = np.sort(np.random.default_rng(3).exponential(beta, 2000))
@@ -409,7 +417,7 @@ class TestCompareDistributions:
     def test_exact_distribution_tracks_simulation(self, nc_system, nc_samples):
         # the analytic chain is a Gaussian surrogate of the true port
         # selection; at this layout the gap stays near 0.1
-        assert ks_statistic(nc_samples.sir, ExactLaw.from_stats(nc_system[1]).cdf) < 0.12
+        assert ks_statistic(nc_samples.sir, nc_system[1].law.cdf) < 0.12
 
     def test_fit_distance_reported(self, nc_system, nc_samples):
         # the raw samples against the raw-SIR scale beta_I
@@ -428,6 +436,10 @@ class TestCompareDistributions:
         config, _ = nc_system
         with pytest.raises(DomainError):
             compare_distributions(config, ChannelStats.from_grid(preset_grid("6GHz-NC"), 8), 1000, SeedSpec(5))
+        # same users and delta, but the config factors another grid
+        config = SimConfig(corr=correlation_matrix(preset_grid("6GHz-VC")), users=20)
+        with pytest.raises(DomainError, match="different systems"):
+            compare_distributions(config, ChannelStats.from_grid(preset_grid("6GHz-NC"), 20), 1000, SeedSpec(5))
 
 
 class TestConfigParsing:
@@ -578,6 +590,21 @@ class TestCli:
             "preset = 6GHz-NC  users = 8  trials = 1000\ner: approx = 163.161  exact = 18.4571  mc = 17.6566 +- 0.16\n"
             "op[1]: approx = 4.07171e-07  exact = 0.0099498  mc = 0.009 +- 0.00299\nks_total_vs_fit = 1.0000\n"
             "ks_inphase_vs_fit = 0.9965\n"
+        ),
+        "sweep --preset 6GHz-VC --eve-preset 6GHz-NC --axis rs --values 0,1,2 --metrics er,op,sop,sop_lower "
+        "--users 20 --no-mc": (
+            f"{CSV_HEADER}\n0,er,378.72481213,36.2737451208,,,10000,0\n"
+            "0,op,1.11930544828e-06,0.0288662365036,,,10000,0\n"
+            "0,sop,0.491954580328,0.130230889249,,,10000,0\n"
+            "0,sop_lower,0.491954580328,0.130230889249,,,10000,0\n"
+            "1,er,378.72481213,36.2737451208,,,10000,0\n"
+            "1,op,1.11930544828e-06,0.0288662365036,,,10000,0\n"
+            "1,sop,0.659476617873,0.746819334966,,,10000,0\n"
+            "1,sop_lower,0.659476617873,0.498597216916,,,10000,0\n"
+            "2,er,378.72481213,36.2737451208,,,10000,0\n"
+            "2,op,1.11930544828e-06,0.0288662365036,,,10000,0\n"
+            "2,sop,0.794800735088,0.992424879111,,,10000,0\n"
+            "2,sop_lower,0.794800735088,0.869072763714,,,10000,0\n"
         ),
     }
 
