@@ -1,5 +1,6 @@
-import sys
+"""``python -m cumasim``: the `cumasim` command."""
 
-from .cli import main
+from .cli import entry
 
-sys.exit(main())
+if __name__ == "__main__":
+    entry()

@@ -3,13 +3,15 @@
 Subcommands: presets, analyze (closed-form only), simulate (Monte Carlo
 only), compare (both plus KS), sweep (figure recipes from a config file
 or flags; flags given beside a file override its fields). Exit codes: 0
-success, 2 validation error, 3 numerical failure.
+success, 2 validation error, 3 numerical failure. The `cumasim` command
+and ``python -m cumasim`` run `entry`; `main` is the in-process call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 
 from . import approx, harness, montecarlo
@@ -19,7 +21,7 @@ from .harness import SweepSpec, evaluate_point, integer, parse_config, run_sweep
 from .montecarlo import SeedSpec, SimConfig
 from .specfun import DomainError
 
-__all__ = ["EXIT_OK", "EXIT_VALIDATION", "EXIT_NUMERICAL", "main"]
+__all__ = ["EXIT_OK", "EXIT_VALIDATION", "EXIT_NUMERICAL", "main", "entry"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -188,5 +190,13 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry():
+    """Run `main` on the command line and exit the process with its code.
+
+    The heap left by the imports is frozen out of the garbage collector
+    first, so the exiting interpreter neither walks nor frees it. Only the
+    process entry freezes: `main` leaves its caller's heap alone.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)

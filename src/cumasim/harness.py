@@ -172,7 +172,9 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
     A receiver's stats (which keep its exact law) and its samples for Monte
     Carlo columns depend only on its grid, users and delta, so each is built
     once while the axis leaves those unchanged and released before its
-    replacement. Only Monte Carlo columns build a grid's factor, once per grid.
+    replacement; Bob and Eve on equal (grid, users, delta) share one stats,
+    and so one law, while each draws its own samples. Only Monte Carlo
+    columns build a grid's factor, once per grid.
     """
     factor = functools.lru_cache(maxsize=2)(correlation_matrix)
     built = {}  # substream -> ((grid, users, delta), (stats, samples)): the last Bob (0) and the last Eve (1)
@@ -184,7 +186,8 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
             built.pop(substream, None)
             # the factor first: its budget refuses a huge ports-axis grid before the stats build its table
             config = SimConfig(factor(grid), users, delta) if spec.mc else None
-            stats = ChannelStats.from_grid(grid, users, delta=delta)
+            twins = [stats for other, (stats, _) in built.values() if other == key]
+            stats = twins[0] if twins else ChannelStats.from_grid(grid, users, delta=delta)
             samples = montecarlo.sir_samples(config, spec.trials, seed, substream=substream) if spec.mc else None
             built[substream] = key, (stats, samples)
         return built[substream][1]

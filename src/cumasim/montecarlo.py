@@ -134,14 +134,18 @@ def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, d
         redraws[rows] = attempt
         d = rng.standard_normal((2 * n, factor.shape[1])) @ factor.T  # rows 2j, 2j + 1: Re d, Im d
         chi = rng.chisquare(interferers, (n, 2))
-        masks = np.zeros_like(d)
+        # d is the round's one working array: activation is d > 0, so the
+        # activated sums are the sums of max(d, 0); then d holds the masks
+        nu = np.square(np.maximum(d, 0.0, out=d).sum(axis=1)).reshape(n, 2)
         for j, t in enumerate(rows):
-            on_i, on_q = select_ports(d[2 * j] + 1j * d[2 * j + 1])
-            masks[2 * j, on_i] = 1.0
-            masks[2 * j + 1, on_q] = 1.0
+            pair = d[2 * j : 2 * j + 2]
+            on_i, on_q = select_ports(pair[0] + 1j * pair[1])
+            pair.fill(0.0)
+            pair[0, on_i] = 1.0
+            pair[1, on_q] = 1.0
             k_i[t] = len(on_i)
-        q = np.square(masks @ factor).sum(axis=1).reshape(n, 2)
-        nu = np.square((masks * d).sum(axis=1)).reshape(n, 2)
+        proj = d @ factor
+        q = np.square(proj, out=proj).sum(axis=1).reshape(n, 2)
         xi = delta * q * chi
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = nu / xi

@@ -1,7 +1,13 @@
 import argparse
 import dataclasses
+import gc
 import math
+import os
+import subprocess
+import sys
+import tomllib
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +158,30 @@ class TestRunSweep:
         )
         assert len(run_sweep(spec).rows) == 6
         assert len(calls) == len(laws) == draws
+
+    @pytest.mark.parametrize("mc", [False, True], ids=["no-mc", "mc"])
+    def test_equal_receivers_share_one_law(self, monkeypatch, capsys, mc):
+        # Eve with Bob's CUMA type: one stats and one law, her own samples
+        argv = ["sweep", "--preset", "6GHz-NC", "--eve-preset", "6GHz-NC", "--axis", "rs", "--values", "0,1,2",
+                "--metrics", "sop", "--users", "20"] + (["--trials", "1000"] if mc else ["--no-mc"])
+        laws, substreams = [], []
+        init = ExactLaw.__init__
+
+        def tabulating(law, *args):
+            laws.append(args)
+            init(law, *args)
+
+        def counting(*args, substream=0):
+            substreams.append(substream)
+            return sir_samples(*args, substream=substream)
+
+        monkeypatch.setattr(ExactLaw, "__init__", tabulating)
+        monkeypatch.setattr(montecarlo, "sir_samples", counting)
+        assert main(argv) == 0
+        assert len(laws) == 1
+        assert substreams == ([0, 1] if mc else [])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3 and all(row.startswith(f"{v},sop,") for row, v in zip(rows, (0, 1, 2)))
 
     @pytest.mark.parametrize("axis", ["users", "ports", "delta_b"])
     @pytest.mark.parametrize("metrics", [("er",), ("er", "sop")], ids=["bob", "bob-and-eve"])
@@ -860,3 +890,56 @@ class TestCli:
         assert main(["sweep", "--axis", "ports", "--values", "1e30", "--metrics", "er", "--no-mc"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "port-offset table" in captured.err and "GiB budget" in captured.err
+
+
+def run_child(args, code=None):
+    """A fresh interpreter: ``python -m cumasim ARGS``, or ``python -c CODE ARGS``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    head = ["-m", "cumasim"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *args], env=env, capture_output=True, timeout=300)
+
+
+class TestProcessEntry:
+    """``python -m cumasim`` and the `cumasim` script run `cli.entry`, which exits with main's code."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["sweep", "--preset", "6GHz-NC", "--eve-preset", "6GHz-NC", "--axis", "rs", "--values", "0,1",
+          "--metrics", "er,sop", "--users", "20", "--no-mc"], 0),
+        (["analyze", "--preset", "6GHz-NC", "--rs", "1"], 2),
+        (["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "1e308", "--metrics", "er", "--no-mc"], 3),
+    ], ids=["ok", "validation", "numerical"])
+    def test_module_run_prints_what_main_prints(self, argv, code, capsysbinary):
+        child = run_child(argv)
+        assert main(argv) == code
+        captured = capsysbinary.readouterr()
+        assert child.returncode == code
+        assert (child.stdout, child.stderr) == (captured.out, captured.err)
+
+    def test_only_the_entry_freezes_the_heap(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["presets"]) == 0
+        assert gc.get_freeze_count() == frozen
+        code = (
+            "import gc, runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('cumasim', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code, gc.get_freeze_count())\n"
+        )
+        child = run_child(["presets"], code)
+        assert child.returncode == 0, child.stderr
+        word, exit_code, count = child.stdout.decode().splitlines()[-1].split()
+        assert (word, exit_code) == ("exit", "0") and int(count) > 0
+
+    def test_script_target_is_what_the_module_runs(self):
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["cumasim"]
+        module, attr = target.split(":")
+        code = (
+            "import importlib, runpy, sys\n"
+            f"importlib.import_module({module!r}).{attr} = lambda: print('script target called')\n"
+            "runpy.run_module('cumasim', run_name='__main__')\n"
+        )
+        child = run_child([], code)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.decode() == "script target called\n"

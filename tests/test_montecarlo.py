@@ -165,6 +165,45 @@ class TestConditionalKernel:
         assert np.all(np.isfinite(sir)) and np.all(sir_i < sir)
         assert np.all(k_i == 1) and np.all(q_i == 1.0)
 
+    @pytest.mark.parametrize("preset", ["6GHz-NC", "6GHz-VC", "26GHz-NC", None], ids=lambda p: p or "one-port")
+    def test_matches_separate_mask_kernel_bit_for_bit(self, preset):
+        # the kernel with a separate mask array, masked sums of masks * d and
+        # np.square(masks @ factor); the in-place kernel must equal it exactly
+        def separate_masks(rng, factor, interferers, delta):
+            sir, sir_i, q_i = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
+            k_i = np.empty(_BLOCK, dtype=np.int64)
+            redraws = np.zeros(_BLOCK, dtype=np.int64)
+            rows = np.arange(_BLOCK)
+            for attempt in range(65):
+                n = len(rows)
+                redraws[rows] = attempt
+                d = rng.standard_normal((2 * n, factor.shape[1])) @ factor.T
+                chi = rng.chisquare(interferers, (n, 2))
+                masks = np.zeros_like(d)
+                for j, t in enumerate(rows):
+                    on_i, on_q = select_ports(d[2 * j] + 1j * d[2 * j + 1])
+                    masks[2 * j, on_i] = 1.0
+                    masks[2 * j + 1, on_q] = 1.0
+                    k_i[t] = len(on_i)
+                q = np.square(masks @ factor).sum(axis=1).reshape(n, 2)
+                nu = np.square((masks * d).sum(axis=1)).reshape(n, 2)
+                xi = delta * q * chi
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = nu / xi
+                sir_i[rows], sir[rows], q_i[rows] = ratio[:, 0], ratio[:, 0] + ratio[:, 1], q[:, 0]
+                rows = rows[(xi == 0.0).any(axis=1)]
+                if not rows.size:
+                    return sir, sir_i, k_i, q_i, redraws
+            raise AssertionError("the reference kernel ran out of redraws")
+
+        factor = np.ones((1, 1)) if preset is None else correlation_matrix(preset_grid(preset)).factor
+        for block, delta in ((0, 1.0), (1, 0.3)):
+            got = sir_sample(SEED.rng(block), factor, 9, delta)
+            want = separate_masks(SEED.rng(block), factor, 9, delta)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        if preset is None:  # the redraw rounds were exercised
+            assert np.count_nonzero(got[4]) > 0
+
     def test_validation(self, case1_corr):
         for interferers, delta in ((0, 1.0), (2, 0.0), (2, 1.2)):
             with pytest.raises(DomainError):

@@ -9,8 +9,8 @@ import pytest
 
 import cumasim
 
-# __main__ runs the CLI on import and defines nothing
-MODULES = sorted(m.name for m in pkgutil.iter_modules(cumasim.__path__) if m.name != "__main__")
+# __main__ runs the CLI only when run as a script, so it imports like the rest
+MODULES = sorted(m.name for m in pkgutil.iter_modules(cumasim.__path__))
 
 
 def public_definitions(path):
