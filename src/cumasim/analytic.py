@@ -48,7 +48,8 @@ _LOG_MAX = math.log(np.finfo(float).max)  # e^s overflows from here on
 
 
 class QuadratureError(ArithmeticError):
-    """A tabulated exact law has no finite scale, passes the float range, is not finite or does not integrate to one."""
+    """An exact density's 1F1 overflows, or a tabulated law has no finite scale,
+    passes the float range, is not finite or does not integrate to one."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,8 @@ def exact_pdf_zI(z, stats: ChannelStats):
     well before the result does). The Whittaker factor is expanded as
     t^(1/4) e^(-t/2) 1F1((I+1)/2, 1/2; t), whose log is taken through
     Kummer's transformation, log 1F1 = t + log 1F1(-I/2, 1/2; -t), so it
-    stays finite where 1F1 itself overflows.
+    stays finite where 1F1 itself overflows. Past a t that falls with I
+    the transformed 1F1 overflows too, and QuadratureError is raised.
     """
     z = _positive_finite(z, "exact_pdf_zI")
     i_cnt = stats.interferers
@@ -187,6 +189,10 @@ def exact_pdf_zI(z, stats: ChannelStats):
     d_s2 = stats.delta * stats.sigma2_sq
     q = d_s2 * z
     t = stats.mu**2 * q / (2.0 * s1 * (s1 + q))
+    kummer = hyp1f1(-0.5 * i_cnt, 0.5, -t)
+    bad = ~np.isfinite(kummer)
+    if bad.any():
+        raise QuadratureError(f"1F1(-I/2, 1/2, -t) at I = {i_cnt} is not finite from t = {np.min(t[bad]):.6g}")
     log_pdf = (
         0.25 * math.log(d_s2)
         + math.lgamma(0.5 * (i_cnt + 1))
@@ -199,7 +205,7 @@ def exact_pdf_zI(z, stats: ChannelStats):
         + 0.25 * (2 * i_cnt + 1) * (_LN2 - np.log1p(q / s1))
         + 0.25 * np.log(t)
         + 0.5 * t
-        + np.log(hyp1f1(-0.5 * i_cnt, 0.5, -t))
+        + np.log(kummer)
     )
     return np.exp(log_pdf)
 

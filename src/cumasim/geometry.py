@@ -4,7 +4,7 @@ Ports live on an N1 x N2 rectangular grid inside a fixed physical
 aperture, ordered with dimension 1 fastest. The correlation between two
 ports follows the isotropic scattering kernel j0(2*pi*d) with d the
 separation in wavelengths; it depends on the port offset only, so one
-(N1, N2) table of offsets feeds the N x N matrix and the pair sums.
+(N1, N2) table of offsets feeds the parity blocks and the pair sums.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "CorrelationMatrix",
     "grid_from_aperture",
     "offset_correlation",
-    "correlation_entries",
     "correlation_matrix",
     "Preset",
     "PRESETS",
@@ -143,22 +142,6 @@ def offset_correlation(grid: PortGrid) -> np.ndarray:
     return np.sinc(2.0 * np.hypot(da * s1, db * s2))
 
 
-def correlation_entries(grid: PortGrid) -> np.ndarray:
-    """Full N x N correlation coefficient matrix (no PSD repair).
-
-    Gathered from the offset table: block-Toeplitz with Toeplitz blocks
-    in the dimension-1-fastest port order.
-    """
-    rho = offset_correlation(grid)
-    i = np.arange(grid.n1)
-    j = np.arange(grid.n2)
-    a = np.abs(i[:, None] - i[None, :])
-    b = np.abs(j[:, None] - j[None, :])
-    n = grid.total_ports
-    # axes (j, i, j', i') flatten to (port i + n1 j, port i' + n1 j')
-    return rho[a[None, :, None, :], b[:, None, :, None]].reshape(n, n)
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Rank-truncated factor of the port correlation matrix, for sampling.
@@ -167,11 +150,10 @@ class CorrelationMatrix:
     correlation matrix C that is even or odd under each grid reflection,
     scaled by the square root of its eigenvalue; the columns keep the
     eigenpairs above 1e-12 of the largest eigenvalue, in ascending
-    eigenvalue order. ``factor @ factor.T`` reproduces
-    ``correlation_entries`` up to the discarded eigenvalues, and
-    ``factor @ z`` for r standard normals z is one correlated Gaussian
-    draw. The rank follows the aperture in wavelengths rather than the
-    port count.
+    eigenvalue order. ``factor @ factor.T`` reproduces C up to the
+    discarded eigenvalues, and ``factor @ z`` for r standard normals z is
+    one correlated Gaussian draw. The rank follows the aperture in
+    wavelengths rather than the port count.
     """
 
     factor: np.ndarray

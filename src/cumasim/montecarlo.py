@@ -147,9 +147,9 @@ def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, d
         proj = d @ factor
         q = np.square(proj, out=proj).sum(axis=1).reshape(n, 2)
         xi = delta * q * chi
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratio = nu / xi
-        sir_i[rows], sir[rows], q_i[rows] = ratio[:, 0], ratio[:, 0] + ratio[:, 1], q[:, 0]
+            sir_i[rows], sir[rows], q_i[rows] = ratio[:, 0], ratio[:, 0] + ratio[:, 1], q[:, 0]
         rows = rows[(xi == 0.0).any(axis=1)]
         if not rows.size:
             return sir, sir_i, k_i, q_i, redraws

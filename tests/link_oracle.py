@@ -42,6 +42,14 @@ class TrialResult:
     flagged: bool = False
 
 
+def dense_correlation(grid) -> np.ndarray:
+    """N x N correlation j0(2 pi d) of every port pair, from each port's integer position, dimension 1 fastest."""
+    i, j = np.meshgrid(np.arange(grid.n1), np.arange(grid.n2))
+    i, j = i.ravel(), j.ravel()
+    s1, s2 = grid.spacings
+    return np.sinc(2.0 * np.hypot(np.abs(i[:, None] - i) * s1, np.abs(j[:, None] - j) * s2))
+
+
 def full_factor(entries: np.ndarray) -> np.ndarray:
     """(N, N) eigen square root of the entries, negative eigenvalues clipped to zero."""
     w, v = np.linalg.eigh(entries)

@@ -19,8 +19,9 @@ from cumasim.analytic import (
     sop_lower_numeric,
 )
 from cumasim.approx import asymptote_a0
-from cumasim.geometry import HANDSET_APERTURE_M, PortGrid, correlation_entries, grid_from_aperture, preset_grid
+from cumasim.geometry import HANDSET_APERTURE_M, PortGrid, grid_from_aperture, preset_grid
 from cumasim.specfun import DomainError
+from link_oracle import dense_correlation
 
 mp.mp.dps = 40
 
@@ -145,7 +146,7 @@ class TestCovPair:
 class TestSigmaSums:
     def test_full_grid_matches_direct_double_loop(self, case1_grid):
         s1, s2 = sigma_sums(case1_grid)
-        ent = correlation_entries(case1_grid)
+        ent = dense_correlation(case1_grid)
         n = case1_grid.total_ports
         iu = np.triu_indices(n, 1)
         sum_rho = float(ent[iu].sum())

@@ -15,7 +15,6 @@ from cumasim.analytic import sigma_sums
 from cumasim.geometry import (
     CorrelationMatrix,
     PortGrid,
-    correlation_entries,
     correlation_matrix,
     grid_from_aperture,
     offset_correlation,
@@ -23,6 +22,7 @@ from cumasim.geometry import (
     preset_names,
 )
 from cumasim.specfun import DomainError
+from link_oracle import dense_correlation
 
 APERTURE = (0.15, 0.08)
 
@@ -50,9 +50,21 @@ def ref_entries(grid):
     return np.array([[ref_correlation(k, m, grid) for m in ports] for k in ports])
 
 
+def table_entry(rho, k, m, grid):
+    """The offset table's entry for ports k and m, at |i - i'|, |j - j'| of their reference coordinates."""
+    (a1, a2), (b1, b2) = ref_coords(k, grid), ref_coords(m, grid)
+    return rho[abs(a1 - b1), abs(a2 - b2)]
+
+
+def table_entries(grid):
+    rho = offset_correlation(grid)
+    ports = range(1, grid.total_ports + 1)
+    return np.array([[table_entry(rho, k, m, grid) for m in ports] for k in ports])
+
+
 def dense_eigenvalues(grid):
     """Reference spectrum: eigh of the whole N x N matrix, cut as `correlation_matrix` cuts."""
-    eigvals = np.linalg.eigh(correlation_entries(grid))[0]
+    eigvals = np.linalg.eigh(dense_correlation(grid))[0]
     return eigvals[eigvals > geometry._RANK_CUT * eigvals[-1]]
 
 
@@ -96,14 +108,16 @@ class TestGridFromAperture:
 
 
 class TestPortIndexing:
-    """The reference index map, and the matrix's port order against it."""
+    """The reference index map, and the offset table and the dense oracle's port order against it."""
 
     @pytest.mark.parametrize("k,expected", [(1, (1, 1)), (7, (7, 1)), (8, (1, 2)), (28, (7, 4))])
     def test_known_positions(self, k, expected):
         grid = PortGrid(7, 4, 3.0, 1.6)
         assert ref_coords(k, grid) == expected
         row = [ref_correlation(k, m, grid) for m in range(1, 29)]
-        assert np.array_equal(correlation_entries(grid)[k - 1], row)
+        rho = offset_correlation(grid)
+        assert [table_entry(rho, k, m, grid) for m in range(1, 29)] == row
+        assert np.array_equal(dense_correlation(grid)[k - 1], row)
 
     @pytest.mark.parametrize("k", [0, -3, 29])
     def test_out_of_range(self, k):
@@ -122,7 +136,7 @@ class TestCorrelation:
     def test_self_correlation_is_one(self):
         grid = PortGrid(7, 4, 3.0, 1.6)
         assert offset_correlation(grid)[0, 0] == 1.0
-        assert np.all(np.diag(correlation_entries(grid)) == 1.0)
+        assert np.all(np.diag(dense_correlation(grid)) == 1.0)
 
     def test_half_wavelength_null(self):
         # exact half-wavelength spacing in both dimensions
@@ -140,17 +154,19 @@ class TestCorrelation:
     @given(n1=st.integers(2, 9), n2=st.integers(2, 9))
     @settings(max_examples=80, deadline=None)
     def test_symmetry_and_bounds(self, n1, n2):
-        # the gathered matrix equals the per-pair evaluation exactly
+        # the offset table, read at each pair's offset, and the dense oracle
+        # equal the per-pair evaluation exactly
         grid = PortGrid(n1, n2, 0.37 * (n1 - 1), 0.41 * (n2 - 1))
-        ent = correlation_entries(grid)
+        ent = table_entries(grid)
         assert np.array_equal(ent, ref_entries(grid))
+        assert np.array_equal(dense_correlation(grid), ent)
         assert np.array_equal(ent, ent.T)
         assert np.all(np.abs(ent) <= 1.0)
 
 
 class TestCorrelationMatrix:
     def test_diagonal_and_symmetry(self, case1_grid):
-        ent = correlation_entries(case1_grid)
+        ent = dense_correlation(case1_grid)
         assert np.all(np.diag(ent) == 1.0)
         assert np.array_equal(ent, ent.T)
 
@@ -159,7 +175,7 @@ class TestCorrelationMatrix:
         grid = preset_grid(preset)
         cm = correlation_matrix(grid)
         assert cm.dim == grid.total_ports
-        err = np.max(np.abs(cm.factor @ cm.factor.T - correlation_entries(grid)))
+        err = np.max(np.abs(cm.factor @ cm.factor.T - dense_correlation(grid)))
         assert err < 1e-8
 
     def test_repaired_matrix_stays_psd(self):
@@ -168,9 +184,9 @@ class TestCorrelationMatrix:
         assert eigvals.min() >= -1e-10
 
     def test_matches_scalar_entries(self, case1_grid):
-        ent = correlation_entries(case1_grid)
+        rho = offset_correlation(case1_grid)
         for k, m in [(1, 2), (3, 17), (28, 1), (11, 11)]:
-            assert ent[k - 1, m - 1] == ref_correlation(k, m, case1_grid)
+            assert table_entry(rho, k, m, case1_grid) == ref_correlation(k, m, case1_grid)
 
     def test_beyond_tolerance_raises(self, monkeypatch):
         # the very compact layout carries tiny negative eigenvalues from
@@ -186,7 +202,7 @@ class TestCorrelationMatrix:
 
     def test_entrywise_assembly_agrees_with_offsets(self):
         grid = PortGrid(5, 3, 1.9, 0.8)
-        assert np.array_equal(correlation_entries(grid), ref_entries(grid))
+        assert np.array_equal(table_entries(grid), ref_entries(grid))
 
     def test_budget_admits_every_preset(self):
         for name in preset_names():
@@ -218,19 +234,6 @@ class TestCorrelationMatrix:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_assembly_memory_bound(self):
-        # the gather writes the N x N output once; an elementwise sinc over
-        # all N^2 pairs would hold several N x N temporaries
-        grid = preset_grid("26GHz-C")
-        n = grid.total_ports
-        tracemalloc.start()
-        try:
-            correlation_entries(grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * n * n * 8
-
 
 # (n1, n2) parities (odd, odd), (odd, even), (even, odd), (even, even); the
 # compact ones are cut below full rank
@@ -255,7 +258,7 @@ class TestParityFold:
         eigvals = dense_eigenvalues(grid)
         f = correlation_matrix(grid).factor
         assert f.shape == (grid.total_ports, eigvals.size)
-        assert np.max(np.abs(f @ f.T - correlation_entries(grid))) <= 1e-8
+        assert np.max(np.abs(f @ f.T - dense_correlation(grid))) <= 1e-8
         gram = f.T @ f
         scale = eigvals[-1]
         # ascending eigenvalues on the diagonal, orthogonal columns off it

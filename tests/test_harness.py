@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tomllib
 import weakref
 from pathlib import Path
 
@@ -877,6 +876,18 @@ class TestCli:
              "past the float range"),
             (["sweep", "--preset", "6GHz-NC", "--axis", "delta_b", "--values", "1e-300", "--users", "3",
               "--metrics", "er", "--no-mc"], "past the float range"),
+            # delta = 1e-300 at 2 users: a trial's nu / xi overflows to inf;
+            # at 1e-305 the two branches' finite ratios overflow their sum
+            (["simulate", "--preset", "6GHz-NC", "--users", "2", "--trials", "1000", "--delta", "1e-300"],
+             "not finite"),
+            (["simulate", "--preset", "6GHz-NC", "--users", "2", "--trials", "1000", "--delta", "1e-305"],
+             "not finite"),
+            # 1F1(-I/2, 1/2, -t) overflows from t ~ 220 at 1499 interferers and
+            # from t ~ 95 at 2999
+            (["sweep", "--preset", "40GHz-NC", "--axis", "users", "--values", "1500", "--metrics", "er", "--no-mc"],
+             "1F1"),
+            (["sweep", "--preset", "26GHz-NC", "--axis", "users", "--values", "3000", "--metrics", "er", "--no-mc"],
+             "1F1"),
         ]
         for argv, message in cases:
             assert main(argv) == 3
@@ -932,6 +943,7 @@ class TestProcessEntry:
         assert (word, exit_code) == ("exit", "0") and int(count) > 0
 
     def test_script_target_is_what_the_module_runs(self):
+        tomllib = pytest.importorskip("tomllib")
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["cumasim"]
         module, attr = target.split(":")

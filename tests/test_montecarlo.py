@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from cumasim.geometry import CorrelationMatrix, PortGrid, correlation_entries, correlation_matrix, preset_grid
+from cumasim.geometry import CorrelationMatrix, PortGrid, correlation_matrix, preset_grid
 from cumasim.harness import ks_statistic
 from cumasim.montecarlo import _BLOCK, SeedSpec, SimConfig, mc_estimate, select_ports, sir_sample, sir_samples
 from cumasim.specfun import DomainError
-from link_oracle import ChannelRealization, draw_realization, link_samples, link_sir_sample
+from link_oracle import ChannelRealization, dense_correlation, draw_realization, link_samples, link_sir_sample
 
 SEED = SeedSpec(20240611)
 
@@ -241,7 +241,7 @@ class TestConditionalKernel:
         # E[q_I] = sum_kl rho_kl (1/4 + asin(rho_kl) / (2 pi))
         grid = preset_grid("6GHz-VC")
         corr = correlation_matrix(grid)
-        rho = np.clip(correlation_entries(grid), -1.0, 1.0)
+        rho = np.clip(dense_correlation(grid), -1.0, 1.0)
         want = float(np.sum(rho * (0.25 + np.arcsin(rho) / (2.0 * math.pi))))
         q = sir_samples(SimConfig(corr=corr, users=20), 4000, SEED).q_i
         assert abs(q.mean() - want) < 4.0 * q.std(ddof=1) / math.sqrt(len(q))
@@ -252,7 +252,7 @@ class TestConditionalKernel:
         config = SimConfig(corr=correlation_matrix(grid), users=20)
         n = 5000
         # the oracle draws at channel power 2.5; the SIR does not depend on it
-        oracle = link_samples(config, correlation_entries(grid), n, SeedSpec(77), omega=2.5)
+        oracle = link_samples(config, dense_correlation(grid), n, SeedSpec(77), omega=2.5)
         ks = ks_2samp(sir_samples(config, n, SEED).sir, oracle).statistic
         # two-sample KS critical value at alpha = 0.001
         crit = math.sqrt(-math.log(0.001 / 2.0) * (n + n) / (2.0 * n * n))
