@@ -213,7 +213,18 @@ def exact_pdf_zI(z, stats: ChannelStats):
 _CONV_X, _CONV_WX = leggauss(160)  # on [-1, 1]; w = 30 (x + 1) maps it to [0, 60]
 _CONV_SHRINK = np.exp(-30.0 * (_CONV_X + 1.0))  # e^-w at the nodes
 _CONV_WEIGHTS = 30.0 * _CONV_WX
-_CONV_PAIRS = 16384  # (z, w) pairs per block; bounds the temporaries' memory
+# Past w = 53 ln 2 (53 = float64's significand width), x = (z/2) e^-w is below
+# half an ulp of z, so z - x is z itself and those nodes share f_I(z). The
+# nodes ascend, so they are a suffix; the first of them, w = 37.27 against the
+# 36.74 cut, leaves margin for the rounding of x.
+_CONV_HEAD = int(np.count_nonzero(30.0 * (_CONV_X + 1.0) <= (np.finfo(float).nmant + 1) * _LN2))
+_CONV_ARGS = 4096  # f_I arguments per block; bounds the temporaries' memory
+# OpenBLAS sums a row of a matrix-vector product in an order that depends on
+# its place in the call: rows in fours, then the rest one by one. Blocks stay
+# inside fixed groups of 102 z values, and every block but a group's last
+# holds whole fours (16 rows), so each z's sum, and with it every tabulated
+# law, keeps its bits whatever the block size.
+_CONV_ROWS = 102
 
 
 def exact_pdf_z(z, stats: ChannelStats):
@@ -226,17 +237,26 @@ def exact_pdf_z(z, stats: ChannelStats):
 
     With f_I ~ x^(-1/2) at the origin the integrand is smooth at every
     scale of z and decays like e^(-w/2), so a fixed 160-node
-    Gauss-Legendre rule on w in [0, 60] resolves it.
+    Gauss-Legendre rule on w in [0, 60] resolves it. f_I is evaluated
+    once per distinct argument: at every x, at z - x on the nodes where
+    it differs from z, and at z, in one call per block of z values.
     """
     z = _positive_finite(z, "exact_pdf_z")
     flat = z.reshape(-1)
     out = np.empty_like(flat)
-    step = _CONV_PAIRS // len(_CONV_SHRINK)
-    for lo in range(0, len(flat), step):
-        zz = flat[lo : lo + step, None]
-        x = 0.5 * zz * _CONV_SHRINK
-        vals = x * exact_pdf_zI(x, stats) * exact_pdf_zI(zz - x, stats)
-        out[lo : lo + step] = 2.0 * (vals @ _CONV_WEIGHTS)
+    head = _CONV_HEAD
+    step = _CONV_ARGS // (len(_CONV_SHRINK) + head + 1)
+    for group in range(0, len(flat), _CONV_ROWS):
+        end = min(group + _CONV_ROWS, len(flat))
+        for lo in range(group, end, step):
+            zz = flat[lo : min(lo + step, end), None]
+            x = 0.5 * zz * _CONV_SHRINK
+            f = exact_pdf_zI(np.concatenate((x.ravel(), (zz - x[:, :head]).ravel(), zz.ravel())), stats)
+            first, second, at_z = np.split(f, np.cumsum((x.size, zz.size * head)))
+            vals = x * first.reshape(x.shape)
+            vals[:, :head] *= second.reshape(-1, head)
+            vals[:, head:] *= at_z[:, None]
+            out[lo : lo + len(zz)] = 2.0 * (vals @ _CONV_WEIGHTS)
     return out.reshape(z.shape)[()]
 
 

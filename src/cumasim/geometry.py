@@ -196,16 +196,14 @@ def _parity_block(rho: np.ndarray, grid: PortGrid, s1: int, s2: int) -> np.ndarr
     """
     a1, r1, c1 = _fold(grid.n1, s1)
     a2, r2, c2 = _fold(grid.n2, s2)
-    # fold dimension 1 on the small (h1, h1, n2) table, then gather dimension 2
-    t = (rho[a1] + s1 * rho[r1]) * c1[:, :, None]
-    k = np.arange(len(a1))
-    rows, cols = k[None, :, None, None], k[None, None, None, :]
-    # axes (l, k, l', k') flatten to (k + h1 l, k' + h1 l')
-    block = t[rows, cols, a2[:, None, :, None]]
-    block += s2 * t[rows, cols, r2[:, None, :, None]]
-    block *= c2[:, None, :, None]
-    h = block.shape[0] * block.shape[1]
-    return block.reshape(h, h)
+    # fold dimension 1 on the small (n2, h1, h1) table, then gather its (h1, h1) slabs along dimension 2
+    t = np.moveaxis((rho[a1] + s1 * rho[r1]) * c1[:, :, None], 2, 0)
+    block = t[a2]
+    block += s2 * t[r2]
+    block *= c2[:, :, None, None]
+    # axes (l, l', k, k') go to (l, k, l', k'), which flatten to (k + h1 l, k' + h1 l')
+    h = a1.shape[0] * a2.shape[0]
+    return block.transpose(0, 2, 1, 3).reshape(h, h)
 
 
 def _block_eigh(rho: np.ndarray, grid: PortGrid, s1: int, s2: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
+import cumasim.analytic as analytic
 from cumasim.analytic import (
     ChannelStats,
     ExactLaw,
@@ -365,6 +367,76 @@ class TestExactPdfZ:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         with pytest.raises(DomainError):
             exact_pdf_z(np.array([1.0, math.inf]), case1_stats)
+
+
+def all_node_pdf_z(z, stats):
+    """The convolution with f_I(z - x) at every node and blocks of 16384 (z, w) pairs: exact_pdf_z's reference."""
+    z = np.asarray(z, dtype=float)
+    flat = z.reshape(-1)
+    out = np.empty_like(flat)
+    step = 16384 // len(analytic._CONV_SHRINK)
+    for lo in range(0, len(flat), step):
+        zz = flat[lo : lo + step, None]
+        x = 0.5 * zz * analytic._CONV_SHRINK
+        vals = x * exact_pdf_zI(x, stats) * exact_pdf_zI(zz - x, stats)
+        out[lo : lo + step] = 2.0 * (vals @ analytic._CONV_WEIGHTS)
+    return out.reshape(z.shape)[()]
+
+
+def fresh_stats(preset, users, delta=1.0):
+    """A bundle whose law is not tabulated yet."""
+    return ChannelStats.from_grid(preset_grid(preset), users, delta)
+
+
+class TestDistinctArguments:
+    """exact_pdf_z evaluates f_I once per distinct argument, in bounded blocks, with the all-node rule's bits."""
+
+    @pytest.mark.parametrize("preset,users,delta", [
+        ("6GHz-NC", 20, 1.0), ("6GHz-VC", 20, 1.0), ("26GHz-C", 20, 1.0), ("6GHz-VC", 201, 1.0), ("6GHz-VC", 20, 1e-3),
+    ])
+    def test_matches_all_node_rule_bit_for_bit(self, preset, users, delta):
+        stats = fresh_stats(preset, users, delta)
+        scale = stats.mean_sir()
+        # a scalar, a 1-D array over many blocks and groups, and a 2-D array
+        spread = np.geomspace(1e-6, 1e3, 60).reshape(5, 12) * scale
+        for z in (scale, np.geomspace(1e-13, 1e5, 924) * scale, spread):
+            got = exact_pdf_z(z, stats)
+            assert np.shape(got) == np.shape(z)
+            assert np.array_equal(got, all_node_pdf_z(z, stats))
+        assert np.array_equal(stats.law._g, stats.law._z * all_node_pdf_z(stats.law._z, stats))
+
+    def test_tail_nodes_leave_z_unchanged(self):
+        tail = analytic._CONV_SHRINK[analytic._CONV_HEAD :]
+        assert tail.size == 68
+        z = np.geomspace(5e-324, 1e300, 20001)[:, None]
+        assert np.all(z - 0.5 * z * tail == z)
+
+    def test_one_1f1_evaluation_per_distinct_argument(self, monkeypatch):
+        stats = fresh_stats("6GHz-VC", 20)
+        seen = []
+        hyp1f1 = analytic.hyp1f1
+
+        def counting_hyp1f1(a, b, t):
+            seen.append(np.size(t))
+            return hyp1f1(a, b, t)
+
+        monkeypatch.setattr(analytic, "hyp1f1", counting_hyp1f1)
+        law = stats.law
+        # 160 first-factor arguments, 92 head second-factor ones and z itself
+        assert sum(seen) == law._z.size * 253
+        assert max(seen) <= analytic._CONV_ARGS
+
+    def test_law_working_set(self):
+        stats = fresh_stats("6GHz-VC", 20)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stats.law
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # about 1.48 MB with 16384-pair blocks and f_I at every node
+        assert peak < 0.5e6
 
 
 @pytest.fixture(scope="module")

@@ -266,6 +266,22 @@ class TestParityFold:
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-10 * scale
 
     @pytest.mark.parametrize("grid", FOLD_GRIDS, ids=lambda g: f"{g.n1}x{g.n2}")
+    def test_slab_gather_matches_entry_gather(self, grid):
+        # reference: every block entry gathered from the folded table by 4-D broadcast indices
+        rho = offset_correlation(grid)
+        for s1, s2 in geometry._PARITIES:
+            a1, r1, c1 = geometry._fold(grid.n1, s1)
+            a2, r2, c2 = geometry._fold(grid.n2, s2)
+            t = (rho[a1] + s1 * rho[r1]) * c1[:, :, None]
+            k = np.arange(len(a1))
+            rows, cols = k[None, :, None, None], k[None, None, None, :]
+            want = t[rows, cols, a2[:, None, :, None]]
+            want += s2 * t[rows, cols, r2[:, None, :, None]]
+            want *= c2[:, None, :, None]
+            h = want.shape[0] * want.shape[1]
+            assert np.array_equal(geometry._parity_block(rho, grid, s1, s2), want.reshape(h, h))
+
+    @pytest.mark.parametrize("grid", FOLD_GRIDS, ids=lambda g: f"{g.n1}x{g.n2}")
     def test_columns_are_even_or_odd_under_each_reflection(self, grid):
         cols = correlation_matrix(grid).factor.T.reshape(-1, grid.n2, grid.n1)
         for axis in (1, 2):

@@ -942,6 +942,16 @@ class TestProcessEntry:
         word, exit_code, count = child.stdout.decode().splitlines()[-1].split()
         assert (word, exit_code) == ("exit", "0") and int(count) > 0
 
+    def test_import_loads_no_heavy_subpackage(self):
+        # scipy.special is the only scipy subpackage on the cold path; scipy.integrate
+        # on it once cost 26 MB of peak RSS in every run
+        heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.stats", "scipy.interpolate",
+                 "scipy.sparse", "mpmath")
+        code = f"import sys, cumasim\nprint(*sorted(m for m in {heavy!r} if m in sys.modules))\n"
+        child = run_child([], code)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.decode() == "\n"
+
     def test_script_target_is_what_the_module_runs(self):
         tomllib = pytest.importorskip("tomllib")
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
