@@ -219,12 +219,6 @@ _CONV_WEIGHTS = 30.0 * _CONV_WX
 # 36.74 cut, leaves margin for the rounding of x.
 _CONV_HEAD = int(np.count_nonzero(30.0 * (_CONV_X + 1.0) <= (np.finfo(float).nmant + 1) * _LN2))
 _CONV_ARGS = 4096  # f_I arguments per block; bounds the temporaries' memory
-# OpenBLAS sums a row of a matrix-vector product in an order that depends on
-# its place in the call: rows in fours, then the rest one by one. Blocks stay
-# inside fixed groups of 102 z values, and every block but a group's last
-# holds whole fours (16 rows), so each z's sum, and with it every tabulated
-# law, keeps its bits whatever the block size.
-_CONV_ROWS = 102
 
 
 def exact_pdf_z(z, stats: ChannelStats):
@@ -239,24 +233,24 @@ def exact_pdf_z(z, stats: ChannelStats):
     scale of z and decays like e^(-w/2), so a fixed 160-node
     Gauss-Legendre rule on w in [0, 60] resolves it. f_I is evaluated
     once per distinct argument: at every x, at z - x on the nodes where
-    it differs from z, and at z, in one call per block of z values.
+    it differs from z, and at z, in one call per block of z values; each
+    z's weighted sum is a numpy sum over its own row, whatever the block.
     """
     z = _positive_finite(z, "exact_pdf_z")
     flat = z.reshape(-1)
     out = np.empty_like(flat)
     head = _CONV_HEAD
     step = _CONV_ARGS // (len(_CONV_SHRINK) + head + 1)
-    for group in range(0, len(flat), _CONV_ROWS):
-        end = min(group + _CONV_ROWS, len(flat))
-        for lo in range(group, end, step):
-            zz = flat[lo : min(lo + step, end), None]
-            x = 0.5 * zz * _CONV_SHRINK
-            f = exact_pdf_zI(np.concatenate((x.ravel(), (zz - x[:, :head]).ravel(), zz.ravel())), stats)
-            first, second, at_z = np.split(f, np.cumsum((x.size, zz.size * head)))
-            vals = x * first.reshape(x.shape)
-            vals[:, :head] *= second.reshape(-1, head)
-            vals[:, head:] *= at_z[:, None]
-            out[lo : lo + len(zz)] = 2.0 * (vals @ _CONV_WEIGHTS)
+    for lo in range(0, len(flat), step):
+        zz = flat[lo : lo + step, None]
+        x = 0.5 * zz * _CONV_SHRINK
+        f = exact_pdf_zI(np.concatenate((x.ravel(), (zz - x[:, :head]).ravel(), zz.ravel())), stats)
+        first, second, at_z = np.split(f, np.cumsum((x.size, zz.size * head)))
+        vals = x * first.reshape(x.shape)
+        vals[:, :head] *= second.reshape(-1, head)
+        vals[:, head:] *= at_z[:, None]
+        vals *= _CONV_WEIGHTS
+        out[lo : lo + len(zz)] = 2.0 * vals.sum(axis=1)
     return out.reshape(z.shape)[()]
 
 
@@ -279,7 +273,10 @@ class ExactLaw:
     Panels of width 0.5 in s = ln z hold 12 nodes each, and the table
     stores z f(z), the density in s. Expectations are weighted sums over
     all nodes; the CDF adds the whole panels below z to the integral of
-    z's panel's Legendre interpolant up to z.
+    z's panel's interpolant up to z, a Legendre series whose 13
+    coefficients per panel are summed once, at tabulation.
+    Every reduction is a numpy sum over a fixed axis, so a z's CDF has
+    the same bits in a scalar call and in any array.
     """
 
     def __init__(self, pdf, scale: float, lo: float, hi: float):
@@ -298,6 +295,7 @@ class ExactLaw:
         self._g = self._z * pdf(self._z)
         self._mass = 0.5 * _PANEL * _GL_W * self._g
         self._cum = np.concatenate(([0.0], np.cumsum(self._mass.sum(axis=1))))
+        self._antideriv = 0.5 * _PANEL * np.sum(_ANTIDERIV * self._g[:, None, :], axis=2)
         total = self._cum[-1]
         if not (np.isfinite(self._g).all() and abs(total - 1.0) <= _MASS_TOL):
             raise QuadratureError(
@@ -316,7 +314,7 @@ class ExactLaw:
         s = (np.log(np.where(pos, flat, 1.0)) - self._s0) / _PANEL
         panel = np.clip(np.floor(s), 0, len(self._g) - 1).astype(int)
         x = np.clip(2.0 * (s - panel) - 1.0, -1.0, 1.0)
-        part = 0.5 * _PANEL * np.sum((legvander(x, _ORDER) @ _ANTIDERIV) * self._g[panel], axis=1)
+        part = np.sum(legvander(x, _ORDER) * self._antideriv[panel], axis=1)
         out = np.where(pos, np.clip(self._cum[panel] + part, 0.0, 1.0), 0.0)
         return out.reshape(z.shape)[()]
 

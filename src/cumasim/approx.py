@@ -75,7 +75,11 @@ def log_beta_I(stats: ChannelStats) -> float:
 
 def beta_I(stats: ChannelStats) -> float:
     """Asymptote-matched raw-SIR scale beta = 1 / (pi a0^2) of the Gamma(1/2) fit."""
-    return math.exp(log_beta_I(stats))
+    log_beta = log_beta_I(stats)
+    try:
+        return math.exp(log_beta)
+    except OverflowError:
+        raise OverflowError(f"beta_I = e^{log_beta:.6g} is past the float range") from None
 
 
 def approx_pdf_zI(z: float, beta: float) -> float:

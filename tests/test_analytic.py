@@ -22,7 +22,7 @@ from cumasim.analytic import (
 )
 from cumasim.approx import asymptote_a0
 from cumasim.geometry import HANDSET_APERTURE_M, PortGrid, grid_from_aperture, preset_grid
-from cumasim.specfun import DomainError
+from cumasim.specfun import DomainError, exp2
 from link_oracle import dense_correlation
 
 mp.mp.dps = 40
@@ -298,8 +298,7 @@ class TestExactPdfZI:
         got = exact_pdf_zI(z, case1_stats)
         assert got.shape == z.shape
         want = [[exact_pdf_zI(float(v), case1_stats) for v in row] for row in z]
-        # vectorised and scalar logs may round differently in the last bit
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got, want)
         with pytest.raises(DomainError):
             exact_pdf_zI(np.array([1.0, 0.0]), case1_stats)
 
@@ -362,15 +361,17 @@ class TestExactPdfZ:
         # more points than one convolution block holds
         z = np.geomspace(1e-4, 100.0, 250)
         got = exact_pdf_z(z, case1_stats)
-        # a block's dot products may sum in another order than a single row's
         want = [exact_pdf_z(float(v), case1_stats) for v in z]
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got, want)
         with pytest.raises(DomainError):
             exact_pdf_z(np.array([1.0, math.inf]), case1_stats)
 
 
 def all_node_pdf_z(z, stats):
-    """The convolution with f_I(z - x) at every node and blocks of 16384 (z, w) pairs: exact_pdf_z's reference."""
+    """The convolution with f_I(z - x) at every node, in blocks of 16384 (z, w) pairs: exact_pdf_z's reference.
+
+    Each z's weighted sum is the same fixed-order numpy row sum as exact_pdf_z's.
+    """
     z = np.asarray(z, dtype=float)
     flat = z.reshape(-1)
     out = np.empty_like(flat)
@@ -379,7 +380,8 @@ def all_node_pdf_z(z, stats):
         zz = flat[lo : lo + step, None]
         x = 0.5 * zz * analytic._CONV_SHRINK
         vals = x * exact_pdf_zI(x, stats) * exact_pdf_zI(zz - x, stats)
-        out[lo : lo + step] = 2.0 * (vals @ analytic._CONV_WEIGHTS)
+        vals *= analytic._CONV_WEIGHTS
+        out[lo : lo + step] = 2.0 * vals.sum(axis=1)
     return out.reshape(z.shape)[()]
 
 
@@ -404,6 +406,22 @@ class TestDistinctArguments:
             assert np.shape(got) == np.shape(z)
             assert np.array_equal(got, all_node_pdf_z(z, stats))
         assert np.array_equal(stats.law._g, stats.law._z * all_node_pdf_z(stats.law._z, stats))
+
+    def test_law_bits_ignore_block_size(self, monkeypatch):
+        stats = fresh_stats("6GHz-VC", 20)
+        want = stats.law._g
+        assert np.array_equal(want.ravel(), [z * exact_pdf_z(z, stats) for z in stats.law._z.flat])
+        # one, five and 259 z values per block against the default 16
+        for conv_args in (253, 1266, 65536):
+            monkeypatch.setattr(analytic, "_CONV_ARGS", conv_args)
+            assert np.array_equal(fresh_stats("6GHz-VC", 20).law._g, want)
+
+    @pytest.mark.parametrize("preset,users", [("6GHz-VC", 20), ("26GHz-C", 10)])
+    def test_scalar_outage_reads_the_array_cdf(self, preset, users):
+        law = fresh_stats(preset, users).law
+        gamma = np.linspace(0.01, 4.0, 41)
+        cdf = law.cdf(np.array([exp2(g) - 1.0 for g in gamma]))
+        assert np.array_equal([exact_op(g, law) for g in gamma], cdf)
 
     def test_tail_nodes_leave_z_unchanged(self):
         tail = analytic._CONV_SHRINK[analytic._CONV_HEAD :]
@@ -453,7 +471,7 @@ class TestExactLaw:
         got = case1_law.cdf(z)
         assert got.shape == z.shape
         want = [[case1_law.cdf(float(v)) for v in row] for row in z]
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got, want)
 
     def test_cdf_integrates_the_density(self, case1_stats, case1_law):
         for z in (0.05, 0.7, 3.0):

@@ -635,6 +635,22 @@ class TestCli:
             "2,sop,0.794800735088,0.992424879111,,,10000,0\n"
             "2,sop_lower,0.794800735088,0.869072763714,,,10000,0\n"
         ),
+        # exact columns in the far tail (OP near 1e-55 and below)
+        "sweep --preset 26GHz-C --eve-preset 6GHz-NC --axis delta_b --values 1,0.1,0.01 "
+        "--metrics er,op,sop,sop_lower --users 10 --no-mc": (
+            f"{CSV_HEADER}\n1,er,2998.96551309,62.6400528397,,,10000,0\n"
+            "1,op,2.9611532331e-91,9.37462418245e-55,,,10000,0\n"
+            "1,sop,1.11360345335e-84,0.000113375815725,,,10000,0\n"
+            "1,sop_lower,1.11360345335e-84,0.000101858763287,,,10000,0\n"
+            "0.1,er,3032.18479404,95.6765249783,,,10000,0\n"
+            "0.1,op,2.9611532331e-92,1.96695527921e-85,,,10000,0\n"
+            "0.1,sop,1.11360345335e-85,3.29564070938e-09,,,10000,0\n"
+            "0.1,sop_lower,1.11360345335e-85,3.261001659e-09,,,10000,0\n"
+            "0.01,er,3065.40407499,128.87737876,,,10000,0\n"
+            "0.01,op,2.9611532331e-93,4.96147681131e-92,,,10000,0\n"
+            "0.01,sop,1.11360345335e-86,1.03845838387e-13,,,10000,0\n"
+            "0.01,sop_lower,1.11360345335e-86,1.03736151351e-13,,,10000,0\n"
+        ),
     }
 
     @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
@@ -876,6 +892,8 @@ class TestCli:
              "past the float range"),
             (["sweep", "--preset", "6GHz-NC", "--axis", "delta_b", "--values", "1e-300", "--users", "3",
               "--metrics", "er", "--no-mc"], "past the float range"),
+            # delta = 1e-320: the closed-form scale beta_I passes the float range
+            (["analyze", "--preset", "6GHz-NC", "--delta", "1e-320"], "beta_I = e^"),
             # delta = 1e-300 at 2 users: a trial's nu / xi overflows to inf;
             # at 1e-305 the two branches' finite ratios overflow their sum
             (["simulate", "--preset", "6GHz-NC", "--users", "2", "--trials", "1000", "--delta", "1e-300"],
