@@ -198,12 +198,14 @@ def _parity_block(rho: np.ndarray, grid: PortGrid, s1: int, s2: int) -> np.ndarr
     a2, r2, c2 = _fold(grid.n2, s2)
     # fold dimension 1 on the small (n2, h1, h1) table, then gather its (h1, h1) slabs along dimension 2
     t = np.moveaxis((rho[a1] + s1 * rho[r1]) * c1[:, :, None], 2, 0)
-    block = t[a2]
-    block += s2 * t[r2]
-    block *= c2[:, :, None, None]
-    # axes (l, l', k, k') go to (l, k, l', k'), which flatten to (k + h1 l, k' + h1 l')
-    h = a1.shape[0] * a2.shape[0]
-    return block.transpose(0, 2, 1, 3).reshape(h, h)
+    h1, h2 = a1.shape[0], a2.shape[0]
+    # axes (l, k, l', k') flatten to (k + h1 l, k' + h1 l'); row group l is written in place
+    block = np.empty((h2, h1, h2, h1))
+    for l, (a, r, c) in enumerate(zip(a2, r2, c2)):
+        slab = block[l].swapaxes(0, 1)  # axes (l', k, k')
+        np.add(t[a], s2 * t[r], out=slab)
+        slab *= c[:, None, None]
+    return block.reshape(h1 * h2, h1 * h2)
 
 
 def _block_eigh(rho: np.ndarray, grid: PortGrid, s1: int, s2: int) -> tuple[np.ndarray, np.ndarray]:

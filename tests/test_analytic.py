@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 import cumasim.analytic as analytic
@@ -367,6 +368,21 @@ class TestExactPdfZ:
             exact_pdf_z(np.array([1.0, math.inf]), case1_stats)
 
 
+class TestGaussLegendreRules:
+    """The fixed rules are leggauss's, to within what another LAPACK build moves them."""
+
+    @pytest.mark.parametrize("x,w", [
+        (analytic._CONV_X, analytic._CONV_WX), (analytic._GL_X, analytic._GL_W),
+    ], ids=["convolution", "panel"])
+    def test_match_leggauss(self, x, w):
+        want_x, want_w = leggauss(len(x))
+        assert np.all(np.abs(x - want_x) <= 4 * np.spacing(np.abs(want_x)))
+        assert np.all(np.diff(x) > 0.0) and np.array_equal(x, -x[::-1])
+        assert np.all(np.abs(w - want_w) <= 1e-11 * want_w)
+        assert np.array_equal(w, w[::-1])
+        assert abs(np.sum(w) - 2.0) <= 2 * np.spacing(2.0)
+
+
 def all_node_pdf_z(z, stats):
     """The convolution with f_I(z - x) at every node, in blocks of 16384 (z, w) pairs: exact_pdf_z's reference.
 
@@ -494,6 +510,12 @@ class TestExactLaw:
             ChannelStats.from_grid(case1_grid, 3, delta=1e-300).law
         law = ChannelStats.from_grid(case1_grid, 20, delta=1e-300).law
         assert exact_er(20, law) == pytest.approx(19937.32, abs=0.01)
+
+    def test_cdf_keeps_the_tabulated_panel_width(self, case1_law, monkeypatch):
+        z = np.geomspace(1e-6, 1e3, 301) * case1_law.expect(lambda z: z)
+        want = case1_law.cdf(z)
+        monkeypatch.setattr(analytic, "_PANEL", 0.25)
+        assert np.array_equal(case1_law.cdf(z), want)
 
     @pytest.mark.parametrize("users", [10, 200])
     def test_mean_matches_closed_form(self, case1_grid, users):

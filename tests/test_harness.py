@@ -970,6 +970,25 @@ class TestProcessEntry:
         assert child.returncode == 0, child.stderr
         assert child.stdout.decode() == "\n"
 
+    def test_exact_runs_call_no_eigensolver(self):
+        # the exact chain's quadrature rules are fixed values; only a Monte Carlo factor diagonalises
+        code = (
+            "import sys, numpy.linalg\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('numpy.linalg eigensolver called')\n"
+            "for name in ('eigvalsh', 'eigh', 'eigvals', 'eig'):\n"
+            "    setattr(numpy.linalg, name, refuse)\n"
+            "from cumasim import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        for argv in (
+            ["sweep", "--preset", "6GHz-VC", "--eve-preset", "6GHz-NC", "--axis", "rs", "--values", "1",
+             "--metrics", "er,op,sop", "--users", "20", "--no-mc"],
+            ["analyze", "--preset", "6GHz-NC", "--users", "12"],
+        ):
+            child = run_child(argv, code)
+            assert child.returncode == 0, child.stderr
+
     def test_script_target_is_what_the_module_runs(self):
         tomllib = pytest.importorskip("tomllib")
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
