@@ -68,7 +68,7 @@ class ChannelStats:
     delta: float
 
     def __post_init__(self):
-        if self.sigma1_sq <= 0.0 or self.sigma2_sq <= 0.0:
+        if not (self.sigma1_sq > 0.0 and self.sigma2_sq > 0.0):
             raise DomainError("sigma1_sq and sigma2_sq must both be positive")
         if self.nbar < 1 or self.interferers < 1:
             raise DomainError("need nbar >= 1 and at least one interferer")

@@ -84,7 +84,7 @@ def beta_I(stats: ChannelStats) -> float:
 
 def approx_pdf_zI(z: float, beta: float) -> float:
     """Gamma(1/2, beta) density: z^(-1/2) exp(-z/beta) / sqrt(pi beta)."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if z <= 0.0:
         raise DomainError(f"approx_pdf_zI requires z > 0, got {z}")
@@ -93,7 +93,7 @@ def approx_pdf_zI(z: float, beta: float) -> float:
 
 def approx_pdf_z(z: float, beta: float) -> float:
     """Exponential density exp(-z/beta)/beta for the total variable."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if z < 0.0:
         raise DomainError(f"approx_pdf_z requires z >= 0, got {z}")
@@ -102,7 +102,7 @@ def approx_pdf_z(z: float, beta: float) -> float:
 
 def approx_cdf_z(z, beta: float):
     """Exponential CDF 1 - exp(-z/beta), elementwise; zero for z <= 0."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     return -np.expm1(-np.maximum(z, 0.0) / beta)
 
@@ -111,7 +111,7 @@ def approx_er(users: int, beta: float) -> float:
     """Closed-form ergodic sum rate U * e^x * Gamma(0, x) / ln 2, x = 1/beta."""
     if users < 2:
         raise DomainError(f"need at least 2 users, got {users}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     x = 1.0 / beta
     if not 0.0 < x < math.inf:
@@ -131,7 +131,7 @@ def approx_op(gamma_th: float, beta: float) -> float:
 
 def sop_lower_closed(beta_b: float, beta_e: float, rs: float) -> float:
     """Closed-form secrecy-outage lower bound 1 - beta_B / (tau beta_E + beta_B)."""
-    if beta_b <= 0.0 or beta_e <= 0.0:
+    if not (beta_b > 0.0 and beta_e > 0.0):
         raise DomainError("both scales must be positive")
     _check_rate("secrecy rate", rs)
     eve_scale = exp2(rs) * beta_e

@@ -14,9 +14,11 @@ import dataclasses
 import gc
 import sys
 
+import numpy as np
+
 from . import approx, harness, montecarlo
 from .analytic import ChannelStats, QuadratureError
-from .geometry import correlation_matrix, preset_grid, preset_names
+from .geometry import PRESETS, correlation_matrix, preset_grid
 from .harness import SweepSpec, evaluate_point, integer, parse_config, run_sweep
 from .montecarlo import SeedSpec, SimConfig
 from .specfun import DomainError
@@ -81,9 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_presets() -> int:
+def _cmd_presets(args) -> int:
     print(f"{'name':<10} {'grid':>9} {'ports':>6} {'spacing (wl)':>14}")
-    for name in preset_names():
+    for name in PRESETS:
         g = preset_grid(name)
         s1, s2 = g.spacings
         print(f"{name:<10} {g.n1:>4}x{g.n2:<4} {g.total_ports:>6} {s1:>7.4f},{s2:.4f}")
@@ -114,6 +116,16 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _finite_mean(x: np.ndarray) -> float:
+    """Mean of finite samples; relative to the largest where their sum overflows, as the mean never does."""
+    with np.errstate(over="ignore"):
+        mean = x.mean()
+    if not np.isfinite(mean):
+        top = x.max()
+        mean = top * np.mean(x / top)
+    return float(mean)
+
+
 def _cmd_simulate(args) -> int:
     config = SimConfig(corr=correlation_matrix(preset_grid(args.preset)), users=args.users, delta=args.delta)
     samples = montecarlo.sir_samples(config, args.trials, SeedSpec(args.seed))
@@ -123,7 +135,7 @@ def _cmd_simulate(args) -> int:
     print(f"trials = {args.trials}")
     print(f"er_mc = {er:.9g} +- {er_se:.3g}")
     print(f"op_mc[{args.gamma_th:g}] = {op:.9g} +- {op_se:.3g}")
-    print(f"mean_sir = {float(samples.sir.mean()):.9g}")
+    print(f"mean_sir = {_finite_mean(samples.sir):.9g}")
     print(f"mean_k_i = {float(samples.k_i_sizes.mean()):.9g}")
     print(f"redrawn = {samples.redrawn}")
     return EXIT_OK
@@ -164,6 +176,15 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "presets": _cmd_presets,
+    "analyze": _cmd_analyze,
+    "simulate": _cmd_simulate,
+    "compare": _cmd_compare,
+    "sweep": _cmd_sweep,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -171,17 +192,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "presets":
-            return _cmd_presets()
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        raise DomainError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (DomainError, OSError) as exc:  # OSError: a config or --out path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -27,7 +27,6 @@ __all__ = [
     "Preset",
     "PRESETS",
     "preset_grid",
-    "preset_names",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
@@ -291,10 +290,6 @@ PRESETS: dict[str, Preset] = {
     "40GHz-C": Preset(40e9, 0.1),
     "40GHz-VC": Preset(40e9, 0.05),
 }
-
-
-def preset_names() -> list[str]:
-    return list(PRESETS)
 
 
 def preset_grid(name: str) -> PortGrid:

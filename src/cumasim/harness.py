@@ -21,14 +21,7 @@ from scipy.special import erf
 
 from . import analytic, approx, montecarlo
 from .analytic import ChannelStats
-from .geometry import (
-    HANDSET_APERTURE_M,
-    PortGrid,
-    PRESETS,
-    correlation_matrix,
-    grid_from_aperture,
-    preset_grid,
-)
+from .geometry import PRESETS, correlation_matrix, preset_grid
 from .montecarlo import SeedSpec, SimConfig
 from .specfun import DomainError, _check_rate
 
@@ -50,7 +43,6 @@ _AXES = ("users", "rs", "delta_b", "ports")
 _METRICS = ("er", "op", "sop", "sop_lower")
 _SOP_METRICS = ("sop", "sop_lower")
 _EXACT_MODES = ("on", "off")
-_PORTS_AXIS_N1_SPACING = 0.05  # ports axis densifies dimension 2 of the 6 GHz VC layout
 
 CSV_HEADER = "axis_value,metric,analytic_approx,analytic_exact,mc_mean,mc_stderr,trials,seed"
 
@@ -91,11 +83,11 @@ class SweepSpec:
             raise DomainError(f"each metric may appear once, got {self.metrics}")
         if self.exact not in _EXACT_MODES:
             raise DomainError(f"exact must be one of {_EXACT_MODES}, got {self.exact!r}")
+        if self.axis in ("users", "ports") and any(v != int(v) or v < 2 for v in self.values):
+            raise DomainError(f"{self.axis}-axis values must be integers >= 2")
         if self.axis == "ports":
             if self.preset is not None:
                 raise DomainError("the ports axis builds its own grids; drop the preset")
-            if any(v != int(v) or v < 2 for v in self.values):
-                raise DomainError("ports-axis values are integer row counts >= 2")
         elif self.preset is None:
             raise DomainError(f"axis {self.axis!r} requires a preset")
         elif self.preset not in PRESETS:
@@ -105,15 +97,13 @@ class SweepSpec:
                 raise DomainError("secrecy metrics require eve_preset")
             if self.eve_preset not in PRESETS:
                 raise DomainError(f"unknown eve preset {self.eve_preset!r}")
-        if self.axis == "users" and any(v != int(v) or v < 2 for v in self.values):
-            raise DomainError("users-axis values must be integers >= 2")
         if self.axis == "delta_b" and any(not 0.0 < v <= 1.0 for v in self.values):
             raise DomainError("delta_b values must lie in (0, 1]")
         if self.axis == "rs" and any(v < 0.0 for v in self.values):
             raise DomainError("rs values must be nonnegative")
         if self.users < 2:
             raise DomainError(f"need at least 2 users, got {self.users}")
-        for name, delta in (("delta_b", self.delta_b), ("delta", self.delta_e)):
+        for name, delta in (("delta_b", self.delta_b), ("delta_e", self.delta_e)):
             if not 0.0 < delta <= 1.0:
                 raise DomainError(f"{name} must lie in (0, 1], got {delta}")
         _check_rate("gamma_th", self.gamma_th)
@@ -147,10 +137,6 @@ class ComparisonReport:
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
 
-    def write(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
-
 
 def _fmt(v) -> str:
     if v is None:
@@ -158,12 +144,6 @@ def _fmt(v) -> str:
     if isinstance(v, float) and v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return format(v, ".12g")
-
-
-def _ports_axis_grid(n2: int) -> PortGrid:
-    freq = PRESETS["6GHz-VC"].freq_hz
-    base = grid_from_aperture(*HANDSET_APERTURE_M, freq, _PORTS_AXIS_N1_SPACING)
-    return PortGrid(n1=base.n1, n2=n2, w1=base.w1, w2=base.w2)
 
 
 def run_sweep(spec: SweepSpec) -> ComparisonReport:
@@ -205,8 +185,8 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
             rs = float(v)
         elif spec.axis == "delta_b":
             delta_b = float(v)
-        else:  # ports
-            grid = _ports_axis_grid(int(v))
+        else:  # ports: the 6GHz-VC layout with v rows along dimension 2
+            grid = dataclasses.replace(preset_grid("6GHz-VC"), n2=int(v))
         axis_value = float(grid.total_ports) if spec.axis == "ports" else float(v)
 
         bob_samples = eve_samples = None  # so that a replaced receiver is freed before its redraw
@@ -220,7 +200,8 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
 
     report = ComparisonReport(rows=tuple(rows))
     if spec.out:
-        report.write(spec.out)
+        with open(spec.out, "w", newline="\n") as fh:
+            fh.write(report.to_csv())
     return report
 
 

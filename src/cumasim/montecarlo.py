@@ -242,7 +242,8 @@ def mc_estimate(
         if metric == "sop":
             hits = np.log2(1.0 + bob.sir) - np.log2(1.0 + eve.sir) < rs
         else:
-            hits = bob.sir < exp2(rs) * eve.sir
+            with np.errstate(over="ignore"):  # an overflow to inf still compares true
+                hits = bob.sir < exp2(rs) * eve.sir
     else:
         raise DomainError(f"unknown Monte Carlo metric {metric!r}")
     p = float(np.mean(hits))

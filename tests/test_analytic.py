@@ -212,6 +212,8 @@ class TestChannelStats:
         ("delta", 1.5),
         ("interferers", 0),
         ("sigma1_sq", -1.0),
+        ("sigma1_sq", math.nan),
+        ("sigma2_sq", math.nan),
     ])
     def test_invalid_fields(self, case1_stats, field, value):
         import dataclasses

@@ -19,7 +19,7 @@ from cumasim.approx import (
     log_beta_I,
     sop_lower_closed,
 )
-from cumasim.geometry import preset_grid, preset_names
+from cumasim.geometry import PRESETS, preset_grid
 from cumasim.specfun import DomainError
 
 
@@ -123,8 +123,9 @@ class TestApproxPdfZI:
     def test_domain(self):
         with pytest.raises(DomainError):
             approx_pdf_zI(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            approx_pdf_zI(1.0, 0.0)
+        for beta in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                approx_pdf_zI(1.0, beta)
 
 
 class TestApproxPdfZ:
@@ -159,6 +160,13 @@ class TestApproxPdfZ:
         beta = 2.9
         z = beta * math.log(2.0)
         assert approx_cdf_z(z, beta) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, math.nan])
+    def test_scale_domain(self, beta):
+        # a NaN scale fails "beta > 0" like a zero one
+        for fn in (approx_pdf_z, approx_cdf_z, approx_op):
+            with pytest.raises(DomainError, match="beta must be positive"):
+                fn(1.0, beta)
 
 
 class TestApproxEr:
@@ -240,7 +248,7 @@ def paper_op(gamma_th, beta_scaled, sigma2_sq):
     return -math.expm1(-(2.0**gamma_th - 1.0) * sigma2_sq / beta_scaled)
 
 
-@pytest.mark.parametrize("preset", preset_names())
+@pytest.mark.parametrize("preset", list(PRESETS))
 def test_raw_unit_closed_forms_match_the_paper_form(preset):
     # the paper scales the SIR by sigma2^2 and the fit with it; the raw-unit
     # forms must give the same rate and outage
@@ -286,7 +294,8 @@ class TestSopLowerClosed:
         assert sop_lower_closed(1.0, be, rs) == 1.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            sop_lower_closed(0.0, 1.0, 0.0)
+        for scales in ((0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                sop_lower_closed(*scales, 1.0)
         with pytest.raises(DomainError):
             sop_lower_closed(1.0, 1.0, -0.5)

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 import cumasim.geometry as geometry
 from cumasim.analytic import sigma_sums
 from cumasim.geometry import (
+    PRESETS,
     CorrelationMatrix,
     PortGrid,
     correlation_matrix,
     grid_from_aperture,
     offset_correlation,
     preset_grid,
-    preset_names,
 )
 from cumasim.specfun import DomainError
 from link_oracle import dense_correlation
@@ -88,7 +88,7 @@ class TestGridFromAperture:
         assert (g.n1, g.n2) == expected
 
     def test_preset_names_cover_all_cases(self):
-        assert len(preset_names()) == 9
+        assert len(PRESETS) == 9
         assert preset_grid("40GHz-VC").total_ports == 401 * 22
 
     def test_rejects_spacing_larger_than_aperture(self):
@@ -205,7 +205,7 @@ class TestCorrelationMatrix:
         assert np.array_equal(table_entries(grid), ref_entries(grid))
 
     def test_budget_admits_every_preset(self):
-        for name in preset_names():
+        for name in PRESETS:
             assert geometry._factor_bytes(preset_grid(name)) <= geometry._FACTOR_BUDGET_BYTES
 
     def test_budget_refuses_before_allocating(self):

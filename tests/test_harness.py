@@ -80,6 +80,11 @@ class TestSweepSpecValidation:
         with pytest.raises(DomainError):
             small_spec(**kw)
 
+    @pytest.mark.parametrize("field", ["delta_b", "delta_e"])
+    def test_delta_rejection_names_its_field(self, field):
+        with pytest.raises(DomainError, match=f"^{field} must lie in"):
+            small_spec(**{field: 2.0})
+
     def test_ports_axis_conflicts_with_preset(self):
         with pytest.raises(DomainError):
             small_spec(axis="ports", values=(4.0, 6.0))
@@ -912,6 +917,15 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err and "RuntimeWarning" not in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sample_sum_gives_a_finite_mean(self, capsys):
+        # every sample is finite but their sum overflows; the mean is at most the largest sample
+        argv = ["simulate", "--preset", "6GHz-NC", "--users", "5", "--delta", "1e-305", "--trials", "1000", "--seed", "1"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        values = [float(v) for line in lines[1:] for v in line.split(" = ")[1].split(" +- ")]
+        assert lines[4].startswith("mean_sir = ") and all(math.isfinite(v) for v in values)
 
     def test_oversized_offset_table_is_validation_error(self, capsys):
         # a --no-mc ports sweep builds no factor, but its offset table has

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -414,6 +415,13 @@ class TestMcSop:
         for metric in ("sop", "sop_lower"):
             assert mc_estimate(metric, *pair, rs=1e308) == (1.0, 0.0)
         assert mc_estimate("op", pair[0], gamma_th=1e308) == (1.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_eve_product_saturates(self, case1_config):
+        # a finite 2^rs times Eve's SIR may overflow to inf, which every Bob sample is below
+        bob, eve = sop_pair(case1_config, case1_config, 200)
+        eve = dataclasses.replace(eve, sir=np.full_like(eve.sir, 1e307))
+        assert mc_estimate("sop_lower", bob, eve, rs=10.0) == (1.0, 0.0)
 
     def test_interference_cancellation_ordering(self):
         bob_grid = preset_grid("6GHz-VC")

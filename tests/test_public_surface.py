@@ -1,8 +1,12 @@
-"""Each module's ``__all__`` lists exactly what the module defines in public."""
+"""Each module's ``__all__`` lists exactly what the module defines in public,
+and the package namespace holds the README quick start's names and the two
+error types."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,11 @@ def test_all_lists_every_public_definition(name):
     exported = set(getattr(mod, "__all__", ()))
     assert public_definitions(mod.__file__) - exported == set()
     assert [n for n in exported if not hasattr(mod, n)] == []
+
+
+def test_package_namespace_is_the_quick_start():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = re.search(r"^from cumasim import \((.*?)\)", readme, flags=re.DOTALL | re.MULTILINE).group(1)
+    expected = {name.strip() for name in quick_start.split(",") if name.strip()}
+    public = {n for n, v in vars(cumasim).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert public == expected | {"DomainError", "QuadratureError"}
