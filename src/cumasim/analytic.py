@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import legint, legvander
 from scipy.special import hyp1f1
 
 from .geometry import PortGrid, offset_correlation
-from .specfun import DomainError, _check_rate, exp2
+from .specfun import DomainError, _check_delta, _check_rate, exp2
 
 __all__ = [
     "QuadratureError",
@@ -72,8 +72,7 @@ class ChannelStats:
             raise DomainError("sigma1_sq and sigma2_sq must both be positive")
         if self.nbar < 1 or self.interferers < 1:
             raise DomainError("need nbar >= 1 and at least one interferer")
-        if not 0.0 < self.delta <= 1.0:
-            raise DomainError(f"delta must lie in (0, 1], got {self.delta}")
+        _check_delta("delta", self.delta)
 
     @property
     def mu(self) -> float:

@@ -86,7 +86,7 @@ def approx_pdf_zI(z: float, beta: float) -> float:
     """Gamma(1/2, beta) density: z^(-1/2) exp(-z/beta) / sqrt(pi beta)."""
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if z <= 0.0:
+    if not z > 0.0:
         raise DomainError(f"approx_pdf_zI requires z > 0, got {z}")
     return math.exp(-z / beta) / math.sqrt(math.pi * beta * z)
 
@@ -95,7 +95,7 @@ def approx_pdf_z(z: float, beta: float) -> float:
     """Exponential density exp(-z/beta)/beta for the total variable."""
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError(f"approx_pdf_z requires z >= 0, got {z}")
     return math.exp(-z / beta) / beta
 

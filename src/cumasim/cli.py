@@ -21,7 +21,7 @@ from .analytic import ChannelStats, QuadratureError
 from .geometry import PRESETS, correlation_matrix, preset_grid
 from .harness import SweepSpec, evaluate_point, integer, parse_config, run_sweep
 from .montecarlo import SeedSpec, SimConfig
-from .specfun import DomainError
+from .specfun import DomainError, _check_delta
 
 __all__ = ["EXIT_OK", "EXIT_VALIDATION", "EXIT_NUMERICAL", "main", "entry"]
 
@@ -98,6 +98,7 @@ def _cmd_analyze(args) -> int:
     stats = ChannelStats.from_grid(preset_grid(args.preset), args.users, delta=args.delta)
     eve = None
     if args.eve_preset is not None:
+        _check_delta("delta_e", args.delta_e)
         eve = ChannelStats.from_grid(preset_grid(args.eve_preset), args.users, delta=args.delta_e)
     metrics = ("er", "op") if args.rs is None else ("er", "op", "sop_lower")
     point = evaluate_point(metrics, args.users, gamma_th=args.gamma_th, rs=args.rs, bob=stats, eve=eve)

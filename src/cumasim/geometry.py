@@ -93,12 +93,13 @@ def grid_from_aperture(width_m: float, height_m: float, freq_hz: float, spacing1
 # is written after the last eigh; its rank r is not known before, so the
 # estimate takes r = N, which also covers the kept block eigenvectors
 # (at most N^2 / 4 entries) held while it is written. Peak RSS above the
-# imported package measured 0.38 of the estimate on 26GHz-C (N = 1834,
-# r = 515) and 0.28 on 26GHz-VC (N = 3654, r = 515). The budget admits every
-# preset (40GHz-VC, N = 8822, needs about 0.76 GiB) and the ports axis up to
-# 330 rows. The offset table, with the pair sums of analytic.sigma_sums over
-# it, peaks at about seven (n1, n2) arrays: peak RSS above the imported
-# package measured 6.1 x 8 n1 n2 bytes on the ports axis at 1e5 and 3e5 rows.
+# imported package measured 0.36 of the estimate on 26GHz-C (N = 1834,
+# r = 515) and 0.30 on 26GHz-VC (N = 3654, r = 515), medians of 7 cold
+# runs. The budget admits every preset (40GHz-VC, N = 8822, needs about
+# 0.76 GiB) and the ports axis up to 330 rows. The offset table, with the
+# pair sums of analytic.sigma_sums over it, peaks at about seven (n1, n2)
+# arrays: peak RSS above the imported package measured 6.1 x 8 n1 n2 bytes
+# on the ports axis at 1e5 and 3e5 rows.
 _BLOCK_ARRAYS = 5
 _TABLE_ARRAYS = 7
 _FACTOR_BUDGET_BYTES = 4 << 30
@@ -195,14 +196,20 @@ def _parity_block(rho: np.ndarray, grid: PortGrid, s1: int, s2: int) -> np.ndarr
     """
     a1, r1, c1 = _fold(grid.n1, s1)
     a2, r2, c2 = _fold(grid.n2, s2)
-    # fold dimension 1 on the small (n2, h1, h1) table, then gather its (h1, h1) slabs along dimension 2
-    t = np.moveaxis((rho[a1] + s1 * rho[r1]) * c1[:, :, None], 2, 0)
+    # fold dimension 1 in place on one gathered (h1, h1, n2) table, then gather its (h1, h1) slabs
+    # along dimension 2; s rho(a') + rho(a) and rho(a) - rho(a') round exactly as rho(a) + s rho(a')
+    t = rho[r1]
+    t *= s1
+    t += rho[a1]
+    t *= c1[:, :, None]
+    t = np.moveaxis(t, 2, 0)
     h1, h2 = a1.shape[0], a2.shape[0]
+    fold2 = np.add if s2 > 0 else np.subtract
     # axes (l, k, l', k') flatten to (k + h1 l, k' + h1 l'); row group l is written in place
     block = np.empty((h2, h1, h2, h1))
     for l, (a, r, c) in enumerate(zip(a2, r2, c2)):
         slab = block[l].swapaxes(0, 1)  # axes (l', k, k')
-        np.add(t[a], s2 * t[r], out=slab)
+        fold2(t[a], t[r], out=slab)
         slab *= c[:, None, None]
     return block.reshape(h1 * h2, h1 * h2)
 
@@ -259,10 +266,15 @@ def correlation_matrix(grid: PortGrid) -> CorrelationMatrix:
     # each eigenpair's column in ascending eigenvalue order, as eigh of C orders them
     column = np.argsort(np.concatenate(lams), kind="stable").argsort()
     block_columns = np.split(column, np.cumsum([len(lam) for lam in lams])[:-1])
+    # scale the kept eigenvectors in place, with no scaled copy, and drop the eigenvalues before the
+    # factor is allocated
+    for lam, vec in zip(lams, vecs):
+        vec *= np.sqrt(lam)
+    del blocks
     factor = np.zeros((grid.total_ports, len(column)))
     ports = factor.reshape(grid.n2, grid.n1, -1)
-    for (s1, s2), lam, vec, cols in zip(_PARITIES, lams, vecs, block_columns):
-        w = (vec * np.sqrt(lam)).reshape(_half(grid.n2, s2), _half(grid.n1, s1), -1)
+    for (s1, s2), vec, cols in zip(_PARITIES, vecs, block_columns):
+        w = vec.reshape(_half(grid.n2, s2), _half(grid.n1, s1), -1)
         for p2, k2, f2 in _mirror(grid.n2, s2):
             for p1, k1, f1 in _mirror(grid.n1, s1):
                 ports[p2, p1, cols] = (f1 * f2) * w[k2, k1]

@@ -23,7 +23,7 @@ from . import analytic, approx, montecarlo
 from .analytic import ChannelStats
 from .geometry import PRESETS, correlation_matrix, preset_grid
 from .montecarlo import SeedSpec, SimConfig
-from .specfun import DomainError, _check_rate
+from .specfun import DomainError, _check_delta, _check_rate
 
 __all__ = [
     "SweepSpec",
@@ -103,9 +103,8 @@ class SweepSpec:
             raise DomainError("rs values must be nonnegative")
         if self.users < 2:
             raise DomainError(f"need at least 2 users, got {self.users}")
-        for name, delta in (("delta_b", self.delta_b), ("delta_e", self.delta_e)):
-            if not 0.0 < delta <= 1.0:
-                raise DomainError(f"{name} must lie in (0, 1], got {delta}")
+        _check_delta("delta_b", self.delta_b)
+        _check_delta("delta_e", self.delta_e)
         _check_rate("gamma_th", self.gamma_th)
         _check_rate("secrecy rate", self.rs)
         if self.mc and self.trials < 1000:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CorrelationMatrix
-from .specfun import DomainError, _check_rate, exp2
+from .specfun import DomainError, _check_delta, _check_rate, exp2
 
 __all__ = [
     "SeedSpec",
@@ -88,8 +88,7 @@ class SimConfig:
     def __post_init__(self):
         if self.users < 2:
             raise DomainError(f"need at least 2 users, got {self.users}")
-        if not 0.0 < self.delta <= 1.0:
-            raise DomainError(f"delta must lie in (0, 1], got {self.delta}")
+        _check_delta("delta", self.delta)
 
     @property
     def interferers(self) -> int:
@@ -123,8 +122,7 @@ def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, d
     """
     if interferers < 1:
         raise DomainError(f"need at least one interferer, got {interferers}")
-    if not 0.0 < delta <= 1.0:
-        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    _check_delta("delta", delta)
     sir, sir_i, q_i = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
     k_i = np.empty(_BLOCK, dtype=np.int64)
     redraws = np.zeros(_BLOCK, dtype=np.int64)

@@ -3,8 +3,8 @@
 The special functions behind the channel statistics come from
 ``scipy.special`` and ``math``; this module keeps the validation error
 that every module raises and the CLI maps to exit code 2, the one check
-of a rate argument, and the 2^x that turns rate thresholds into SIR
-thresholds.
+each of a rate argument and of a residual interference factor, and the
+2^x that turns rate thresholds into SIR thresholds.
 """
 
 from __future__ import annotations
@@ -22,6 +22,12 @@ def _check_rate(name: str, rate: float) -> None:
     """Refuse a rate (bits per channel use) that is negative or not finite."""
     if not 0.0 <= rate < math.inf:
         raise DomainError(f"{name} must be nonnegative and finite, got {rate}")
+
+
+def _check_delta(name: str, delta: float) -> None:
+    """Refuse a residual interference factor outside (0, 1], NaN included."""
+    if not 0.0 < delta <= 1.0:
+        raise DomainError(f"{name} must lie in (0, 1], got {delta}")
 
 
 def exp2(x: float) -> float:

@@ -37,6 +37,15 @@ def report(tag, ok, detail):
     print(f"[{tag}] {'PASS' if ok else 'FAIL'} {detail}")
 
 
+@pytest.fixture(scope="module")
+def nc20_samples(case1_config):
+    """A08's and A10's sample set: 1e5 trials on 6GHz-NC at 20 users, drawn once and read-only."""
+    samples = sir_samples(case1_config, 100_000, SEED)
+    for a in (samples.sir, samples.sir_i, samples.k_i_sizes, samples.q_i):
+        a.setflags(write=False)
+    return samples
+
+
 class _Point:
     """One Monte Carlo evaluation at a sweep point."""
 
@@ -182,15 +191,11 @@ def test_a07_secrecy_bound_vs_quadrature():
     assert ok
 
 
-def test_a08_simulation_vs_fitted_distribution():
+def test_a08_simulation_vs_fitted_distribution(nc20_samples, case1_stats):
     # 7x4 half-wavelength layout, 20 users, no cancellation, 1e5 trials
     t0 = time.time()
-    grid = preset_grid("6GHz-NC")
-    st = ChannelStats.from_grid(grid, 20)
-    config = SimConfig(corr=correlation_matrix(grid), users=20)
-    samples = sir_samples(config, 100_000, SEED)
-    z = samples.sir
-    beta = beta_I(st)
+    z = nc20_samples.sir
+    beta = beta_I(case1_stats)
     ks_fit = ks_statistic(z, lambda x: approx_cdf_z(x, beta))
     ks_control = ks_statistic(z, lambda x: approx_cdf_z(x, 2.0 * beta))
     # distance to the best exponential of any scale, for the record: the
@@ -320,10 +325,10 @@ def test_a09_sweep_trends():
     assert ok_all, f"trend clauses failed: {failures}"
 
 
-def test_a10_interference_variance_calibration(case1_config, case1_stats):
+def test_a10_interference_variance_calibration(nc20_samples, case1_config, case1_stats):
     t0 = time.time()
     # each trial's sums are N(0, q_I / 2) given its desired draw
-    sums = interference_sums(sir_samples(case1_config, 100_000, SEED), case1_config, SEED)
+    sums = interference_sums(nc20_samples, case1_config, SEED)
     ratio = float(sums.var(ddof=1)) / case1_stats.sigma2_sq
     ok = abs(ratio - 1.0) < 0.10
     report(

@@ -121,8 +121,9 @@ class TestApproxPdfZI:
         assert ratio == pytest.approx(1.0, abs=0.02)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            approx_pdf_zI(-1.0, 1.0)
+        for z in (-1.0, 0.0, math.nan):
+            with pytest.raises(DomainError, match="requires z > 0"):
+                approx_pdf_zI(z, 1.0)
         for beta in (0.0, math.nan):
             with pytest.raises(DomainError):
                 approx_pdf_zI(1.0, beta)
@@ -167,6 +168,12 @@ class TestApproxPdfZ:
         for fn in (approx_pdf_z, approx_cdf_z, approx_op):
             with pytest.raises(DomainError, match="beta must be positive"):
                 fn(1.0, beta)
+
+    @pytest.mark.parametrize("z", [-1.0, math.nan])
+    def test_argument_domain(self, z):
+        # a NaN argument fails "z >= 0" like a negative one
+        with pytest.raises(DomainError, match="requires z >= 0"):
+            approx_pdf_z(z, 1.0)
 
 
 class TestApproxEr:

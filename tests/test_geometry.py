@@ -282,6 +282,27 @@ class TestParityFold:
             assert np.array_equal(geometry._parity_block(rho, grid, s1, s2), want.reshape(h, h))
 
     @pytest.mark.parametrize("grid", FOLD_GRIDS, ids=lambda g: f"{g.n1}x{g.n2}")
+    def test_factor_assembly_is_bit_exact(self, grid):
+        # reference: each block's eigenpairs above the global cut, scaled out of place and unfolded
+        # one column at a time, the columns in ascending eigenvalue order (ties in block order)
+        rho = offset_correlation(grid)
+        blocks = [geometry._block_eigh(rho, grid, s1, s2) for s1, s2 in geometry._PARITIES]
+        cut = geometry._RANK_CUT * max(eigvals[-1] for eigvals, _ in blocks)
+        pairs = []  # (eigenvalue, parities, scaled eigenvector as an (h2, h1) table)
+        for (s1, s2), (eigvals, eigvecs) in zip(geometry._PARITIES, blocks):
+            lam = eigvals[eigvals > cut]
+            w = eigvecs[:, eigvecs.shape[1] - len(lam) :] * np.sqrt(lam)
+            h2, h1 = geometry._half(grid.n2, s2), geometry._half(grid.n1, s1)
+            pairs += [(x, (s1, s2), w[:, j].reshape(h2, h1)) for j, x in enumerate(lam)]
+        want = np.zeros((grid.total_ports, len(pairs)))
+        for col, (_, (s1, s2), w) in enumerate(sorted(pairs, key=lambda pair: pair[0])):
+            ports = want[:, col].reshape(grid.n2, grid.n1)
+            for p2, k2, f2 in geometry._mirror(grid.n2, s2):
+                for p1, k1, f1 in geometry._mirror(grid.n1, s1):
+                    ports[p2, p1] = (f1 * f2) * w[k2, k1]
+        assert np.array_equal(correlation_matrix(grid).factor, want)
+
+    @pytest.mark.parametrize("grid", FOLD_GRIDS, ids=lambda g: f"{g.n1}x{g.n2}")
     def test_columns_are_even_or_odd_under_each_reflection(self, grid):
         cols = correlation_matrix(grid).factor.T.reshape(-1, grid.n2, grid.n1)
         for axis in (1, 2):

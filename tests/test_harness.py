@@ -853,6 +853,11 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_eve_delta_rejection_names_its_flag(self, capsys):
+        argv = ["analyze", "--preset", "6GHz-NC", "--users", "3", "--eve-preset", "6GHz-NC", "--delta-e", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: delta_e must lie in (0, 1], got 2.0\n"
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_single_trial_is_validation_error(self, command, capsys):
         rc = main([command, "--preset", "6GHz-NC", "--users", "8", "--trials", "1", "--seed", "3"])
