@@ -3,9 +3,12 @@
 The in-phase SIR of one user is modeled as Y^2 / (delta * sigma2^2 * Q)
 where Y ~ N(mu, sigma1^2) is the aligned desired-signal sum, Q ~ chi^2
 with one degree of freedom per interfering stream, and delta in (0, 1]
-is the residual-interference factor after (partial) cancellation. Its
-density has a closed form in terms of the Whittaker M function; the
-total SIR adds the i.i.d. quadrature branch by numerical convolution.
+is the residual-interference factor after (partial) cancellation, so
+Z_I = sigma1^2 / (delta sigma2^2 I) F' with F' ~ F'(1, I; mu^2 / sigma1^2),
+a noncentral F variable. The paper writes its density with the Whittaker
+M function; reduced, it is the z -> 0 asymptote a0 z^(-1/2) times two
+correction factors. The total SIR adds the i.i.d. quadrature branch by
+numerical convolution.
 
 The average channel power Omega is fixed at 1. It scales mu^2, sigma1^2
 and sigma2^2 alike, so it cancels from every SIR statistic and is no
@@ -44,6 +47,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_LN_PI = math.log(math.pi)
 _LOG_MAX = math.log(np.finfo(float).max)  # e^s overflows from here on
 
 
@@ -172,40 +176,42 @@ def _positive_finite(z, name: str) -> np.ndarray:
     return z
 
 
-def exact_pdf_zI(z, stats: ChannelStats):
-    """Density of the in-phase variable Z_I, elementwise over z > 0.
+def _log_a0(stats: ChannelStats) -> float:
+    """log a0, the coefficient of the in-phase density's z -> 0 asymptote a0 z^(-1/2)."""
+    i_cnt = stats.interferers
+    return (
+        -stats.mu**2 / (2.0 * stats.sigma1_sq)
+        + 0.5 * math.log(stats.delta * stats.sigma2_sq / stats.sigma1_sq)
+        - 0.5 * _LN_PI
+        + math.lgamma(0.5 * (i_cnt + 1))
+        - math.lgamma(0.5 * i_cnt)
+    )
 
-    Assembled in the log domain (the gamma and 2^(I/2) ratios overflow
-    well before the result does). The Whittaker factor is expanded as
-    t^(1/4) e^(-t/2) 1F1((I+1)/2, 1/2; t), whose log is taken through
-    Kummer's transformation, log 1F1 = t + log 1F1(-I/2, 1/2; -t), so it
-    stays finite where 1F1 itself overflows. Past a t that falls with I
-    the transformed 1F1 overflows too, and QuadratureError is raised.
+
+def exact_pdf_zI(z, stats: ChannelStats):
+    """Density of Z_I = sigma1^2 / (delta sigma2^2 I) F'(1, I; mu^2 / sigma1^2), elementwise over z > 0.
+
+    The paper's Whittaker-M form, reduced to the z -> 0 asymptote times two
+    correction factors, with q = delta sigma2^2 z and
+    t = mu^2 q / (2 sigma1^2 (sigma1^2 + q)):
+
+        f_I(z) = a0 z^(-1/2) (1 + q/sigma1^2)^(-(I+1)/2) 1F1((I+1)/2; 1/2; t).
+
+    It is assembled in the log domain (a0 underflows for large arrays), and
+    log 1F1 = t + log 1F1(-I/2, 1/2; -t) by Kummer's transformation, finite
+    where 1F1 itself overflows. Past a t that falls with I the transformed
+    1F1 overflows too, and QuadratureError is raised.
     """
     z = _positive_finite(z, "exact_pdf_zI")
     i_cnt = stats.interferers
     s1 = stats.sigma1_sq
-    d_s2 = stats.delta * stats.sigma2_sq
-    q = d_s2 * z
+    q = stats.delta * stats.sigma2_sq * z
     t = stats.mu**2 * q / (2.0 * s1 * (s1 + q))
     kummer = hyp1f1(-0.5 * i_cnt, 0.5, -t)
     bad = ~np.isfinite(kummer)
     if bad.any():
         raise QuadratureError(f"1F1(-I/2, 1/2, -t) at I = {i_cnt} is not finite from t = {np.min(t[bad]):.6g}")
-    log_pdf = (
-        0.25 * math.log(d_s2)
-        + math.lgamma(0.5 * (i_cnt + 1))
-        - math.lgamma(0.5 * i_cnt)
-        - 0.5 * math.log(math.pi)
-        - 0.5 * i_cnt * _LN2
-        - 0.5 * math.log(stats.mu)
-        - 0.75 * np.log(z)
-        - stats.mu**2 / (4.0 * s1) * (2.0 * s1 + q) / (s1 + q)
-        + 0.25 * (2 * i_cnt + 1) * (_LN2 - np.log1p(q / s1))
-        + 0.25 * np.log(t)
-        + 0.5 * t
-        + np.log(kummer)
-    )
+    log_pdf = _log_a0(stats) - 0.5 * np.log(z) - 0.5 * (i_cnt + 1) * np.log1p(q / s1) + t + np.log(kummer)
     return np.exp(log_pdf)
 
 
@@ -277,6 +283,9 @@ _CONV_WEIGHTS = 30.0 * _CONV_WX
 # nodes ascend, so they are a suffix; the first of them, w = 37.27 against the
 # 36.74 cut, leaves margin for the rounding of x.
 _CONV_HEAD = int(np.count_nonzero(30.0 * (_CONV_X + 1.0) <= (np.finfo(float).nmant + 1) * _LN2))
+# Below this z the smallest x leaves the normal float range and loses bits; f_Z
+# changes by O(z) near 0, so it is evaluated at this z instead.
+_CONV_Z_MIN = 2.0 * np.finfo(float).tiny / _CONV_SHRINK[-1]
 _CONV_ARGS = 4096  # f_I arguments per block; bounds the temporaries' memory
 
 
@@ -296,7 +305,7 @@ def exact_pdf_z(z, stats: ChannelStats):
     z's weighted sum is a numpy sum over its own row, whatever the block.
     """
     z = _positive_finite(z, "exact_pdf_z")
-    flat = z.reshape(-1)
+    flat = np.maximum(z.reshape(-1), _CONV_Z_MIN)
     out = np.empty_like(flat)
     head = _CONV_HEAD
     step = _CONV_ARGS // (len(_CONV_SHRINK) + head + 1)
@@ -375,7 +384,7 @@ class ExactLaw:
         return float(np.sum(self._mass * phi(self._z)))
 
     def cdf(self, z):
-        """Pr{Z <= z}, elementwise; 0 for z <= 0, clipped to [0, 1]."""
+        """Pr{Z <= z}, elementwise; 0 for z <= 0, NaN for NaN, clipped to [0, 1]."""
         z = np.asarray(z, dtype=float)
         flat = z.reshape(-1)
         pos = flat > 0.0
@@ -383,7 +392,7 @@ class ExactLaw:
         panel = np.clip(np.floor(s), 0, len(self._g) - 1).astype(int)
         x = np.clip(2.0 * (s - panel) - 1.0, -1.0, 1.0)
         part = np.sum(legvander(x, _ORDER) * self._antideriv[panel], axis=1)
-        out = np.where(pos, np.clip(self._cum[panel] + part, 0.0, 1.0), 0.0)
+        out = np.where(pos, np.clip(self._cum[panel] + part, 0.0, 1.0), np.where(np.isnan(flat), np.nan, 0.0))
         return out.reshape(z.shape)[()]
 
 

@@ -1,7 +1,10 @@
 """Closed-form Gamma/exponential approximations of the SIR distributions.
 
-The in-phase density behaves like a0 * z^(-1/2) as z -> 0; matching a
-Gamma(1/2, beta) density to that asymptote gives beta = 1 / (pi a0^2).
+The in-phase SIR is Z_I = sigma1^2 / (delta sigma2^2 I) F'(1, I; mu^2 / sigma1^2),
+a scaled noncentral F variable, whose exact density (``analytic.exact_pdf_zI``)
+is a0 * z^(-1/2) times two correction factors that tend to 1 as z -> 0;
+matching a Gamma(1/2, beta) density to that asymptote gives
+beta = 1 / (pi a0^2).
 The sum of the two i.i.d. branches is then exactly Gamma(1, beta), i.e.
 exponential, which yields closed forms for ergodic rate, outage and the
 secrecy-outage lower bound.
@@ -11,15 +14,13 @@ simulator: beta = beta_I(stats) is the scale of the raw SIR. The paper
 writes its rate and outage forms for the sigma2^2-scaled SIR, with
 x = sigma2^2 / (sigma2^2 beta); that is the same x = 1 / beta.
 
-The linear coefficient uses E[sqrt(Q)] = sqrt(2) Gamma((I+1)/2) / Gamma(I/2)
-for the chi-square interference power Q with one degree of freedom per
-interferer:
+The coefficient, shared with the exact density and carried as its log
+(the tail factor exp(-mu^2 / (2 sigma1^2)) underflows for very large
+arrays), uses E[sqrt(Q)] = sqrt(2) Gamma((I+1)/2) / Gamma(I/2) for the
+chi-square interference power Q with one degree of freedom per interferer:
 
     a0 = exp(-mu^2 / (2 sigma1^2)) * sqrt(delta) * sigma2 * E[sqrt(Q)]
          / (sqrt(2 pi) * sigma1)
-
-All quantities are carried in the log domain internally; the tail factor
-exp(-mu^2 / (2 sigma1^2)) is far below underflow for very large arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import numpy as np
 from scipy.special import exp1, hyperu
 
-from .analytic import ChannelStats
+from .analytic import _LN2, _LN_PI, ChannelStats, _log_a0
 from .specfun import DomainError, _check_rate, exp2
 
 __all__ = [
@@ -43,20 +44,6 @@ __all__ = [
     "approx_op",
     "sop_lower_closed",
 ]
-
-_LN_PI = math.log(math.pi)
-_LN2 = math.log(2.0)
-
-
-def _log_a0(stats: ChannelStats) -> float:
-    i_cnt = stats.interferers
-    return (
-        -stats.mu**2 / (2.0 * stats.sigma1_sq)
-        + 0.5 * math.log(stats.delta * stats.sigma2_sq / stats.sigma1_sq)
-        - 0.5 * _LN_PI
-        + math.lgamma(0.5 * (i_cnt + 1))
-        - math.lgamma(0.5 * i_cnt)
-    )
 
 
 def asymptote_a0(stats: ChannelStats) -> float:

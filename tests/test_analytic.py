@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
+from scipy.special import gammaln, hyp1f1, ncfdtr
 
 import cumasim.analytic as analytic
 from cumasim.analytic import (
@@ -21,7 +22,7 @@ from cumasim.analytic import (
     sigma_sums,
     sop_lower_numeric,
 )
-from cumasim.approx import asymptote_a0
+from cumasim.approx import asymptote_a0, beta_I
 from cumasim.geometry import HANDSET_APERTURE_M, PortGrid, grid_from_aperture, preset_grid
 from cumasim.specfun import DomainError, exp2
 from link_oracle import dense_correlation
@@ -244,6 +245,36 @@ def first_principles_pdf(z, mu, sigma1_sq, sigma2_sq, delta, i_cnt):
     return float(mp.quad(integrand, [0, i_cnt, 5 * i_cnt, mp.inf]))
 
 
+def whittaker_form_pdf(z, stats):
+    """The in-phase density in the paper's Whittaker-M form, term by term (reference for exact_pdf_zI).
+
+    The Whittaker factor M_{-(2I+1)/4, -1/4}(t) = t^(1/4) e^(-t/2) 1F1((I+1)/2; 1/2; t)
+    enters through Kummer's transformation, log 1F1 = t + log 1F1(-I/2; 1/2; -t),
+    with scipy's gammaln for the gamma ratio.
+    """
+    z = np.asarray(z, dtype=float)
+    i_cnt = stats.interferers
+    s1 = stats.sigma1_sq
+    d_s2 = stats.delta * stats.sigma2_sq
+    q = d_s2 * z
+    t = stats.mu**2 * q / (2.0 * s1 * (s1 + q))
+    log_pdf = (
+        0.25 * np.log(d_s2)
+        + gammaln(0.5 * (i_cnt + 1))
+        - gammaln(0.5 * i_cnt)
+        - 0.5 * np.log(np.pi)
+        - 0.5 * i_cnt * np.log(2.0)
+        - 0.5 * np.log(stats.mu)
+        - 0.75 * np.log(z)
+        - stats.mu**2 / (4.0 * s1) * (2.0 * s1 + q) / (s1 + q)
+        + 0.25 * (2 * i_cnt + 1) * (np.log(2.0) - np.log1p(q / s1))
+        + 0.25 * np.log(t)
+        + 0.5 * t
+        + np.log(hyp1f1(-0.5 * i_cnt, 0.5, -t))
+    )
+    return np.exp(log_pdf)
+
+
 def channel_moments(stats, omega=1.0):
     """(mu, sigma1^2, sigma2^2, delta, interferers) of ``stats`` at channel power omega."""
     mu, s1, s2 = math.sqrt(omega) * stats.mu, omega * stats.sigma1_sq, omega * stats.sigma2_sq
@@ -286,6 +317,32 @@ class TestExactPdfZI:
         ratio = exact_pdf_zI(z, case1_stats) * math.sqrt(z) / a0
         assert ratio == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("preset,users,delta", [
+        ("6GHz-NC", 20, 1.0), ("6GHz-VC", 60, 1.0), ("26GHz-C", 10, 1.0),
+        ("26GHz-VC", 20, 0.5), ("40GHz-NC", 200, 1.0), ("6GHz-NC", 3, 1e-3),
+    ])
+    def test_matches_the_whittaker_form(self, preset, users, delta):
+        # the reduced form a0 z^(-1/2) (1 + q/sigma1^2)^(-(I+1)/2) 1F1 against
+        # the paper's form, across the range the law tabulates
+        stats = ChannelStats.from_grid(preset_grid(preset), users, delta)
+        z = np.geomspace(stats.law._z.min(), stats.law._z.max(), 2001)
+        np.testing.assert_allclose(exact_pdf_zI(z, stats), whittaker_form_pdf(z, stats), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("preset,users,delta", [
+        ("6GHz-NC", 20, 1.0), ("6GHz-VC", 60, 1.0), ("26GHz-C", 10, 1.0), ("6GHz-NC", 3, 1e-3),
+    ])
+    def test_noncentral_f_cdf(self, preset, users, delta):
+        # Z_I = sigma1^2 / (delta sigma2^2 I) F', F' ~ noncentral F(1, I) with
+        # noncentrality mu^2 / sigma1^2; the CDF integrates z f_I(z) in ln z
+        stats = ChannelStats.from_grid(preset_grid(preset), users, delta)
+        i_cnt, s1, d_s2 = stats.interferers, stats.sigma1_sq, stats.delta * stats.sigma2_sq
+        g = lambda s: math.exp(s) * exact_pdf_zI(math.exp(s), stats)
+        for k in (1e-4, 1e-2, 0.3, 1.0, 3.0, 30.0):
+            z = k * (stats.mu**2 + s1) / (d_s2 * i_cnt)
+            got = integrate.quad(g, math.log(z) - 100.0, math.log(z), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            want = ncfdtr(1, i_cnt, stats.mu**2 / s1, z * d_s2 * i_cnt / s1)
+            assert got == pytest.approx(want, rel=1e-10)
+
     def test_nonnegative(self, case1_stats):
         for z in np.geomspace(1e-6, 50, 40):
             assert exact_pdf_zI(float(z), case1_stats) >= 0.0
@@ -324,41 +381,26 @@ class TestExactPdfZ:
         hi = integrate.quad(lambda u: 2 * u * f(z - u * u), 0, math.sqrt(z / 2), limit=100)[0]
         assert lo == pytest.approx(hi, rel=1e-6)
 
-    @staticmethod
-    def _pdf_zi_vectorized(z, stats):
-        # same closed form, but assembled with an independent special
-        # function backend for the brute-force oracle
-        from scipy.special import gammaln, hyp1f1
-
-        z = np.asarray(z, dtype=float)
-        i_cnt = stats.interferers
-        s1 = stats.sigma1_sq
-        q = stats.delta * stats.sigma2_sq * z
-        t = stats.mu**2 * q / (2.0 * s1 * (s1 + q))
-        log_pdf = (
-            0.25 * np.log(stats.delta * stats.sigma2_sq)
-            + gammaln(0.5 * (i_cnt + 1))
-            - gammaln(0.5 * i_cnt)
-            - 0.5 * np.log(np.pi)
-            - 0.5 * i_cnt * np.log(2.0)
-            - 0.5 * np.log(stats.mu)
-            - 0.75 * np.log(z)
-            - stats.mu**2 / (4.0 * s1) * (2.0 * s1 + q) / (s1 + q)
-            + 0.25 * (2 * i_cnt + 1) * (np.log(2.0) - np.log1p(q / s1))
-            + 0.25 * np.log(t)
-            - 0.5 * t
-        )
-        return np.exp(log_pdf) * hyp1f1(0.5 * (i_cnt + 1), 0.5, t)
-
     def test_brute_force_convolution(self, case1_stats):
         # trapezoid in sqrt coordinates with a million nodes
         z = 1.8
         u = np.linspace(1e-9, math.sqrt(z / 2.0), 1_000_000)
         uu = u * u
-        fa = self._pdf_zi_vectorized(uu, case1_stats)
-        fb = self._pdf_zi_vectorized(z - uu, case1_stats)
+        fa = whittaker_form_pdf(uu, case1_stats)
+        fb = whittaker_form_pdf(z - uu, case1_stats)
         want = 2.0 * np.trapezoid(2.0 * u * fa * fb, u)
         assert exact_pdf_z(z, case1_stats) == pytest.approx(float(want), rel=1e-5)
+
+    @pytest.mark.parametrize("preset,users", [("6GHz-NC", 20), ("26GHz-C", 10)])
+    def test_tiny_z_reaches_the_two_branch_limit(self, preset, users, monkeypatch):
+        # f_Z(0+) = pi a0^2 = 1 / beta_I, also where (z/2) e^-w leaves the float range
+        stats = ChannelStats.from_grid(preset_grid(preset), users)
+        for z in (1e-300, 1e-310):
+            assert exact_pdf_z(z, stats) * beta_I(stats) == pytest.approx(1.0, abs=1e-9)
+        # the floor on z lies below every law node
+        want = stats.law._g
+        monkeypatch.setattr(analytic, "_CONV_Z_MIN", 0.0)
+        assert np.array_equal(ChannelStats.from_grid(preset_grid(preset), users).law._g, want)
 
     def test_array_matches_scalar_calls(self, case1_stats):
         # more points than one convolution block holds
@@ -485,6 +527,10 @@ class TestExactLaw:
         assert isinstance(case1_law.cdf(1.0), float)
         assert case1_law.cdf(0.0) == 0.0 and case1_law.cdf(-3.0) == 0.0
         assert case1_law.cdf(math.inf) == 1.0
+        assert math.isnan(case1_law.cdf(math.nan))
+        mixed = case1_law.cdf(np.array([0.1, math.nan, -1.0, 10.0]))
+        assert np.isnan(mixed[1])
+        assert np.array_equal(mixed[[0, 2, 3]], [case1_law.cdf(0.1), 0.0, case1_law.cdf(10.0)])
         z = np.array([[0.1, 1.0], [10.0, 100.0]])
         got = case1_law.cdf(z)
         assert got.shape == z.shape
