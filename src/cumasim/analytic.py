@@ -10,9 +10,11 @@ M function; reduced, it is the z -> 0 asymptote a0 z^(-1/2) times two
 correction factors. The total SIR adds the i.i.d. quadrature branch by
 numerical convolution.
 
-The average channel power Omega is fixed at 1. It scales mu^2, sigma1^2
-and sigma2^2 alike, so it cancels from every SIR statistic and is no
-input anywhere in the package.
+delta divides the whole SIR, so it only scales the law: every density
+here is the one at delta = 1, and ``ExactLaw.over(delta)`` reads that
+law as the law of Z / delta. The average channel power Omega is fixed
+at 1. It scales mu^2, sigma1^2 and sigma2^2 alike, so it cancels from
+every SIR statistic and is no input anywhere in the package.
 
 Every exact metric is a one-dimensional sum over one or two tabulated
 laws (``ExactLaw``) of the raw SIR, so rates and thresholds are read in
@@ -21,13 +23,14 @@ the same units as the simulator's samples.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legint, legvander
-from scipy.special import hyp1f1
+from scipy.special import expit, hyp1f1
 
 from .geometry import PortGrid, offset_correlation
 from .specfun import DomainError, _check_delta, _check_rate, exp2
@@ -63,20 +66,18 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Analytic parameters of one user's SIR distribution (unit channel power)."""
+    """Analytic parameters of one user's SIR distribution (unit channel power, delta = 1)."""
 
     nbar: int
     sigma1_sq: float
     sigma2_sq: float
     interferers: int
-    delta: float
 
     def __post_init__(self):
         if not (self.sigma1_sq > 0.0 and self.sigma2_sq > 0.0):
             raise DomainError("sigma1_sq and sigma2_sq must both be positive")
         if self.nbar < 1 or self.interferers < 1:
             raise DomainError("need nbar >= 1 and at least one interferer")
-        _check_delta("delta", self.delta)
 
     @property
     def mu(self) -> float:
@@ -84,29 +85,28 @@ class ChannelStats:
         return 0.5 * self.nbar * math.sqrt(1.0 / math.pi)
 
     @classmethod
-    def from_grid(cls, grid: PortGrid, users: int, delta: float = 1.0) -> "ChannelStats":
+    def from_grid(cls, grid: PortGrid, users: int) -> "ChannelStats":
         if users < 2:
             raise DomainError(f"need at least 2 users, got {users}")
         sigma1_sq, sigma2_sq = sigma_sums(grid)
-        return cls(
-            nbar=grid.total_ports,
-            sigma1_sq=sigma1_sq,
-            sigma2_sq=sigma2_sq,
-            interferers=users - 1,
-            delta=delta,
-        )
+        return cls(nbar=grid.total_ports, sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, interferers=users - 1)
 
     def mean_sir(self) -> float:
-        """Mean of the total raw SIR (finite above two interferers)."""
+        """2 E[Y^2] / (sigma2^2 max(I - 2, 1)), the law's scale at delta = 1.
+
+        Above two interferers it is the total raw SIR's mean. At I <= 2 the
+        mean is infinite, and I - 2 is replaced by 1: a scale, not a mean.
+        """
         m2 = self.mu * self.mu + self.sigma1_sq
         dof = max(self.interferers - 2, 1)
-        return 2.0 * m2 / (dof * (self.delta * self.sigma2_sq))
+        return 2.0 * m2 / (dof * self.sigma2_sq)
 
     @functools.cached_property
     def law(self) -> "ExactLaw":
-        """Exact law of the raw total SIR, centred at its mean; tabulated on first use, then kept.
+        """Exact law of the raw total SIR at delta = 1, centred at its scale; tabulated on first use, then kept.
 
         The upper end tracks the z^(-I/2) tail of the survival function.
+        ``law.over(delta)`` is the law at residual factor delta.
         """
         hi = min(60.0 / self.interferers + 5.0, 80.0)
         return ExactLaw(lambda z: exact_pdf_z(z, self), self.mean_sir(), -30.0, hi)
@@ -177,11 +177,11 @@ def _positive_finite(z, name: str) -> np.ndarray:
 
 
 def _log_a0(stats: ChannelStats) -> float:
-    """log a0, the coefficient of the in-phase density's z -> 0 asymptote a0 z^(-1/2)."""
+    """log a0, the coefficient of the in-phase density's z -> 0 asymptote a0 z^(-1/2), at delta = 1."""
     i_cnt = stats.interferers
     return (
         -stats.mu**2 / (2.0 * stats.sigma1_sq)
-        + 0.5 * math.log(stats.delta * stats.sigma2_sq / stats.sigma1_sq)
+        + 0.5 * math.log(stats.sigma2_sq / stats.sigma1_sq)
         - 0.5 * _LN_PI
         + math.lgamma(0.5 * (i_cnt + 1))
         - math.lgamma(0.5 * i_cnt)
@@ -189,10 +189,11 @@ def _log_a0(stats: ChannelStats) -> float:
 
 
 def exact_pdf_zI(z, stats: ChannelStats):
-    """Density of Z_I = sigma1^2 / (delta sigma2^2 I) F'(1, I; mu^2 / sigma1^2), elementwise over z > 0.
+    """Density of Z_I = sigma1^2 / (sigma2^2 I) F'(1, I; mu^2 / sigma1^2), elementwise over z > 0.
 
+    This is the in-phase SIR at delta = 1; at delta it is delta f_I(delta z).
     The paper's Whittaker-M form, reduced to the z -> 0 asymptote times two
-    correction factors, with q = delta sigma2^2 z and
+    correction factors, with q = sigma2^2 z and
     t = mu^2 q / (2 sigma1^2 (sigma1^2 + q)):
 
         f_I(z) = a0 z^(-1/2) (1 + q/sigma1^2)^(-(I+1)/2) 1F1((I+1)/2; 1/2; t).
@@ -200,18 +201,22 @@ def exact_pdf_zI(z, stats: ChannelStats):
     It is assembled in the log domain (a0 underflows for large arrays), and
     log 1F1 = t + log 1F1(-I/2, 1/2; -t) by Kummer's transformation, finite
     where 1F1 itself overflows. Past a t that falls with I the transformed
-    1F1 overflows too, and QuadratureError is raised.
+    1F1 overflows too, and QuadratureError is raised. q enters only through
+    x = ln(q / sigma1^2), as t = mu^2 / (2 sigma1^2) expit(x) and
+    ln(1 + q/sigma1^2) = logaddexp(0, x): neither overflows at either end
+    of the float range, and at the top the density is 0.
     """
     z = _positive_finite(z, "exact_pdf_zI")
     i_cnt = stats.interferers
     s1 = stats.sigma1_sq
-    q = stats.delta * stats.sigma2_sq * z
-    t = stats.mu**2 * q / (2.0 * s1 * (s1 + q))
+    log_z = np.log(z)
+    x = log_z + math.log(stats.sigma2_sq / s1)
+    t = stats.mu**2 / (2.0 * s1) * expit(x)
     kummer = hyp1f1(-0.5 * i_cnt, 0.5, -t)
     bad = ~np.isfinite(kummer)
     if bad.any():
         raise QuadratureError(f"1F1(-I/2, 1/2, -t) at I = {i_cnt} is not finite from t = {np.min(t[bad]):.6g}")
-    log_pdf = _log_a0(stats) - 0.5 * np.log(z) - 0.5 * (i_cnt + 1) * np.log1p(q / s1) + t + np.log(kummer)
+    log_pdf = _log_a0(stats) - 0.5 * log_z - 0.5 * (i_cnt + 1) * np.logaddexp(0.0, x) + t + np.log(kummer)
     return np.exp(log_pdf)
 
 
@@ -378,6 +383,20 @@ class ExactLaw:
             raise QuadratureError(
                 f"tabulated law has mass {total} (tolerance {_MASS_TOL}) on ln(z / {scale:g}) in [{lo:g}, {hi:g}]"
             )
+
+    def over(self, delta: float) -> "ExactLaw":
+        """The law of Z / delta: a view sharing this table's masses, its nodes divided by ``delta``.
+
+        cdf(z) reads the table at delta z. The float range is checked in ln z, before the division.
+        """
+        _check_delta("delta", delta)
+        top = math.log(self._z[-1, -1]) - math.log(delta)
+        if top >= _LOG_MAX:
+            raise QuadratureError(f"law over delta = {delta:g} has nodes up to z = e^{top:.1f}, past the float range")
+        view = copy.copy(self)
+        view._s0 = self._s0 - math.log(delta)
+        view._z = self._z / delta
+        return view
 
     def expect(self, phi) -> float:
         """E[phi(Z)] for ``phi`` vectorised over z."""

@@ -10,7 +10,8 @@ exponential, which yields closed forms for ergodic rate, outage and the
 secrecy-outage lower bound.
 
 Every function here works in raw-SIR units, like the exact law and the
-simulator: beta = beta_I(stats) is the scale of the raw SIR. The paper
+simulator: beta = beta_I(stats, delta) is the scale of the raw SIR, and
+it is beta_I(stats) / delta, since delta divides the SIR. The paper
 writes its rate and outage forms for the sigma2^2-scaled SIR, with
 x = sigma2^2 / (sigma2^2 beta); that is the same x = 1 / beta.
 
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.special import exp1, hyperu
 
 from .analytic import _LN2, _LN_PI, ChannelStats, _log_a0
-from .specfun import DomainError, _check_rate, exp2
+from .specfun import DomainError, _check_delta, _check_rate, exp2
 
 __all__ = [
     "asymptote_a0",
@@ -47,22 +48,24 @@ __all__ = [
 
 
 def asymptote_a0(stats: ChannelStats) -> float:
-    """Coefficient a0 of the in-phase density's small-z asymptote a0 z^(-1/2).
+    """Coefficient a0 of the in-phase density's small-z asymptote a0 z^(-1/2), at delta = 1.
 
     The other coefficients are fixed: the exponent is -1/2, and the
-    two-branch convolution's density tends to 1 / beta at z = 0.
+    two-branch convolution's density tends to 1 / beta at z = 0. At
+    residual factor delta the coefficient is sqrt(delta) a0.
     """
     return math.exp(_log_a0(stats))
 
 
-def log_beta_I(stats: ChannelStats) -> float:
-    """log of the asymptote-matched Gamma scale (finite even when beta overflows)."""
-    return -_LN_PI - 2.0 * _log_a0(stats)
+def log_beta_I(stats: ChannelStats, delta: float = 1.0) -> float:
+    """log of the asymptote-matched Gamma scale at ``delta`` (finite even when beta overflows)."""
+    _check_delta("delta", delta)
+    return -_LN_PI - 2.0 * _log_a0(stats) - math.log(delta)
 
 
-def beta_I(stats: ChannelStats) -> float:
-    """Asymptote-matched raw-SIR scale beta = 1 / (pi a0^2) of the Gamma(1/2) fit."""
-    log_beta = log_beta_I(stats)
+def beta_I(stats: ChannelStats, delta: float = 1.0) -> float:
+    """Asymptote-matched raw-SIR scale beta = 1 / (pi a0^2) of the Gamma(1/2) fit at ``delta``."""
+    log_beta = log_beta_I(stats, delta)
     try:
         return math.exp(log_beta)
     except OverflowError:

@@ -95,13 +95,14 @@ def _cmd_presets(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.rs is not None and args.eve_preset is None:
         raise DomainError("--rs needs --eve-preset")
-    stats = ChannelStats.from_grid(preset_grid(args.preset), args.users, delta=args.delta)
+    stats = ChannelStats.from_grid(preset_grid(args.preset), args.users)
     eve = None
     if args.eve_preset is not None:
         _check_delta("delta_e", args.delta_e)
-        eve = ChannelStats.from_grid(preset_grid(args.eve_preset), args.users, delta=args.delta_e)
+        eve = ChannelStats.from_grid(preset_grid(args.eve_preset), args.users)
     metrics = ("er", "op") if args.rs is None else ("er", "op", "sop_lower")
-    point = evaluate_point(metrics, args.users, gamma_th=args.gamma_th, rs=args.rs, bob=stats, eve=eve)
+    point = evaluate_point(metrics, args.users, gamma_th=args.gamma_th, rs=args.rs, bob=stats, eve=eve,
+                           delta_b=args.delta, delta_e=args.delta_e)
     lines = [
         f"preset = {args.preset}",
         f"users = {args.users}",
@@ -109,7 +110,7 @@ def _cmd_analyze(args) -> int:
         f"mu = {stats.mu:.9g}",
         f"sigma1_sq = {stats.sigma1_sq:.9g}",
         f"sigma2_sq = {stats.sigma2_sq:.9g}",
-        f"beta = {approx.beta_I(stats):.9g}",
+        f"beta = {approx.beta_I(stats, args.delta):.9g}",
     ]
     lines += [f"{metric}_approx = {cols[0]:.9g}" for metric, cols in point.items()]
     # every value is computed before the first line goes out
@@ -128,6 +129,7 @@ def _finite_mean(x: np.ndarray) -> float:
 
 
 def _cmd_simulate(args) -> int:
+    _check_delta("delta", args.delta)  # before the grid is factored
     config = SimConfig(corr=correlation_matrix(preset_grid(args.preset)), users=args.users, delta=args.delta)
     samples = montecarlo.sir_samples(config, args.trials, SeedSpec(args.seed))
     point = evaluate_point(("er", "op"), args.users, gamma_th=args.gamma_th, rs=None, bob_samples=samples)
@@ -144,12 +146,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     grid = preset_grid(args.preset)
-    stats = ChannelStats.from_grid(grid, args.users, delta=args.delta)
+    stats = ChannelStats.from_grid(grid, args.users)
+    _check_delta("delta", args.delta)  # before the grid is factored
     seed = SeedSpec(args.seed)
     config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta)
     samples = montecarlo.sir_samples(config, args.trials, seed)
     point = evaluate_point(
-        ("er", "op"), args.users, gamma_th=args.gamma_th, rs=None, bob=stats,
+        ("er", "op"), args.users, gamma_th=args.gamma_th, rs=None, bob=stats, delta_b=args.delta,
         exact=args.exact == "on", bob_samples=samples,
     )
     ks = harness.compare_distributions(config, stats, args.trials, seed)

@@ -4,8 +4,9 @@ A sweep walks one axis (number of users, secrecy rate, Bob's residual
 interference factor, or Bob's total port count) and evaluates the
 requested metrics three ways per point: closed-form approximation,
 the tabulated exact law (optional) and Monte Carlo with standard
-errors. Each receiver, Bob's or Eve's, is built once while the axis
-leaves it unchanged, and so is its exact law.
+errors. A receiver's exact law is tabulated once per grid and users
+(delta only scales it), and its samples are drawn once per grid, users
+and delta.
 """
 
 from __future__ import annotations
@@ -148,28 +149,26 @@ def _fmt(v) -> str:
 def run_sweep(spec: SweepSpec) -> ComparisonReport:
     """Evaluate the sweep and (optionally) write its CSV.
 
-    A receiver's stats (which keep its exact law) and its samples for Monte
-    Carlo columns depend only on its grid, users and delta, so each is built
-    once while the axis leaves those unchanged and released before its
-    replacement; Bob and Eve on equal (grid, users, delta) share one stats,
-    and so one law, while each draws its own samples. Only Monte Carlo
-    columns build a grid's factor, once per grid.
+    A receiver's stats, which keep its exact law, depend only on its grid
+    and users, and its samples for Monte Carlo columns also on its delta.
+    Each is built once while the axis leaves those unchanged and released
+    before its replacement; Bob and Eve on one grid and users share one
+    stats, and so one law, whatever their deltas, while each draws its own
+    samples. Only Monte Carlo columns build a grid's factor, once per grid.
     """
     factor = functools.lru_cache(maxsize=2)(correlation_matrix)
-    built = {}  # substream -> ((grid, users, delta), (stats, samples)): the last Bob (0) and the last Eve (1)
+    stats = functools.lru_cache(maxsize=2)(ChannelStats.from_grid)
+    drawn = {}  # substream -> ((grid, users, delta), samples): the last Bob (0) and the last Eve (1)
     seed = SeedSpec(spec.seed)
 
     def receiver(grid, users, delta, substream):
         key = (grid, users, delta)
-        if built.get(substream, (None,))[0] != key:
-            built.pop(substream, None)
+        if spec.mc and drawn.get(substream, (None,))[0] != key:
+            drawn.pop(substream, None)
             # the factor first: its budget refuses a huge ports-axis grid before the stats build its table
-            config = SimConfig(factor(grid), users, delta) if spec.mc else None
-            twins = [stats for other, (stats, _) in built.values() if other == key]
-            stats = twins[0] if twins else ChannelStats.from_grid(grid, users, delta=delta)
-            samples = montecarlo.sir_samples(config, spec.trials, seed, substream=substream) if spec.mc else None
-            built[substream] = key, (stats, samples)
-        return built[substream][1]
+            config = SimConfig(factor(grid), users, delta)
+            drawn[substream] = key, montecarlo.sir_samples(config, spec.trials, seed, substream=substream)
+        return stats(grid, users), drawn[substream][1] if spec.mc else None
 
     secrecy = any(m in _SOP_METRICS for m in spec.metrics)
     grid = None if spec.axis == "ports" else preset_grid(spec.preset)
@@ -192,8 +191,8 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
         bob, bob_samples = receiver(grid, users, delta_b, 0)
         eve, eve_samples = receiver(eve_grid, users, spec.delta_e, 1) if secrecy else (None, None)
         point = evaluate_point(
-            spec.metrics, users, gamma_th=spec.gamma_th, rs=rs, bob=bob, eve=eve,
-            exact=spec.exact == "on", bob_samples=bob_samples, eve_samples=eve_samples,
+            spec.metrics, users, gamma_th=spec.gamma_th, rs=rs, bob=bob, eve=eve, delta_b=delta_b,
+            delta_e=spec.delta_e, exact=spec.exact == "on", bob_samples=bob_samples, eve_samples=eve_samples,
         )
         rows.extend(Row(axis_value, m, *point[m], spec.trials, spec.seed) for m in spec.metrics)
 
@@ -220,7 +219,8 @@ def _route(metric, exact, users, gamma_th, rs, bob, eve):
 
 
 def evaluate_point(
-    metrics, users, *, gamma_th, rs, bob=None, eve=None, exact=False, bob_samples=None, eve_samples=None
+    metrics, users, *, gamma_th, rs, bob=None, eve=None, delta_b=1.0, delta_e=1.0, exact=False,
+    bob_samples=None, eve_samples=None,
 ) -> dict[str, tuple]:
     """Closed-form, exact and Monte Carlo values of each metric at one system point.
 
@@ -230,9 +230,11 @@ def evaluate_point(
     ``bob``, the exact law needs ``bob`` and ``exact``, and Monte Carlo
     needs Bob's SampleSet ``bob_samples``. The secrecy metrics also need
     Eve's stats ``eve`` or samples ``eve_samples`` (``rs`` is read only by
-    them). The Monte Carlo reductions run first, so their validation
-    errors come before a failing law's; then each terminal's exact law,
-    ``ChannelStats.law``, is read, tabulated on its first use.
+    them). The stats are at delta = 1: ``delta_b`` and ``delta_e`` scale
+    them here, through beta_I and ``ExactLaw.over``. The Monte Carlo
+    reductions run first, so their validation errors come before a
+    failing law's; then each terminal's exact law, ``ChannelStats.law``,
+    is read, tabulated on its first use.
     """
     bad = [m for m in metrics if m not in _METRICS]
     if bad:
@@ -246,9 +248,9 @@ def evaluate_point(
               for m in metrics}
     laws = scales = None
     if bob is not None:
-        sides = (bob, eve if secrecy else None)
-        laws = [None if s is None else s.law for s in sides] if exact else None
-        scales = [None if s is None else approx.beta_I(s) for s in sides]
+        sides = ((bob, delta_b), (eve if secrecy else None, delta_e))
+        laws = [None if s is None else s.law.over(d) for s, d in sides] if exact else None
+        scales = [None if s is None else approx.beta_I(s, d) for s, d in sides]
     point = {}
     for m in metrics:
         closed = None if scales is None else _route(m, False, users, gamma_th, rs, *scales)
@@ -287,15 +289,15 @@ class KSReport:
 def compare_distributions(config: SimConfig, stats: ChannelStats, trials: int, seed: SeedSpec) -> KSReport:
     """KS distances between simulated SIR samples and the fitted laws.
 
-    ``config`` and ``stats`` describe the same terminal (ports, users and
-    delta must agree). The total SIR is tested against the exponential
-    fit and the in-phase branch against the Gamma(1/2) fit, both at the
-    raw-SIR scale beta_I.
+    ``config`` and ``stats`` describe the same terminal (ports and users
+    must agree). The total SIR is tested against the exponential fit and
+    the in-phase branch against the Gamma(1/2) fit, both at the raw-SIR
+    scale beta_I at the config's delta.
     """
-    if (config.corr.dim, config.users - 1, config.delta) != (stats.nbar, stats.interferers, stats.delta):
+    if (config.corr.dim, config.users - 1) != (stats.nbar, stats.interferers):
         raise DomainError("simulation config and channel stats describe different systems")
     samples = montecarlo.sir_samples(config, trials, seed)
-    beta = approx.beta_I(stats)
+    beta = approx.beta_I(stats, config.delta)
     ks_total = ks_statistic(samples.sir, lambda x: approx.approx_cdf_z(x, beta))
     ks_i = ks_statistic(samples.sir_i, lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)))  # Gamma(1/2, beta)
     return KSReport(ks_total=ks_total, ks_inphase=ks_i)

@@ -88,8 +88,8 @@ def test_a02_half_wavelength_correlation_null():
 
 def test_a03_gamma_fit_identity(rng):
     worst = 0.0
-    for st in random_stats(rng, 20):
-        worst = max(worst, abs(beta_I(st) * math.pi * asymptote_a0(st) ** 2 - 1.0))
+    for st, d in random_stats(rng, 20):
+        worst = max(worst, abs(beta_I(st, d) * math.pi * d * asymptote_a0(st) ** 2 - 1.0))  # a0 at delta is sqrt(delta) a0
     ok = worst < 1e-12
     report("A03 fit-identity", ok, f"max |beta*pi*a0^2 - 1| = {worst:.2e} (tol 1e-12)")
     assert ok

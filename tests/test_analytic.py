@@ -209,8 +209,6 @@ class TestChannelStats:
         assert "mu" not in {f.name for f in dataclasses.fields(ChannelStats)}
 
     @pytest.mark.parametrize("field,value", [
-        ("delta", 0.0),
-        ("delta", 1.5),
         ("interferers", 0),
         ("sigma1_sq", -1.0),
         ("sigma1_sq", math.nan),
@@ -221,6 +219,14 @@ class TestChannelStats:
 
         with pytest.raises(DomainError):
             dataclasses.replace(case1_stats, **{field: value})
+
+    @pytest.mark.parametrize("delta", [0.0, 1.5, math.nan])
+    def test_invalid_delta(self, case1_stats, case1_law, delta):
+        # delta is no field: the closed form and the law view refuse it where they apply it
+        with pytest.raises(DomainError, match="delta must lie in"):
+            beta_I(case1_stats, delta)
+        with pytest.raises(DomainError, match="delta must lie in"):
+            case1_law.over(delta)
 
 
 def first_principles_pdf(z, mu, sigma1_sq, sigma2_sq, delta, i_cnt):
@@ -245,8 +251,8 @@ def first_principles_pdf(z, mu, sigma1_sq, sigma2_sq, delta, i_cnt):
     return float(mp.quad(integrand, [0, i_cnt, 5 * i_cnt, mp.inf]))
 
 
-def whittaker_form_pdf(z, stats):
-    """The in-phase density in the paper's Whittaker-M form, term by term (reference for exact_pdf_zI).
+def whittaker_form_pdf(z, stats, delta=1.0):
+    """The in-phase density at ``delta`` in the paper's Whittaker-M form, term by term (reference for exact_pdf_zI).
 
     The Whittaker factor M_{-(2I+1)/4, -1/4}(t) = t^(1/4) e^(-t/2) 1F1((I+1)/2; 1/2; t)
     enters through Kummer's transformation, log 1F1 = t + log 1F1(-I/2; 1/2; -t),
@@ -255,7 +261,7 @@ def whittaker_form_pdf(z, stats):
     z = np.asarray(z, dtype=float)
     i_cnt = stats.interferers
     s1 = stats.sigma1_sq
-    d_s2 = stats.delta * stats.sigma2_sq
+    d_s2 = delta * stats.sigma2_sq
     q = d_s2 * z
     t = stats.mu**2 * q / (2.0 * s1 * (s1 + q))
     log_pdf = (
@@ -276,9 +282,9 @@ def whittaker_form_pdf(z, stats):
 
 
 def channel_moments(stats, omega=1.0):
-    """(mu, sigma1^2, sigma2^2, delta, interferers) of ``stats`` at channel power omega."""
+    """(mu, sigma1^2, sigma2^2, delta = 1, interferers) of ``stats`` at channel power omega."""
     mu, s1, s2 = math.sqrt(omega) * stats.mu, omega * stats.sigma1_sq, omega * stats.sigma2_sq
-    return mu, s1, s2, stats.delta, stats.interferers
+    return mu, s1, s2, 1.0, stats.interferers
 
 
 class TestExactPdfZI:
@@ -322,11 +328,14 @@ class TestExactPdfZI:
         ("26GHz-VC", 20, 0.5), ("40GHz-NC", 200, 1.0), ("6GHz-NC", 3, 1e-3),
     ])
     def test_matches_the_whittaker_form(self, preset, users, delta):
-        # the reduced form a0 z^(-1/2) (1 + q/sigma1^2)^(-(I+1)/2) 1F1 against
-        # the paper's form, across the range the law tabulates
-        stats = ChannelStats.from_grid(preset_grid(preset), users, delta)
-        z = np.geomspace(stats.law._z.min(), stats.law._z.max(), 2001)
-        np.testing.assert_allclose(exact_pdf_zI(z, stats), whittaker_form_pdf(z, stats), rtol=1e-12, atol=0.0)
+        # the reduced form a0 z^(-1/2) (1 + q/sigma1^2)^(-(I+1)/2) 1F1, read at
+        # delta as delta f_I(delta z), against the paper's form at delta,
+        # across the range the law at delta tabulates
+        stats = ChannelStats.from_grid(preset_grid(preset), users)
+        law = stats.law.over(delta)
+        z = np.geomspace(law._z.min(), law._z.max(), 2001)
+        got = delta * exact_pdf_zI(delta * z, stats)
+        np.testing.assert_allclose(got, whittaker_form_pdf(z, stats, delta), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("preset,users,delta", [
         ("6GHz-NC", 20, 1.0), ("6GHz-VC", 60, 1.0), ("26GHz-C", 10, 1.0), ("6GHz-NC", 3, 1e-3),
@@ -334,14 +343,22 @@ class TestExactPdfZI:
     def test_noncentral_f_cdf(self, preset, users, delta):
         # Z_I = sigma1^2 / (delta sigma2^2 I) F', F' ~ noncentral F(1, I) with
         # noncentrality mu^2 / sigma1^2; the CDF integrates z f_I(z) in ln z
-        stats = ChannelStats.from_grid(preset_grid(preset), users, delta)
-        i_cnt, s1, d_s2 = stats.interferers, stats.sigma1_sq, stats.delta * stats.sigma2_sq
-        g = lambda s: math.exp(s) * exact_pdf_zI(math.exp(s), stats)
+        stats = ChannelStats.from_grid(preset_grid(preset), users)
+        i_cnt, s1, d_s2 = stats.interferers, stats.sigma1_sq, delta * stats.sigma2_sq
+        g = lambda s: math.exp(s) * delta * exact_pdf_zI(delta * math.exp(s), stats)
         for k in (1e-4, 1e-2, 0.3, 1.0, 3.0, 30.0):
             z = k * (stats.mu**2 + s1) / (d_s2 * i_cnt)
             got = integrate.quad(g, math.log(z) - 100.0, math.log(z), epsabs=0.0, epsrel=1e-13, limit=200)[0]
             want = ncfdtr(1, i_cnt, stats.mu**2 / s1, z * d_s2 * i_cnt / s1)
             assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [1e306, 1e308, np.finfo(float).max])
+    def test_density_past_the_float_range_is_zero(self, case1_stats, z):
+        # sigma2^2 z overflows from z ~ 3e307; from well before, the density is
+        # below the smallest float
+        assert exact_pdf_zI(z, case1_stats) == 0.0
+        assert np.array_equal(exact_pdf_zI(np.array([z, 1.0]), case1_stats), [0.0, exact_pdf_zI(1.0, case1_stats)])
 
     def test_nonnegative(self, case1_stats):
         for z in np.geomspace(1e-6, 50, 40):
@@ -445,9 +462,9 @@ def all_node_pdf_z(z, stats):
     return out.reshape(z.shape)[()]
 
 
-def fresh_stats(preset, users, delta=1.0):
+def fresh_stats(preset, users):
     """A bundle whose law is not tabulated yet."""
-    return ChannelStats.from_grid(preset_grid(preset), users, delta)
+    return ChannelStats.from_grid(preset_grid(preset), users)
 
 
 class TestDistinctArguments:
@@ -457,8 +474,9 @@ class TestDistinctArguments:
         ("6GHz-NC", 20, 1.0), ("6GHz-VC", 20, 1.0), ("26GHz-C", 20, 1.0), ("6GHz-VC", 201, 1.0), ("6GHz-VC", 20, 1e-3),
     ])
     def test_matches_all_node_rule_bit_for_bit(self, preset, users, delta):
-        stats = fresh_stats(preset, users, delta)
-        scale = stats.mean_sir()
+        # at delta the SIR is Z / delta, so the arguments spread about its scale
+        stats = fresh_stats(preset, users)
+        scale = stats.mean_sir() / delta
         # a scalar, a 1-D array over many blocks and groups, and a 2-D array
         spread = np.geomspace(1e-6, 1e3, 60).reshape(5, 12) * scale
         for z in (scale, np.geomspace(1e-13, 1e5, 924) * scale, spread):
@@ -552,12 +570,31 @@ class TestExactLaw:
     def test_range_past_the_float_range_is_refused(self, case1_grid):
         # delta = 1e-300 puts the law's scale near 2e301; with 2 interferers
         # the table's upper end, 35 past ln(scale), passes e^709.78, and the
-        # law is refused before e^s overflows. At 19 interferers the table
-        # ends 8.2 past ln(scale), inside the float range.
+        # view is refused before its nodes are divided. At 19 interferers the
+        # table ends 8.2 past ln(scale), inside the float range.
         with pytest.raises(QuadratureError, match="past the float range"):
-            ChannelStats.from_grid(case1_grid, 3, delta=1e-300).law
-        law = ChannelStats.from_grid(case1_grid, 20, delta=1e-300).law
+            ChannelStats.from_grid(case1_grid, 3).law.over(1e-300)
+        law = ChannelStats.from_grid(case1_grid, 20).law.over(1e-300)
         assert exact_er(20, law) == pytest.approx(19937.32, abs=0.01)
+        # a table built at such a scale is refused the same way
+        with pytest.raises(QuadratureError, match="past the float range"):
+            ExactLaw(lambda z: np.exp(-z / 1e300) / 1e300, 1e300, -40.0, 40.0)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 1e-3])
+    def test_view_over_delta_matches_a_table_at_delta(self, case1_stats, case1_law, delta):
+        # the law of Z / delta tabulated from its own density delta f_Z(delta z)
+        hi = min(60.0 / case1_stats.interferers + 5.0, 80.0)
+        pdf = lambda z: delta * exact_pdf_z(delta * z, case1_stats)
+        direct = ExactLaw(pdf, case1_stats.mean_sir() / delta, -30.0, hi)
+        view = case1_law.over(delta)
+        z = np.geomspace(1e-6, 1e8, 2001)
+        assert np.max(np.abs(view.cdf(z) - direct.cdf(z))) < 1e-13
+        rate = lambda z: np.log1p(z)
+        assert view.expect(rate) == pytest.approx(direct.expect(rate), rel=1e-13)
+        # F_delta(z) = F_1(delta z), and at delta = 1 the view is the table itself
+        assert np.max(np.abs(view.cdf(z / delta) - case1_law.cdf(z))) < 1e-14
+        assert np.array_equal(case1_law.over(1.0).cdf(z), case1_law.cdf(z))
+        assert np.array_equal(case1_law.over(1.0)._z, case1_law._z)
 
     def test_cdf_keeps_the_tabulated_panel_width(self, case1_law, monkeypatch):
         z = np.geomspace(1e-6, 1e3, 301) * case1_law.expect(lambda z: z)
@@ -567,7 +604,7 @@ class TestExactLaw:
 
     @pytest.mark.parametrize("users", [10, 200])
     def test_mean_matches_closed_form(self, case1_grid, users):
-        # E[Z] = 2 E[Y^2] / (delta sigma2^2 (I - 2)); the table's upper end
+        # E[Z] = 2 E[Y^2] / (sigma2^2 (I - 2)); the table's upper end
         # follows the z^(-I/2) tail at few and at many interferers
         stats = ChannelStats.from_grid(case1_grid, users)
         assert stats.law.expect(lambda z: z) == pytest.approx(stats.mean_sir(), rel=1e-10)
@@ -656,18 +693,14 @@ def eve_stats():
 
 
 @pytest.fixture(scope="module")
-def bob_stats():
-    return ChannelStats.from_grid(preset_grid("6GHz-NC"), users=20, delta=0.02)
-
-
-@pytest.fixture(scope="module")
 def eve_law(eve_stats):
     return eve_stats.law
 
 
 @pytest.fixture(scope="module")
-def bob_law(bob_stats):
-    return bob_stats.law
+def bob_law(eve_stats):
+    # Eve's system with Bob's residual factor 0.02
+    return eve_stats.law.over(0.02)
 
 
 class TestSecrecyMetrics:

@@ -29,7 +29,7 @@ def exponential_law(beta):
 
 
 def random_stats(rng, n=20):
-    """Valid parameter bundles spanning the supported magnitude range."""
+    """(stats, delta) pairs of valid parameters spanning the supported magnitude range."""
     out = []
     for _ in range(n):
         nbar = int(rng.integers(1, 220))
@@ -39,22 +39,16 @@ def random_stats(rng, n=20):
         expo = float(rng.uniform(0.2, 140.0))
         sigma1_sq = mu * mu / (2.0 * expo)
         sigma2_sq = float(rng.uniform(0.05, 12.0)) * max(nbar, 4) / 4.0
-        out.append(
-            ChannelStats(
-                nbar=nbar,
-                sigma1_sq=sigma1_sq,
-                sigma2_sq=sigma2_sq,
-                interferers=int(rng.integers(1, 40)),
-                delta=float(rng.uniform(0.05, 1.0)),
-            )
-        )
+        stats = ChannelStats(nbar=nbar, sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, interferers=int(rng.integers(1, 40)))
+        out.append((stats, float(rng.uniform(0.05, 1.0))))
     return out
 
 
 class TestAsymptoteCoeffs:
     def test_scale_identity(self, rng):
-        for st in random_stats(rng, 20):
-            assert abs(beta_I(st) * math.pi * asymptote_a0(st) ** 2 - 1.0) < 1e-12
+        # the coefficient at delta is sqrt(delta) a0
+        for st, d in random_stats(rng, 20):
+            assert abs(beta_I(st, d) * math.pi * d * asymptote_a0(st) ** 2 - 1.0) < 1e-12
 
     def test_matches_extracted_slope(self, case1_stats):
         # numerically extract lim z->0 f(z) sqrt(z) from the exact density
@@ -80,19 +74,17 @@ class TestBetaI:
     def test_channel_power_cancels(self, case1_stats, omega):
         # mu scales with sqrt(omega) and both variances with omega, so the
         # paper's a0, and with it beta = 1 / (pi a0^2), is the unit-power one
-        st = dataclasses.replace(case1_stats, delta=0.3)
-        a0 = paper_a0(math.sqrt(omega) * st.mu, omega * st.sigma1_sq, omega * st.sigma2_sq, st.delta, st.interferers)
-        assert -math.log(math.pi) - 2.0 * math.log(a0) == pytest.approx(log_beta_I(st), rel=1e-13)
+        st = case1_stats
+        a0 = paper_a0(math.sqrt(omega) * st.mu, omega * st.sigma1_sq, omega * st.sigma2_sq, 0.3, st.interferers)
+        assert -math.log(math.pi) - 2.0 * math.log(a0) == pytest.approx(log_beta_I(st, 0.3), rel=1e-13)
 
     def test_inverse_delta_scaling(self, case1_stats):
-        half = dataclasses.replace(case1_stats, delta=0.5)
-        assert beta_I(half) == pytest.approx(2.0 * beta_I(case1_stats), rel=1e-12)
+        assert beta_I(case1_stats, 0.5) == pytest.approx(2.0 * beta_I(case1_stats), rel=1e-12)
 
     def test_delta_times_beta_constant(self, case1_stats):
-        ref = case1_stats.delta * beta_I(case1_stats)
+        ref = beta_I(case1_stats)
         for d in (0.07, 0.3, 0.9):
-            st = dataclasses.replace(case1_stats, delta=d)
-            assert d * beta_I(st) == pytest.approx(ref, rel=1e-12)
+            assert d * beta_I(case1_stats, d) == pytest.approx(ref, rel=1e-12)
 
     def test_case_value_frozen(self, case1_stats):
         # golden value extracted from the exact density's small-z slope
@@ -262,8 +254,8 @@ def test_raw_unit_closed_forms_match_the_paper_form(preset):
     base = ChannelStats.from_grid(preset_grid(preset), users=2)
     for delta in (1.0, 0.1):
         for users in range(2, 61):
-            st = dataclasses.replace(base, interferers=users - 1, delta=delta)
-            beta, s2 = beta_I(st), st.sigma2_sq
+            st = dataclasses.replace(base, interferers=users - 1)
+            beta, s2 = beta_I(st, delta), st.sigma2_sq
             assert approx_er(users, beta) == pytest.approx(paper_er(users, s2 * beta, s2), rel=1e-14)
             for g in (0.3, 1.0, 4.0):
                 assert approx_op(g, beta) == pytest.approx(paper_op(g, s2 * beta, s2), rel=1e-14)

@@ -142,7 +142,8 @@ class TestRunSweep:
         ("users", (4.0, 6.0, 8.0), 6),  # both receivers change at every point
     ])
     def test_each_receiver_is_drawn_once_per_system(self, monkeypatch, axis, values, draws):
-        # a receiver's samples and its exact law alike
+        # a receiver's samples once per (grid, users, delta), its exact law
+        # once per (grid, users): a delta_b sweep tabulates Bob's law once
         calls, laws = [], []
         init = ExactLaw.__init__
 
@@ -161,7 +162,8 @@ class TestRunSweep:
             preset=None if axis == "ports" else "6GHz-NC", users=6, exact="on",
         )
         assert len(run_sweep(spec).rows) == 6
-        assert len(calls) == len(laws) == draws
+        assert len(calls) == draws
+        assert len(laws) == (2 if axis == "delta_b" else draws)
 
     @pytest.mark.parametrize("mc", [False, True], ids=["no-mc", "mc"])
     def test_equal_receivers_share_one_law(self, monkeypatch, capsys, mc):
@@ -186,6 +188,33 @@ class TestRunSweep:
         assert substreams == ([0, 1] if mc else [])
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 3 and all(row.startswith(f"{v},sop,") for row, v in zip(rows, (0, 1, 2)))
+
+    @pytest.mark.parametrize("mc", [False, True], ids=["no-mc", "mc"])
+    def test_receivers_with_other_deltas_share_one_law(self, monkeypatch, capsys, mc):
+        # Bob and Eve on one grid and users, at delta_b != delta_e: one law, read at each delta
+        argv = ["sweep", "--preset", "6GHz-NC", "--eve-preset", "6GHz-NC", "--axis", "delta_b", "--values", "1,0.5",
+                "--delta-e", "0.25", "--metrics", "er,sop", "--users", "6"] + (["--trials", "1000"] if mc else ["--no-mc"])
+        laws, substreams = [], []
+        init = ExactLaw.__init__
+
+        def tabulating(law, *args):
+            laws.append(args)
+            init(law, *args)
+
+        def counting(*args, substream=0):
+            substreams.append(substream)
+            return sir_samples(*args, substream=substream)
+
+        monkeypatch.setattr(ExactLaw, "__init__", tabulating)
+        monkeypatch.setattr(montecarlo, "sir_samples", counting)
+        assert main(argv) == 0
+        assert len(laws) == 1
+        assert substreams == ([0, 1, 0] if mc else [])
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        stats = ChannelStats.from_grid(preset_grid("6GHz-NC"), 6)
+        for row, delta_b in zip(rows[1::2], (1.0, 0.5)):
+            law_b, law_e = stats.law.over(delta_b), stats.law.over(0.25)
+            assert row[1] == "sop" and row[3] == harness._fmt(analytic.exact_sop(law_b, law_e, 1.0))
 
     @pytest.mark.parametrize("axis", ["users", "ports", "delta_b"])
     @pytest.mark.parametrize("metrics", [("er",), ("er", "sop")], ids=["bob", "bob-and-eve"])
@@ -852,6 +881,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["simulate", "--trials", "1000"], ["compare", "--trials", "1000"],
+    ], ids=["analyze", "simulate", "compare"])
+    @pytest.mark.parametrize("delta", ["0", "1.5", "nan"])
+    def test_delta_rejection(self, command, delta, capsys):
+        assert main([*command, "--preset", "6GHz-NC", "--users", "3", "--delta", delta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: delta must lie in (0, 1], got {float(delta)}\n"
 
     def test_eve_delta_rejection_names_its_flag(self, capsys):
         argv = ["analyze", "--preset", "6GHz-NC", "--users", "3", "--eve-preset", "6GHz-NC", "--delta-e", "2"]

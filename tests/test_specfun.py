@@ -32,13 +32,7 @@ def rel_err(got, want):
 def many_interferers():
     # 99 interferers; the Whittaker argument nears mu^2 / (2 sigma1^2) = 796
     # as z grows
-    return ChannelStats(
-        nbar=200,
-        sigma1_sq=2.0,
-        sigma2_sq=1.0,
-        interferers=99,
-        delta=1.0,
-    )
+    return ChannelStats(nbar=200, sigma1_sq=2.0, sigma2_sq=1.0, interferers=99)
 
 
 def gamma_fn(x):
