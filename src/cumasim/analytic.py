@@ -19,6 +19,10 @@ every SIR statistic and is no input anywhere in the package.
 Every exact metric is a one-dimensional sum over one or two tabulated
 laws (``ExactLaw``) of the raw SIR, so rates and thresholds are read in
 the same units as the simulator's samples.
+
+1F1 and expit come from ``scipy.special``, imported inside
+``exact_pdf_zI``: the package loads it at the first exact density, not
+at import.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legint, legvander
-from scipy.special import expit, hyp1f1
 
 from .geometry import PortGrid, offset_correlation
 from .specfun import DomainError, _check_delta, _check_rate, exp2
@@ -206,6 +209,8 @@ def exact_pdf_zI(z, stats: ChannelStats):
     ln(1 + q/sigma1^2) = logaddexp(0, x): neither overflows at either end
     of the float range, and at the top the density is 0.
     """
+    from scipy.special import expit, hyp1f1
+
     z = _positive_finite(z, "exact_pdf_zI")
     i_cnt = stats.interferers
     s1 = stats.sigma1_sq
@@ -403,7 +408,7 @@ class ExactLaw:
         return float(np.sum(self._mass * phi(self._z)))
 
     def cdf(self, z):
-        """Pr{Z <= z}, elementwise; 0 for z <= 0, NaN for NaN, clipped to [0, 1]."""
+        """Pr{Z <= z}, elementwise; 0 at and below the table's left edge, NaN for NaN, clipped to [0, 1]."""
         z = np.asarray(z, dtype=float)
         flat = z.reshape(-1)
         pos = flat > 0.0
@@ -411,7 +416,10 @@ class ExactLaw:
         panel = np.clip(np.floor(s), 0, len(self._g) - 1).astype(int)
         x = np.clip(2.0 * (s - panel) - 1.0, -1.0, 1.0)
         part = np.sum(legvander(x, _ORDER) * self._antideriv[panel], axis=1)
-        out = np.where(pos, np.clip(self._cum[panel] + part, 0.0, 1.0), np.where(np.isnan(flat), np.nan, 0.0))
+        # the table holds no mass below its left edge, where the clipped
+        # antiderivative would still read a rounding residue
+        inside = pos & (s > 0.0)
+        out = np.where(inside, np.clip(self._cum[panel] + part, 0.0, 1.0), np.where(np.isnan(flat), np.nan, 0.0))
         return out.reshape(z.shape)[()]
 
 

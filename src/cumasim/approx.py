@@ -9,6 +9,10 @@ The sum of the two i.i.d. branches is then exactly Gamma(1, beta), i.e.
 exponential, which yields closed forms for ergodic rate, outage and the
 secrecy-outage lower bound.
 
+E1 and U come from ``scipy.special``, imported inside ``approx_er``:
+the package loads it at the first closed-form ergodic rate, not at
+import.
+
 Every function here works in raw-SIR units, like the exact law and the
 simulator: beta = beta_I(stats, delta) is the scale of the raw SIR, and
 it is beta_I(stats) / delta, since delta divides the SIR. The paper
@@ -29,7 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1, hyperu
 
 from .analytic import _LN2, _LN_PI, ChannelStats, _log_a0
 from .specfun import DomainError, _check_delta, _check_rate, exp2
@@ -99,6 +102,8 @@ def approx_cdf_z(z, beta: float):
 
 def approx_er(users: int, beta: float) -> float:
     """Closed-form ergodic sum rate U * e^x * Gamma(0, x) / ln 2, x = 1/beta."""
+    from scipy.special import exp1, hyperu
+
     if users < 2:
         raise DomainError(f"need at least 2 users, got {users}")
     if not beta > 0.0:

@@ -18,6 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Loaded here, at import, on purpose: every CLI process imports this module,
+# so the CLI pays for scipy.special before its first eigh or GEMM. Loaded
+# after them, the import overlapped OpenBLAS's idle-worker spin and cost the
+# 1834-port Monte Carlo run 6-10% more CPU and 3-10% more wall time, in
+# alternating cold runs against this order. analytic and approx load it
+# only where a library caller first needs a closed-form ER or exact density.
 from scipy.special import erf
 
 from . import analytic, approx, montecarlo

@@ -1,10 +1,15 @@
 """Error type and power of two shared by the numerical modules.
 
 The special functions behind the channel statistics come from
-``scipy.special`` and ``math``; this module keeps the validation error
-that every module raises and the CLI maps to exit code 2, the one check
-each of a rate argument and of a residual interference factor, and the
-2^x that turns rate thresholds into SIR thresholds.
+``math`` and ``scipy.special``. The model modules import the latter
+inside the two functions that call it, ``analytic.exact_pdf_zI`` and
+``approx.approx_er``, so ``import cumasim`` and the Monte Carlo route
+never load it; the CLI loads it at import, through ``harness``.
+
+This module keeps the validation error that every module raises and the
+CLI maps to exit code 2, the one check each of a rate argument and of a
+residual interference factor, and the 2^x that turns rate thresholds
+into SIR thresholds.
 """
 
 from __future__ import annotations

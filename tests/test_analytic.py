@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import gammaln, hyp1f1, ncfdtr
@@ -510,13 +511,13 @@ class TestDistinctArguments:
     def test_one_1f1_evaluation_per_distinct_argument(self, monkeypatch):
         stats = fresh_stats("6GHz-VC", 20)
         seen = []
-        hyp1f1 = analytic.hyp1f1
 
         def counting_hyp1f1(a, b, t):
             seen.append(np.size(t))
             return hyp1f1(a, b, t)
 
-        monkeypatch.setattr(analytic, "hyp1f1", counting_hyp1f1)
+        # exact_pdf_zI imports 1F1 from scipy.special at each call
+        monkeypatch.setattr(scipy.special, "hyp1f1", counting_hyp1f1)
         law = stats.law
         # 160 first-factor arguments, 92 head second-factor ones and z itself
         assert sum(seen) == law._z.size * 253
@@ -554,6 +555,16 @@ class TestExactLaw:
         assert got.shape == z.shape
         want = [[case1_law.cdf(float(v)) for v in row] for row in z]
         assert np.array_equal(got, want)
+
+    def test_cdf_is_zero_below_the_table(self):
+        # the clipped panel-0 antiderivative at its left end reads 2.49e-36 here, not 0
+        law = fresh_stats("6GHz-NC", 20).law
+        edge = math.exp(law._s0)
+        assert edge == pytest.approx(1.2536e-13, rel=1e-4)
+        for z in (edge, 0.5 * edge, 1e-300):
+            assert law.cdf(z) == 0.0
+        assert law.over(1e-300).cdf(1.0) == 0.0
+        assert 0.0 < law.cdf(2.0 * edge) < 1e-15
 
     def test_cdf_integrates_the_density(self, case1_stats, case1_law):
         for z in (0.05, 0.7, 3.0):

@@ -1028,6 +1028,40 @@ class TestProcessEntry:
         assert child.returncode == 0, child.stderr
         assert child.stdout.decode() == "\n"
 
+        # the library loads scipy.special at its first closed-form ER or exact
+        # density; the Monte Carlo route and the correlation factor never do
+        code = (
+            "import sys\n"
+            "from cumasim import (ChannelStats, SeedSpec, SimConfig, beta_I, correlation_matrix, mc_estimate,\n"
+            "                     preset_grid, sir_samples)\n"
+            "print('scipy.special' in sys.modules)\n"
+            "beta_I(ChannelStats.from_grid(preset_grid('6GHz-NC'), 20))\n"
+            "samples = sir_samples(SimConfig(correlation_matrix(preset_grid('6GHz-NC')), 20), 100, SeedSpec(1))\n"
+            "mc_estimate('er', samples, users=20)\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        child = run_child([], code)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.decode() == "False\nFalse\n"
+
+        # the CLI loads it at import, ahead of any eigh or GEMM, where its
+        # load does not overlap the BLAS pool's spin
+        child = run_child([], "import sys, cumasim.cli\nprint('scipy.special' in sys.modules)\n")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.decode() == "True\n"
+
+        # the first closed-form ER and exact density of a cold process load it themselves
+        code = (
+            "from cumasim import ChannelStats, approx_er, beta_I, exact_er, preset_grid\n"
+            "stats = ChannelStats.from_grid(preset_grid('6GHz-NC'), 20)\n"
+            "print(repr(exact_er(20, stats.law)), repr(approx_er(20, beta_I(stats))))\n"
+        )
+        child = run_child([], code)
+        assert child.returncode == 0, child.stderr
+        stats = ChannelStats.from_grid(preset_grid("6GHz-NC"), 20)
+        want = f"{analytic.exact_er(20, stats.law)!r} {approx.approx_er(20, beta_I(stats))!r}\n"
+        assert child.stdout.decode() == want
+
     def test_exact_runs_call_no_eigensolver(self):
         # the exact chain's quadrature rules are fixed values; only a Monte Carlo factor diagonalises
         code = (
