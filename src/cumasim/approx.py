@@ -19,10 +19,12 @@ it is beta_I(stats) / delta, since delta divides the SIR. The paper
 writes its rate and outage forms for the sigma2^2-scaled SIR, with
 x = sigma2^2 / (sigma2^2 beta); that is the same x = 1 / beta.
 
-The coefficient, shared with the exact density and carried as its log
-(the tail factor exp(-mu^2 / (2 sigma1^2)) underflows for very large
-arrays), uses E[sqrt(Q)] = sqrt(2) Gamma((I+1)/2) / Gamma(I/2) for the
-chi-square interference power Q with one degree of freedom per interferer:
+beta = 1 / (pi a0^2) is the only scale this module exports. a0 lives
+only as its log at delta = 1, ``analytic._log_a0``, shared with the
+exact density (the tail factor exp(-mu^2 / (2 sigma1^2)) underflows for
+very large arrays). With E[sqrt(Q)] = sqrt(2) Gamma((I+1)/2) / Gamma(I/2)
+for the chi-square interference power Q, one degree of freedom per
+interferer,
 
     a0 = exp(-mu^2 / (2 sigma1^2)) * sqrt(delta) * sigma2 * E[sqrt(Q)]
          / (sqrt(2 pi) * sigma1)
@@ -38,9 +40,7 @@ from .analytic import _LN2, _LN_PI, ChannelStats, _log_a0
 from .specfun import DomainError, _check_delta, _check_rate, exp2
 
 __all__ = [
-    "asymptote_a0",
     "beta_I",
-    "log_beta_I",
     "approx_pdf_zI",
     "approx_pdf_z",
     "approx_cdf_z",
@@ -50,25 +50,10 @@ __all__ = [
 ]
 
 
-def asymptote_a0(stats: ChannelStats) -> float:
-    """Coefficient a0 of the in-phase density's small-z asymptote a0 z^(-1/2), at delta = 1.
-
-    The other coefficients are fixed: the exponent is -1/2, and the
-    two-branch convolution's density tends to 1 / beta at z = 0. At
-    residual factor delta the coefficient is sqrt(delta) a0.
-    """
-    return math.exp(_log_a0(stats))
-
-
-def log_beta_I(stats: ChannelStats, delta: float = 1.0) -> float:
-    """log of the asymptote-matched Gamma scale at ``delta`` (finite even when beta overflows)."""
-    _check_delta("delta", delta)
-    return -_LN_PI - 2.0 * _log_a0(stats) - math.log(delta)
-
-
 def beta_I(stats: ChannelStats, delta: float = 1.0) -> float:
     """Asymptote-matched raw-SIR scale beta = 1 / (pi a0^2) of the Gamma(1/2) fit at ``delta``."""
-    log_beta = log_beta_I(stats, delta)
+    _check_delta("delta", delta)
+    log_beta = -_LN_PI - 2.0 * _log_a0(stats) - math.log(delta)
     try:
         return math.exp(log_beta)
     except OverflowError:
@@ -110,7 +95,7 @@ def approx_er(users: int, beta: float) -> float:
         raise DomainError(f"beta must be positive, got {beta}")
     x = 1.0 / beta
     if not 0.0 < x < math.inf:
-        raise DomainError(f"1/beta = {x} left (0, inf); use log_beta_I directly")
+        raise DomainError(f"1/beta = {x} left (0, inf)")
     # e^x E1(x); hyperu(1, 1, x) equals it without overflowing, but only
     # past x = 50 does it match exp1's accuracy (it is off by up to 5e-10
     # on [2, 50]), so it takes over where exp(x) would overflow

@@ -95,10 +95,10 @@ def _cmd_presets(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.rs is not None and args.eve_preset is None:
         raise DomainError("--rs needs --eve-preset")
+    _check_delta("delta_e", args.delta_e)
     stats = ChannelStats.from_grid(preset_grid(args.preset), args.users)
     eve = None
     if args.eve_preset is not None:
-        _check_delta("delta_e", args.delta_e)
         eve = ChannelStats.from_grid(preset_grid(args.eve_preset), args.users)
     metrics = ("er", "op") if args.rs is None else ("er", "op", "sop_lower")
     point = evaluate_point(metrics, args.users, gamma_th=args.gamma_th, rs=args.rs, bob=stats, eve=eve,
@@ -155,7 +155,7 @@ def _cmd_compare(args) -> int:
         ("er", "op"), args.users, gamma_th=args.gamma_th, rs=None, bob=stats, delta_b=args.delta,
         exact=args.exact == "on", bob_samples=samples,
     )
-    ks = harness.compare_distributions(config, stats, args.trials, seed)
+    ks = harness.compare_distributions(config, approx.beta_I(stats, args.delta), args.trials, seed)
     lines = [f"preset = {args.preset}  users = {args.users}  trials = {args.trials}"]
     for label, (closed, exact, mc, mc_se) in zip(("er", f"op[{args.gamma_th:g}]"), point.values()):
         exact_text = "" if exact is None else f"  exact = {exact:.6g}"

@@ -80,8 +80,6 @@ def grid_from_aperture(width_m: float, height_m: float, freq_hz: float, spacing1
         raise DomainError("port spacing exceeds the aperture; grid would degenerate")
     n1 = int(math.floor(w1 / spacing1)) + 1
     n2 = int(math.floor(w2 / _SPACING2)) + 1
-    if n1 < 2 or n2 < 2:
-        raise DomainError(f"aperture too small for spacing: would give {n1} x {n2} ports")
     return PortGrid(n1=n1, n2=n2, w1=w1, w2=w2)
 
 

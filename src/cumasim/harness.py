@@ -100,11 +100,10 @@ class SweepSpec:
             raise DomainError(f"axis {self.axis!r} requires a preset")
         elif self.preset not in PRESETS:
             raise DomainError(f"unknown preset {self.preset!r}; known: {', '.join(PRESETS)}")
-        if any(m in _SOP_METRICS for m in self.metrics):
-            if self.eve_preset is None:
-                raise DomainError("secrecy metrics require eve_preset")
-            if self.eve_preset not in PRESETS:
-                raise DomainError(f"unknown eve preset {self.eve_preset!r}")
+        if self.eve_preset is None and any(m in _SOP_METRICS for m in self.metrics):
+            raise DomainError("secrecy metrics require eve_preset")
+        if self.eve_preset is not None and self.eve_preset not in PRESETS:
+            raise DomainError(f"unknown eve preset {self.eve_preset!r}")
         if self.axis == "delta_b" and any(not 0.0 < v <= 1.0 for v in self.values):
             raise DomainError("delta_b values must lie in (0, 1]")
         if self.axis == "rs" and any(v < 0.0 for v in self.values):
@@ -115,6 +114,8 @@ class SweepSpec:
         _check_delta("delta_e", self.delta_e)
         _check_rate("gamma_th", self.gamma_th)
         _check_rate("secrecy rate", self.rs)
+        if self.trials < 1:
+            raise DomainError(f"trials must be positive, got {self.trials}")
         if self.mc and self.trials < 1000:
             raise DomainError("Monte Carlo sweeps need at least 1000 trials")
 
@@ -293,18 +294,14 @@ class KSReport:
     ks_inphase: float
 
 
-def compare_distributions(config: SimConfig, stats: ChannelStats, trials: int, seed: SeedSpec) -> KSReport:
-    """KS distances between simulated SIR samples and the fitted laws.
+def compare_distributions(config: SimConfig, beta: float, trials: int, seed: SeedSpec) -> KSReport:
+    """KS distances between simulated SIR samples and the fitted laws at the raw-SIR scale ``beta``.
 
-    ``config`` and ``stats`` describe the same terminal (ports and users
-    must agree). The total SIR is tested against the exponential fit and
-    the in-phase branch against the Gamma(1/2) fit, both at the raw-SIR
-    scale beta_I at the config's delta.
+    The total SIR is tested against the exponential fit and the in-phase
+    branch against the Gamma(1/2) fit. ``beta`` is beta_I(stats,
+    config.delta) for the config's terminal, like every closed form's.
     """
-    if (config.corr.dim, config.users - 1) != (stats.nbar, stats.interferers):
-        raise DomainError("simulation config and channel stats describe different systems")
     samples = montecarlo.sir_samples(config, trials, seed)
-    beta = approx.beta_I(stats, config.delta)
     ks_total = ks_statistic(samples.sir, lambda x: approx.approx_cdf_z(x, beta))
     ks_i = ks_statistic(samples.sir_i, lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)))  # Gamma(1/2, beta)
     return KSReport(ks_total=ks_total, ks_inphase=ks_i)

@@ -18,7 +18,6 @@ from cumasim.approx import (
     approx_er,
     approx_pdf_z,
     approx_pdf_zI,
-    asymptote_a0,
     beta_I,
     sop_lower_closed,
 )
@@ -26,7 +25,7 @@ from cumasim.geometry import PortGrid, correlation_matrix, grid_from_aperture, o
 from cumasim.harness import ks_statistic
 from cumasim.montecarlo import SeedSpec, SimConfig, mc_estimate, sir_samples
 
-from test_approx import exponential_law, random_stats
+from test_approx import exponential_law, paper_a0, random_stats
 from test_montecarlo import interference_sums, sop_pair
 
 APERTURE = (0.15, 0.08)
@@ -89,7 +88,8 @@ def test_a02_half_wavelength_correlation_null():
 def test_a03_gamma_fit_identity(rng):
     worst = 0.0
     for st, d in random_stats(rng, 20):
-        worst = max(worst, abs(beta_I(st, d) * math.pi * d * asymptote_a0(st) ** 2 - 1.0))  # a0 at delta is sqrt(delta) a0
+        a0 = paper_a0(st.mu, st.sigma1_sq, st.sigma2_sq, d, st.interferers)
+        worst = max(worst, abs(beta_I(st, d) * math.pi * a0**2 - 1.0))
     ok = worst < 1e-12
     report("A03 fit-identity", ok, f"max |beta*pi*a0^2 - 1| = {worst:.2e} (tol 1e-12)")
     assert ok

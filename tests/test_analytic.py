@@ -23,10 +23,11 @@ from cumasim.analytic import (
     sigma_sums,
     sop_lower_numeric,
 )
-from cumasim.approx import asymptote_a0, beta_I
+from cumasim.approx import beta_I
 from cumasim.geometry import HANDSET_APERTURE_M, PortGrid, grid_from_aperture, preset_grid
 from cumasim.specfun import DomainError, exp2
 from link_oracle import dense_correlation
+from test_approx import paper_a0
 
 mp.mp.dps = 40
 
@@ -314,9 +315,10 @@ class TestExactPdfZI:
         assert exact_pdf_zI(z, case1_stats) == pytest.approx(want, rel=1e-9)
 
     def test_small_z_slope_reaches_asymptote(self, case1_stats):
-        # far enough into the tail that the confluent correction (of order
-        # interferers * whittaker argument) is negligible
-        a0 = asymptote_a0(case1_stats)
+        # far enough into the tail that the two correction factors, whose
+        # product's inverse is the fit-to-exact ratio, are negligible
+        st = case1_stats
+        a0 = paper_a0(st.mu, st.sigma1_sq, st.sigma2_sq, 1.0, st.interferers)
         z = 1e-9
         ratio = exact_pdf_zI(z, case1_stats) * math.sqrt(z) / a0
         assert ratio == pytest.approx(1.0, abs=1e-2)

@@ -75,6 +75,10 @@ class TestSweepSpecValidation:
         {"axis": "rs", "values": (1.0,), "rs": math.inf},
         {"delta_e": 2.0},
         {"delta_e": 0.0},
+        # a sweep without Monte Carlo still prints its trial count, and a
+        # given eve preset is checked whatever the metrics
+        {"trials": -5, "mc": False},
+        {"metrics": ("er",), "eve_preset": "nonsense"},
     ])
     def test_rejections(self, kw):
         with pytest.raises(DomainError):
@@ -484,8 +488,8 @@ class TestCompareDistributions:
 
     def test_fit_distance_reported(self, nc_system, nc_samples):
         # the raw samples against the raw-SIR scale beta_I
-        report = compare_distributions(*nc_system, 20_000, SeedSpec(5))
         beta = beta_I(nc_system[1])
+        report = compare_distributions(nc_system[0], beta, 20_000, SeedSpec(5))
         assert report.ks_total == ks_statistic(nc_samples.sir, lambda x: approx_cdf_z(x, beta))
         assert report.ks_inphase == ks_statistic(nc_samples.sir_i, lambda x: erf(np.sqrt(x / beta)))
         assert 0.0 <= report.ks_total <= 1.0
@@ -494,15 +498,6 @@ class TestCompareDistributions:
     def test_negative_control_detects_misfit(self, nc_system, nc_samples):
         beta = 2.0 * beta_I(nc_system[1])
         assert ks_statistic(nc_samples.sir[:2000], lambda x: approx_cdf_z(x, beta)) > 0.1
-
-    def test_rejects_mismatched_config_and_stats(self, nc_system):
-        config, _ = nc_system
-        with pytest.raises(DomainError):
-            compare_distributions(config, ChannelStats.from_grid(preset_grid("6GHz-NC"), 8), 1000, SeedSpec(5))
-        # same users and delta, but the config factors another grid
-        config = SimConfig(corr=correlation_matrix(preset_grid("6GHz-VC")), users=20)
-        with pytest.raises(DomainError, match="different systems"):
-            compare_distributions(config, ChannelStats.from_grid(preset_grid("6GHz-NC"), 20), 1000, SeedSpec(5))
 
 
 class TestConfigParsing:
@@ -922,6 +917,12 @@ class TestCli:
             ["analyze", "--preset", "6GHz-NC", "--users", "8", "--rs", "nan", "--eve-preset", "6GHz-NC"],
             ["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "100", "--gamma-th", "nan"],
             ["analyze", "--preset", "6GHz-NC", "--users", "3", "--eve-preset", "6GHz-NC", "--delta-e", "2"],
+            # checked even where no metric reads them
+            ["analyze", "--preset", "6GHz-NC", "--users", "3", "--delta-e", "5"],
+            ["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "3", "--metrics", "er", "--no-mc",
+             "--exact", "off", "--trials", "-5"],
+            ["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "3", "--metrics", "er", "--no-mc",
+             "--eve-preset", "nonsense"],
         ],
     )
     def test_unusable_numbers_are_validation_errors(self, argv, capsys):
