@@ -9,9 +9,9 @@ The sum of the two i.i.d. branches is then exactly Gamma(1, beta), i.e.
 exponential, which yields closed forms for ergodic rate, outage and the
 secrecy-outage lower bound.
 
-E1 and U come from ``scipy.special``, imported inside ``approx_er``:
-the package loads it at the first closed-form ergodic rate, not at
-import.
+The one special function here, e^x E1(x) in the ergodic rate, is
+evaluated by ``_exp_e1`` from its power series and continued fraction,
+so no closed form loads ``scipy``.
 
 Every function here works in raw-SIR units, like the exact law and the
 simulator: beta = beta_I(stats, delta) is the scale of the raw SIR, and
@@ -85,10 +85,35 @@ def approx_cdf_z(z, beta: float):
     return -np.expm1(-np.maximum(z, 0.0) / beta)
 
 
+_EULER_GAMMA = 0.5772156649015329  # correctly rounded, the value scipy's exp1 takes
+
+
+def _exp_e1(x: float) -> float:
+    """e^x E1(x) for x > 0, at double precision from underflow to overflow.
+
+    Up to x = 1 the power series E1(x) = -gamma - ln x - sum_k (-x)^k / (k k!)
+    (DLMF 6.6.2) times e^x; beyond it the continued fraction
+    e^x E1(x) = 1 / (x + 1 / (1 + 1 / (x + 2 / (1 + 2 / (x + ...))))) (DLMF 6.9.1),
+    evaluated backward from depth 20 + 80/x, which never overflows. The
+    series takes scipy's exp1 steps, so up to x = 1 the result is
+    exp(x) * exp1(x) to the bit.
+    """
+    if x <= 1.0:
+        total = term = 1.0
+        for k in range(1, 26):
+            term = -term * k * x / (k + 1.0) ** 2
+            total += term
+            if abs(term) <= abs(total) * 1e-15:
+                break
+        return math.exp(x) * (-_EULER_GAMMA - math.log(x) + x * total)
+    tail = 0.0
+    for k in range(20 + int(80.0 / x), 0, -1):
+        tail = k / (1.0 + k / (x + tail))
+    return 1.0 / (x + tail)
+
+
 def approx_er(users: int, beta: float) -> float:
     """Closed-form ergodic sum rate U * e^x * Gamma(0, x) / ln 2, x = 1/beta."""
-    from scipy.special import exp1, hyperu
-
     if users < 2:
         raise DomainError(f"need at least 2 users, got {users}")
     if not beta > 0.0:
@@ -96,11 +121,7 @@ def approx_er(users: int, beta: float) -> float:
     x = 1.0 / beta
     if not 0.0 < x < math.inf:
         raise DomainError(f"1/beta = {x} left (0, inf)")
-    # e^x E1(x); hyperu(1, 1, x) equals it without overflowing, but only
-    # past x = 50 does it match exp1's accuracy (it is off by up to 5e-10
-    # on [2, 50]), so it takes over where exp(x) would overflow
-    exp_e1 = math.exp(x) * exp1(x) if x < 700.0 else hyperu(1.0, 1.0, x)
-    return users * float(exp_e1) / _LN2
+    return users * _exp_e1(x) / _LN2
 
 
 def approx_op(gamma_th: float, beta: float) -> float:

@@ -6,7 +6,8 @@ requested metrics three ways per point: closed-form approximation,
 the tabulated exact law (optional) and Monte Carlo with standard
 errors. A receiver's exact law is tabulated once per grid and users
 (delta only scales it), and its samples are drawn once per grid, users
-and delta.
+and delta. Only a sweep with exact columns and the KS check load
+``scipy.special``; a sweep loads it before its first eigh.
 """
 
 from __future__ import annotations
@@ -18,14 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Loaded here, at import, on purpose: every CLI process imports this module,
-# so the CLI pays for scipy.special before its first eigh or GEMM. Loaded
-# after them, the import overlapped OpenBLAS's idle-worker spin and cost the
-# 1834-port Monte Carlo run 6-10% more CPU and 3-10% more wall time, in
-# alternating cold runs against this order. analytic and approx load it
-# only where a library caller first needs a closed-form ER or exact density.
-from scipy.special import erf
 
 from . import analytic, approx, montecarlo
 from .analytic import ChannelStats
@@ -164,6 +157,12 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
     stats, and so one law, whatever their deltas, while each draws its own
     samples. Only Monte Carlo columns build a grid's factor, once per grid.
     """
+    if spec.exact == "on":
+        # the exact law's 1F1 needs scipy.special, so it loads here, before
+        # any eigh or GEMM: loaded after them, the import overlapped OpenBLAS's
+        # idle-worker spin and cost the 1834-port Monte Carlo run 6-10% more
+        # CPU and 3-10% more wall time, in alternating cold runs
+        import scipy.special
     factor = functools.lru_cache(maxsize=2)(correlation_matrix)
     stats = functools.lru_cache(maxsize=2)(ChannelStats.from_grid)
     drawn = {}  # substream -> ((grid, users, delta), samples): the last Bob (0) and the last Eve (1)
@@ -301,6 +300,8 @@ def compare_distributions(config: SimConfig, beta: float, trials: int, seed: See
     branch against the Gamma(1/2) fit. ``beta`` is beta_I(stats,
     config.delta) for the config's terminal, like every closed form's.
     """
+    from scipy.special import erf
+
     samples = montecarlo.sir_samples(config, trials, seed)
     ks_total = ks_statistic(samples.sir, lambda x: approx.approx_cdf_z(x, beta))
     ks_i = ks_statistic(samples.sir_i, lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)))  # Gamma(1/2, beta)
@@ -366,11 +367,12 @@ def parse_config(text: str | None, **given: str) -> SweepSpec:
     such as the CLI's flags, as text; they override the file's. Every
     field, from either source, is read by the converter of its SweepSpec
     type: a list is comma separated, blanks around an item are ignored
-    and an empty item is an error. A field that neither sets keeps
-    SweepSpec's default.
+    and an empty item is an error. A file may set each field once. A field
+    that neither sets keeps SweepSpec's default.
     """
     raw: dict[str, str] = {}
     if text is not None:
+        set_on: dict[str, int] = {}  # field -> the line that sets it
         for lineno, line in enumerate(text.splitlines(), 1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -378,7 +380,11 @@ def parse_config(text: str | None, **given: str) -> SweepSpec:
             if "=" not in body:
                 raise DomainError(f"config line {lineno}: expected 'key = value', got {line!r}")
             key, val = body.split("=", 1)
-            raw[key.strip().lower()] = val.strip()
+            key = key.strip().lower()
+            if key in set_on:
+                raise DomainError(f"config field {key} is set twice, on lines {set_on[key]} and {lineno}")
+            set_on[key] = lineno
+            raw[key] = val.strip()
         if "schema" not in raw:
             raise DomainError("config is missing the schema field")
         schema = _convert("schema", integer, raw.pop("schema"))

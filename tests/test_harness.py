@@ -569,6 +569,25 @@ class TestConfigParsing:
         with pytest.raises(DomainError, match="missing values, metrics"):
             parse_config(None, axis="users")
 
+    def test_field_set_twice_rejected(self, tmp_path, capsys):
+        # the GOOD text sets values on its line 6; the appended line is 12
+        with pytest.raises(DomainError, match="config field values is set twice, on lines 6 and 12"):
+            parse_config(self.GOOD + "\nvalues = 5")
+        with pytest.raises(DomainError, match="config field seed is set twice"):
+            parse_config(self.GOOD + "\nSeed = 3")
+        with pytest.raises(DomainError, match="config field schema is set twice, on lines 1 and 2"):
+            parse_config("schema = 1\nschema = 1\n" + self.GOOD.replace("schema = 1", ""))
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("schema = 1\npreset = 6GHz-NC\naxis = users\nvalues = 3\nvalues = 5\nmetrics = er\n")
+        assert main(["sweep", "--config", str(cfg), "--no-mc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config field values is set twice, on lines 4 and 5" in captured.err
+        # a flag beside the file still overrides a field the file sets once
+        cfg.write_text("schema = 1\npreset = 6GHz-NC\naxis = users\nvalues = 3\nmetrics = er\n")
+        assert main(["sweep", "--config", str(cfg), "--no-mc", "--values", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("5,er,")
+
     def test_channel_power_is_no_field(self):
         # the package fixes the channel power at 1; omega is no key
         with pytest.raises(DomainError, match="unknown config fields: omega"):
@@ -1029,29 +1048,28 @@ class TestProcessEntry:
         assert child.returncode == 0, child.stderr
         assert child.stdout.decode() == "\n"
 
-        # the library loads scipy.special at its first closed-form ER or exact
-        # density; the Monte Carlo route and the correlation factor never do
+        # the library loads scipy only at its first exact density; the closed
+        # forms, the Monte Carlo route and the correlation factor never do
         code = (
             "import sys\n"
-            "from cumasim import (ChannelStats, SeedSpec, SimConfig, beta_I, correlation_matrix, mc_estimate,\n"
-            "                     preset_grid, sir_samples)\n"
-            "print('scipy.special' in sys.modules)\n"
-            "beta_I(ChannelStats.from_grid(preset_grid('6GHz-NC'), 20))\n"
+            "from cumasim import (ChannelStats, SeedSpec, SimConfig, approx_er, approx_op, beta_I,\n"
+            "                     correlation_matrix, mc_estimate, preset_grid, sir_samples)\n"
+            "beta = beta_I(ChannelStats.from_grid(preset_grid('6GHz-NC'), 20))\n"
+            "approx_er(20, beta), approx_op(1.0, beta)\n"
             "samples = sir_samples(SimConfig(correlation_matrix(preset_grid('6GHz-NC')), 20), 100, SeedSpec(1))\n"
             "mc_estimate('er', samples, users=20)\n"
-            "print('scipy.special' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         )
         child = run_child([], code)
         assert child.returncode == 0, child.stderr
-        assert child.stdout.decode() == "False\nFalse\n"
+        assert child.stdout.decode() == "[]\n"
 
-        # the CLI loads it at import, ahead of any eigh or GEMM, where its
-        # load does not overlap the BLAS pool's spin
-        child = run_child([], "import sys, cumasim.cli\nprint('scipy.special' in sys.modules)\n")
+        code = "import sys, cumasim.cli\nprint(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        child = run_child([], code)
         assert child.returncode == 0, child.stderr
-        assert child.stdout.decode() == "True\n"
+        assert child.stdout.decode() == "[]\n"
 
-        # the first closed-form ER and exact density of a cold process load it themselves
+        # the first exact density of a cold process loads it itself
         code = (
             "from cumasim import ChannelStats, approx_er, beta_I, exact_er, preset_grid\n"
             "stats = ChannelStats.from_grid(preset_grid('6GHz-NC'), 20)\n"
@@ -1062,6 +1080,36 @@ class TestProcessEntry:
         stats = ChannelStats.from_grid(preset_grid("6GHz-NC"), 20)
         want = f"{analytic.exact_er(20, stats.law)!r} {approx.approx_er(20, beta_I(stats))!r}\n"
         assert child.stdout.decode() == want
+
+    @pytest.mark.parametrize("argv,special_at_eigh,scipy_at_end", [
+        (["presets"], None, False),
+        (["analyze", "--preset", "6GHz-C", "--users", "12", "--rs", "1", "--eve-preset", "6GHz-VC"], None, False),
+        (["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "1000"], False, False),
+        (["sweep", "--preset", "26GHz-C", "--axis", "users", "--values", "10", "--metrics", "er",
+          "--trials", "1000", "--exact", "off", "--seed", "3"], False, False),
+        (["compare", "--preset", "6GHz-NC", "--users", "8", "--trials", "1000", "--seed", "2"], True, True),
+        (["sweep", "--preset", "6GHz-NC", "--axis", "users", "--values", "4", "--metrics", "er,op",
+          "--trials", "1000", "--exact", "on"], True, True),
+    ], ids=["presets", "analyze", "simulate", "mc-large-grid", "compare", "sweep-exact-and-mc"])
+    def test_cli_loads_scipy_only_ahead_of_a_special_function(self, argv, special_at_eigh, scipy_at_end):
+        # a command that evaluates no scipy function never loads scipy; one that
+        # does loads scipy.special before its first eigh, since the import
+        # overlapping OpenBLAS's idle-worker spin cost Monte Carlo runs time
+        code = (
+            "import sys, numpy.linalg\n"
+            "eigh, at_eigh = numpy.linalg.eigh, []\n"
+            "def first_eigh(*args, **kwargs):\n"
+            "    at_eigh.append('scipy.special' in sys.modules)\n"
+            "    return eigh(*args, **kwargs)\n"
+            "numpy.linalg.eigh = first_eigh\n"
+            "from cumasim import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(at_eigh[0] if at_eigh else None, any(m.partition('.')[0] == 'scipy' for m in sys.modules))\n"
+            "sys.exit(code)\n"
+        )
+        child = run_child(argv, code)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.decode().splitlines()[-1] == f"{special_at_eigh} {scipy_at_end}"
 
     def test_exact_runs_call_no_eigensolver(self):
         # the exact chain's quadrature rules are fixed values; only a Monte Carlo factor diagonalises

@@ -3,11 +3,13 @@
 The package takes its special functions from ``math`` and
 ``scipy.special``: ``math.lgamma`` in the density and the asymptote
 coefficient, ``scipy.special.hyp1f1`` in the density's Whittaker factor,
-``exp1``/``hyperu`` for e^x E1(x) in the closed-form rate, and the
-elementary arc-cosine form in place of the W-function's 2F1. Each class
-checks one of them against an arbitrary-precision oracle, on the
-arguments the package evaluates, together with the failures that the
-callers turn into named errors.
+``approx._exp_e1`` (its own power series and continued fraction, no
+scipy) for e^x E1(x) in the closed-form rate, and the elementary
+arc-cosine form in place of the W-function's 2F1. Each class checks one
+of them against an arbitrary-precision oracle, on the arguments the
+package evaluates, together with the failures that the callers turn into
+named errors. ``hyperu`` serves only as the tests' own upper incomplete
+gamma.
 """
 
 import math
@@ -15,10 +17,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import hyp1f1, hyperu
+from scipy.special import exp1, hyp1f1, hyperu
 
 from cumasim.analytic import ChannelStats, cov_pair, exact_pdf_zI
-from cumasim.approx import approx_er
+from cumasim.approx import _exp_e1, approx_er
 from cumasim.specfun import DomainError, exp2
 from test_analytic import w_form_cov
 
@@ -117,11 +119,20 @@ class TestUpperIncompleteGamma:
         assert rel_err(exp_e1(x), want) < 1e-10
 
     def test_scaled_e1_full_range(self):
-        # hyperu(1, 1, x) alone is off by up to 5e-10 on [2, 50]; the rate
-        # must stay at double precision from underflow to overflow
-        for x in np.geomspace(1e-300, 1e300, 241):
+        # the rate must stay at double precision from underflow to overflow,
+        # on both sides of the switch from series to continued fraction at
+        # x = 1 and at a subnormal x, which only _exp_e1 itself can take
+        for x in [*np.geomspace(1e-300, 1e300, 241), 1.0, math.nextafter(1.0, 2.0), 700.0]:
             want = mp.exp(mp.mpf(x)) * mp.e1(mp.mpf(x))
             assert rel_err(exp_e1(float(x)), float(want)) < 5e-15
+        want = mp.exp(mp.mpf(1e-310)) * mp.e1(mp.mpf(1e-310))
+        assert rel_err(_exp_e1(1e-310), float(want)) < 5e-15
+
+    def test_series_is_scipy_exp1_to_the_bit(self):
+        # every preset's 1/beta lies in [1e-300, 0.1], where the closed-form
+        # rate's e^x E1(x) is the exp(x) * exp1(x) its goldens were pinned with
+        for x in np.geomspace(1e-300, 0.1, 20001).tolist():
+            assert _exp_e1(x) == math.exp(x) * exp1(x), x
 
     def test_domain(self):
         # x = 1 / beta must stay inside (0, inf)
