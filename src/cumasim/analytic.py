@@ -20,9 +20,9 @@ Every exact metric is a one-dimensional sum over one or two tabulated
 laws (``ExactLaw``) of the raw SIR, so rates and thresholds are read in
 the same units as the simulator's samples.
 
-1F1 and expit come from ``scipy.special``, imported inside
-``exact_pdf_zI``: the package loads it at the first exact density, not
-at import.
+The density's confluent factor, log 1F1((I+1)/2; 1/2; t), is the
+module's own ``_log_kummer``, a sum of positive terms in numpy, so no
+exact metric loads scipy.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ _LOG_MAX = math.log(np.finfo(float).max)  # e^s overflows from here on
 
 
 class QuadratureError(ArithmeticError):
-    """An exact density's 1F1 overflows, or a tabulated law has no finite scale,
-    passes the float range, is not finite or does not integrate to one."""
+    """An exact density's 1F1 series needs more than its term budget, or a tabulated
+    law has no finite scale, passes the float range, is not finite or does not
+    integrate to one."""
 
 
 # ---------------------------------------------------------------------------
@@ -201,28 +202,152 @@ def exact_pdf_zI(z, stats: ChannelStats):
 
         f_I(z) = a0 z^(-1/2) (1 + q/sigma1^2)^(-(I+1)/2) 1F1((I+1)/2; 1/2; t).
 
-    It is assembled in the log domain (a0 underflows for large arrays), and
-    log 1F1 = t + log 1F1(-I/2, 1/2; -t) by Kummer's transformation, finite
-    where 1F1 itself overflows. Past a t that falls with I the transformed
-    1F1 overflows too, and QuadratureError is raised. q enters only through
-    x = ln(q / sigma1^2), as t = mu^2 / (2 sigma1^2) expit(x) and
-    ln(1 + q/sigma1^2) = logaddexp(0, x): neither overflows at either end
-    of the float range, and at the top the density is 0.
+    It is assembled in the log domain (a0 underflows for large arrays, and
+    1F1 overflows for large I t), with log 1F1 from ``_log_kummer``. q enters
+    only through x = ln(q / sigma1^2), as ln(t / t_max) = -logaddexp(0, -x),
+    t_max = mu^2 / (2 sigma1^2), and ln(1 + q/sigma1^2) = logaddexp(0, x):
+    neither overflows at either end of the float range, and at the top the
+    density is 0.
     """
-    from scipy.special import expit, hyp1f1
-
     z = _positive_finite(z, "exact_pdf_zI")
     i_cnt = stats.interferers
-    s1 = stats.sigma1_sq
     log_z = np.log(z)
-    x = log_z + math.log(stats.sigma2_sq / s1)
-    t = stats.mu**2 / (2.0 * s1) * expit(x)
-    kummer = hyp1f1(-0.5 * i_cnt, 0.5, -t)
-    bad = ~np.isfinite(kummer)
-    if bad.any():
-        raise QuadratureError(f"1F1(-I/2, 1/2, -t) at I = {i_cnt} is not finite from t = {np.min(t[bad]):.6g}")
-    log_pdf = _log_a0(stats) - 0.5 * log_z - 0.5 * (i_cnt + 1) * np.logaddexp(0.0, x) + t + np.log(kummer)
+    x = log_z + math.log(stats.sigma2_sq / stats.sigma1_sq)
+    # logaddexp(0, +-x) = max(+-x, 0) + ln(1 + e^-|x|), sharing the last term
+    shared = np.log1p(np.exp(-np.abs(x)))
+    log_kummer = _log_kummer(i_cnt, stats.mu**2 / (2.0 * stats.sigma1_sq), np.minimum(x, 0.0) - shared)
+    log_pdf = _log_a0(stats) - 0.5 * log_z - 0.5 * (i_cnt + 1) * (np.maximum(x, 0.0) + shared) + log_kummer
     return np.exp(log_pdf)
+
+
+# ---------------------------------------------------------------------------
+# log 1F1((I+1)/2; 1/2; t) of the in-phase density
+# ---------------------------------------------------------------------------
+
+_BAND_SPAN = 600.0  # log 1F1 rises by at most this across a band, so its terms stay in the float range
+_TAIL = 50.0  # terms this far below a band's largest, in log, are left out (2^-53 = e^-36.7)
+_RUN = 256  # running products renormalised every _RUN terms
+_MAX_TERMS = 1 << 16  # series length past which a law is refused, not evaluated
+
+
+def _running_products(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running products of ``rho`` as mantissas and binary exponents.
+
+    The mantissas are renormalised by powers of two only, so each product
+    is rounded as the plain left-to-right product would be, where that one
+    would not leave the float range.
+    """
+    m, e = np.frexp(rho)
+    mant = np.empty_like(rho)
+    expo = np.cumsum(e)
+    carry, shift = 1.0, 0
+    for lo in range(0, len(rho), _RUN):
+        run = np.cumprod(np.concatenate(([carry], m[lo : lo + _RUN])))[1:]
+        mant[lo : lo + _RUN] = run
+        expo[lo : lo + _RUN] += shift
+        carry, step = math.frexp(run[-1])
+        shift += step
+    return mant, expo
+
+
+@functools.lru_cache(maxsize=8)
+def _kummer_pieces(i_cnt: int, t_max: float) -> tuple[np.ndarray, tuple]:
+    """Piece tops in ln u, ascending, and per piece (ln u_b, k_lo, log scale, coefficients, highest power first).
+
+    1F1(a; 1/2; t_max u) = sum_k d_k u^k over u in (0, 1], a = (I+1)/2, with
+    d_k = d_(k-1) (a+k-1) t_max / ((k-1/2) k) and d_0 = 1; every term is
+    positive. Where the sum passes e^_BAND_SPAN, ln u is cut into bands that
+    each span at most that much of log 1F1, every band but the last above
+    it. A band with top u_b holds its terms at v = u / u_b as
+    d_k u_b^k / 2^E, E the binary exponent of its bottom level (0 in the
+    last band, which reaches u = 0), and only the terms from k_lo to the
+    highest that reach e^-_TAIL of its largest. The last band is cut once
+    more, each piece below keeping a quarter of the terms of the one above,
+    where the terms it drops stay below e^-_TAIL. Everything here depends on
+    (I, t_max) alone, never on the arguments evaluated.
+    """
+    a = 0.5 * (i_cnt + 1)
+    n = 64
+    while True:
+        k = np.arange(1.0, n + 1.0)
+        r = (a + k - 1.0) * t_max / ((k - 0.5) * k)
+        lam = np.concatenate(([0.0], np.cumsum(np.log(r))))  # ln d_k, to place the cuts
+        if lam[-1] < lam.max() - _TAIL and r[-1] < 1.0:
+            break
+        if n >= _MAX_TERMS:
+            raise QuadratureError(
+                f"1F1((I+1)/2; 1/2; t) at I = {i_cnt} needs over {_MAX_TERMS} terms up to t = {t_max:.6g}"
+            )
+        n *= 2
+    kk = np.arange(n + 1)
+    levels = [float(lam.max())]
+    while levels[-1] > _BAND_SPAN:
+        levels.append(max(levels[-1] - _BAND_SPAN, _BAND_SPAN))
+    # the largest ln u whose largest term is e^level
+    tops = [0.0] + [float(np.min((level - lam[1:]) / kk[1:])) for level in levels[1:]]
+    edges, pieces = [], []
+    for b, top in enumerate(tops):
+        g = lam + kk * top
+        k_hi = int(np.flatnonzero(g >= g.max() - _TAIL)[-1])
+        k_lo, scale = 0, 0
+        if b + 1 < len(tops):
+            g = lam + kk * tops[b + 1]
+            k_lo = int(np.flatnonzero(g >= g.max() - _TAIL)[0])
+            scale = math.floor(levels[b + 1] / _LN2)
+        mant, expo = _running_products(r[:k_hi] * math.exp(top))
+        c = np.ldexp(np.concatenate(([1.0], mant)), np.concatenate(([0], expo)) - scale)
+        edges.append(top)
+        pieces.append((top, k_lo, scale * _LN2, tuple(c[k_hi : k_lo - 1 if k_lo else None : -1].tolist())))
+    # the last band (top, k_hi from the loop's last pass): at ln v below
+    # (-_TAIL - ln c_j) / j for every j > m, each term past the m-th is under
+    # e^-_TAIL of the first, which is 1
+    log_c = lam[1 : k_hi + 1] + kk[1 : k_hi + 1] * top
+    m = k_hi
+    while m > 0:
+        m //= 4
+        edge = float(np.min((-_TAIL - log_c[m:]) / kk[m + 1 : k_hi + 1]))
+        if edge < 0.0:
+            edges.append(top + edge)
+            pieces.append((top, 0, 0.0, pieces[-1][3][-(m + 1) :]))
+    piece_tops = np.array(edges[::-1])
+    piece_tops.flags.writeable = False  # the cache hands the same table to every caller
+    return piece_tops, tuple(pieces[::-1])
+
+
+def _log_kummer(i_cnt: int, t_max: float, log_u):
+    """log 1F1((I+1)/2; 1/2; t) at t = t_max e^log_u, elementwise over log_u <= 0.
+
+    The series' terms are all positive, so nothing cancels: each argument's
+    piece sums its terms by Horner's rule in v = u / u_b, and adds back the
+    band's scale and v^k_lo in the log. An argument's value depends on
+    itself and (I, t_max) only.
+    """
+    log_u = np.asarray(log_u, dtype=float)
+    tops, pieces = _kummer_pieces(i_cnt, t_max)
+    # piece j holds tops[j-1] < ln u <= tops[j]; sorted by piece, each is one slice
+    piece = np.searchsorted(tops, log_u.ravel())
+    np.minimum(piece, len(tops) - 1, out=piece)
+    ends = np.cumsum(np.bincount(piece, minlength=len(tops))).tolist()
+    order = np.argsort(piece, kind="stable")
+    del piece  # a block's working set is pinned by a test
+    vals = log_u.ravel()[order]
+    lo = 0
+    for (top, k_lo, log_scale, coeffs), hi in zip(pieces, ends):
+        if hi > lo:
+            log_v = vals[lo:hi]
+            log_v -= top
+            v = np.exp(log_v)
+            h = np.full_like(v, coeffs[0])
+            for c in coeffs[1:]:
+                h *= v
+                h += c
+            log_v *= k_lo
+            log_v += log_scale
+            log_v += np.log(h, out=h)
+        lo = hi
+    out = np.empty_like(vals)
+    out[order] = vals
+    return out.reshape(log_u.shape)
 
 
 # The module's two Gauss-Legendre rules on [-1, 1], 160 nodes for the

@@ -145,11 +145,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    # the KS check's erf and the exact law's 1F1 need scipy.special; loaded
-    # before the first eigh, its import does not overlap OpenBLAS's
-    # idle-worker spin, which cost a Monte Carlo run more CPU and wall time
-    import scipy.special
-
     grid = preset_grid(args.preset)
     stats = ChannelStats.from_grid(grid, args.users)
     _check_delta("delta", args.delta)  # before the grid is factored

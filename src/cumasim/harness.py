@@ -6,8 +6,7 @@ requested metrics three ways per point: closed-form approximation,
 the tabulated exact law (optional) and Monte Carlo with standard
 errors. A receiver's exact law is tabulated once per grid and users
 (delta only scales it), and its samples are drawn once per grid, users
-and delta. Only a sweep with exact columns and the KS check load
-``scipy.special``; a sweep loads it before its first eigh.
+and delta. No sweep and no KS check loads scipy.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ _AXES = ("users", "rs", "delta_b", "ports")
 _METRICS = ("er", "op", "sop", "sop_lower")
 _SOP_METRICS = ("sop", "sop_lower")
 _EXACT_MODES = ("on", "off")
+_erf = np.frompyfunc(math.erf, 1, 1)  # math.erf elementwise, into an object array; numpy has no erf
 
 CSV_HEADER = "axis_value,metric,analytic_approx,analytic_exact,mc_mean,mc_stderr,trials,seed"
 
@@ -157,12 +157,6 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
     stats, and so one law, whatever their deltas, while each draws its own
     samples. Only Monte Carlo columns build a grid's factor, once per grid.
     """
-    if spec.exact == "on":
-        # the exact law's 1F1 needs scipy.special, so it loads here, before
-        # any eigh or GEMM: loaded after them, the import overlapped OpenBLAS's
-        # idle-worker spin and cost the 1834-port Monte Carlo run 6-10% more
-        # CPU and 3-10% more wall time, in alternating cold runs
-        import scipy.special
     factor = functools.lru_cache(maxsize=2)(correlation_matrix)
     stats = functools.lru_cache(maxsize=2)(ChannelStats.from_grid)
     drawn = {}  # substream -> ((grid, users, delta), samples): the last Bob (0) and the last Eve (1)
@@ -300,11 +294,10 @@ def compare_distributions(config: SimConfig, beta: float, trials: int, seed: See
     branch against the Gamma(1/2) fit. ``beta`` is beta_I(stats,
     config.delta) for the config's terminal, like every closed form's.
     """
-    from scipy.special import erf
-
     samples = montecarlo.sir_samples(config, trials, seed)
     ks_total = ks_statistic(samples.sir, lambda x: approx.approx_cdf_z(x, beta))
-    ks_i = ks_statistic(samples.sir_i, lambda x: erf(np.sqrt(np.maximum(x, 0.0) / beta)))  # Gamma(1/2, beta)
+    # the Gamma(1/2, beta) CDF
+    ks_i = ks_statistic(samples.sir_i, lambda x: _erf(np.sqrt(np.maximum(x, 0.0) / beta)).astype(float))
     return KSReport(ks_total=ks_total, ks_inphase=ks_i)
 
 

@@ -1,13 +1,10 @@
 """Error type and power of two shared by the numerical modules.
 
 The special functions behind the channel statistics come from
-``math`` and ``scipy.special``; the closed-form rate's e^x E1(x) is
-``approx._exp_e1``. Only the exact density, ``analytic.exact_pdf_zI``,
-and the KS check, ``harness.compare_distributions``, import from
-``scipy.special``, when called, so ``import cumasim``, the closed forms
-and the Monte Carlo route never load scipy. The CLI commands that will
-call them load it before their first eigh (``harness.run_sweep`` with
-exact columns, ``cli`` compare).
+``math`` and two kernels of the package's own: the exact density's
+log 1F1 is ``analytic._log_kummer`` and the closed-form rate's e^x E1(x)
+is ``approx._exp_e1``; the KS check applies ``math.erf`` elementwise.
+No module loads scipy.
 
 This module keeps the validation error that every module raises and the
 CLI maps to exit code 2, the one check each of a rate argument and of a

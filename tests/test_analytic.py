@@ -4,7 +4,6 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-import scipy.special
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import gammaln, hyp1f1, ncfdtr
@@ -283,6 +282,20 @@ def whittaker_form_pdf(z, stats, delta=1.0):
     return np.exp(log_pdf)
 
 
+def mp_pdf_zI(z, stats):
+    """The in-phase density at delta = 1 in mpmath, at the working precision: the reduced form, term by term."""
+    i_cnt = stats.interferers
+    s1, s2, mu, z = mp.mpf(stats.sigma1_sq), mp.mpf(stats.sigma2_sq), mp.mpf(stats.mu), mp.mpf(z)
+    q = s2 * z
+    log_a0 = (
+        -mu**2 / (2 * s1) + mp.log(s2 / s1) / 2 - mp.log(mp.pi) / 2
+        + mp.loggamma(mp.mpf(i_cnt + 1) / 2) - mp.loggamma(mp.mpf(i_cnt) / 2)
+    )
+    t = mu**2 * q / (2 * s1 * (s1 + q))
+    kummer = mp.hyp1f1(mp.mpf(i_cnt + 1) / 2, mp.mpf(1) / 2, t)
+    return mp.exp(log_a0 - mp.log(z) / 2 - mp.mpf(i_cnt + 1) / 2 * mp.log1p(q / s1) + mp.log(kummer))
+
+
 def channel_moments(stats, omega=1.0):
     """(mu, sigma1^2, sigma2^2, delta = 1, interferers) of ``stats`` at channel power omega."""
     mu, s1, s2 = math.sqrt(omega) * stats.mu, omega * stats.sigma1_sq, omega * stats.sigma2_sq
@@ -354,6 +367,23 @@ class TestExactPdfZI:
             got = integrate.quad(g, math.log(z) - 100.0, math.log(z), epsabs=0.0, epsrel=1e-13, limit=200)[0]
             want = ncfdtr(1, i_cnt, stats.mu**2 / s1, z * d_s2 * i_cnt / s1)
             assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("preset,users", [("40GHz-NC", 1500), ("26GHz-NC", 3000)])
+    def test_large_user_counts_match_mpmath(self, preset, users):
+        # 1F1 itself passes the float range here (about e^4000 on 40GHz-NC);
+        # the density stays finite across the whole range its law tabulates
+        stats = ChannelStats.from_grid(preset_grid(preset), users)
+        hi = min(60.0 / stats.interferers + 5.0, 80.0)
+        z = stats.mean_sir() * np.exp(np.linspace(-30.0, hi, 80))
+        got = exact_pdf_zI(z, stats)
+        assert np.all(np.isfinite(got))
+        with mp.workdps(50):
+            want = np.array([float(mp_pdf_zI(v, stats)) for v in z])
+        # the top of the range, past the z^(-I/2) tail's underflow, checks as 0
+        normal = want >= np.finfo(float).tiny
+        assert normal.sum() >= 40 and np.all(got[~normal] < np.finfo(float).tiny)
+        np.testing.assert_allclose(got[normal], want[normal], rtol=2e-12, atol=0.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("z", [1e306, 1e308, np.finfo(float).max])
@@ -513,13 +543,13 @@ class TestDistinctArguments:
     def test_one_1f1_evaluation_per_distinct_argument(self, monkeypatch):
         stats = fresh_stats("6GHz-VC", 20)
         seen = []
+        log_kummer = analytic._log_kummer
 
-        def counting_hyp1f1(a, b, t):
-            seen.append(np.size(t))
-            return hyp1f1(a, b, t)
+        def counting_log_kummer(i_cnt, t_max, log_u):
+            seen.append(np.size(log_u))
+            return log_kummer(i_cnt, t_max, log_u)
 
-        # exact_pdf_zI imports 1F1 from scipy.special at each call
-        monkeypatch.setattr(scipy.special, "hyp1f1", counting_hyp1f1)
+        monkeypatch.setattr(analytic, "_log_kummer", counting_log_kummer)
         law = stats.law
         # 160 first-factor arguments, 92 head second-factor ones and z itself
         assert sum(seen) == law._z.size * 253

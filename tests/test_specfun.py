@@ -1,15 +1,17 @@
 """Accuracy of the special functions behind the channel statistics.
 
-The package takes its special functions from ``math`` and
-``scipy.special``: ``math.lgamma`` in the density and the asymptote
-coefficient, ``scipy.special.hyp1f1`` in the density's Whittaker factor,
-``approx._exp_e1`` (its own power series and continued fraction, no
-scipy) for e^x E1(x) in the closed-form rate, and the elementary
-arc-cosine form in place of the W-function's 2F1. Each class checks one
-of them against an arbitrary-precision oracle, on the arguments the
-package evaluates, together with the failures that the callers turn into
-named errors. ``hyperu`` serves only as the tests' own upper incomplete
-gamma.
+The package takes its special functions from ``math`` and its own
+numpy kernels: ``math.lgamma`` in the density and the asymptote
+coefficient, ``analytic._log_kummer`` (a positive-term series with its
+own bands) for log 1F1 in the density's Whittaker factor,
+``approx._exp_e1`` (its own power series and continued fraction) for
+e^x E1(x) in the closed-form rate, and the elementary arc-cosine form in
+place of the W-function's 2F1. Each class checks one of them against an
+arbitrary-precision oracle, on the arguments the package evaluates,
+together with the failures that the callers turn into named errors.
+``scipy.special`` serves only as an oracle here: ``hyp1f1`` (itself
+checked against mpmath) for the log 1F1 kernel, ``exp1`` for e^x E1(x)
+and ``hyperu`` as the tests' own upper incomplete gamma.
 """
 
 import math
@@ -17,9 +19,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import exp1, hyp1f1, hyperu
 
-from cumasim.analytic import ChannelStats, cov_pair, exact_pdf_zI
+from cumasim.analytic import ChannelStats, QuadratureError, _log_kummer, cov_pair, exact_pdf_zI
 from cumasim.approx import _exp_e1, approx_er
 from cumasim.specfun import DomainError, exp2
 from test_analytic import w_form_cov
@@ -169,16 +173,68 @@ class TestKummer:
         assert rel_err(hyp1f1(a, b, x), want) < 1e-12
 
     def test_density_family(self):
-        # every log 1F1((I+1)/2, 1/2; t) the density can request, taken as
-        # t + log 1F1(-I/2, 1/2; -t) as exact_pdf_zI does, including the
-        # arguments where 1F1 itself exceeds the double range; the error is
-        # absolute for |log| <= 1 and relative above
+        # every log 1F1((I+1)/2, 1/2; t) the density can request, as
+        # _log_kummer gives it, including the arguments where 1F1 itself
+        # exceeds the double range and those the kernel sums in scaled bands;
+        # the error is absolute for |log| <= 1 and relative above
         ts = np.geomspace(1e-10, 5000.0, 20)
         for i_cnt in range(1, 200):
-            got = ts + np.log(hyp1f1(-0.5 * i_cnt, 0.5, -ts))
+            got = _log_kummer(i_cnt, 5000.0, np.log(ts / 5000.0))
             for t, g in zip(ts, got):
                 want = float(mp.log(mp.hyp1f1(mp.mpf(i_cnt + 1) / 2, 0.5, t)))
                 assert abs(g - want) < 2e-15 * max(1.0, abs(want)), (i_cnt, t)
+
+    @given(
+        i_cnt=st.integers(1, 3000),
+        log_t_max=st.floats(math.log(1e-12), math.log(5000.0)),
+        share=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scipy_where_finite(self, i_cnt, log_t_max, share):
+        # t in [1e-12, t_max]: scipy's Kummer-transformed route where it is
+        # finite, and a finite value wherever mpmath's is
+        t_max = math.exp(log_t_max)
+        log_u = share * (math.log(1e-12) - log_t_max)
+        got = float(_log_kummer(i_cnt, t_max, log_u))
+        t = t_max * math.exp(log_u)
+        if math.isfinite(float(mp.log(mp.hyp1f1(mp.mpf(i_cnt + 1) / 2, 0.5, t)))):
+            assert math.isfinite(got)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = t + math.log(hyp1f1(-0.5 * i_cnt, 0.5, -t))
+        if math.isfinite(want):
+            assert abs(got - want) < 2e-15 * max(1.0, abs(want)), (i_cnt, t_max, t)
+
+    def test_closed_forms(self):
+        # 1F1(1/2; 1/2; t) = e^t (I = 0) and 1F1(1; 1/2; t) = 1 + sqrt(pi t) e^t erf(sqrt t) (I = 1)
+        log_u = np.log(np.geomspace(1e-12, 700.0, 41) / 700.0)
+        forms = {
+            0: lambda t: t,
+            1: lambda t: mp.log(1 + mp.sqrt(mp.pi * t) * mp.exp(t) * mp.erf(mp.sqrt(t))),
+        }
+        for i_cnt, form in forms.items():
+            for v, g in zip(log_u, _log_kummer(i_cnt, 700.0, log_u)):
+                want = float(form(700.0 * mp.exp(v)))
+                assert abs(g - want) < 2e-15 * max(1.0, abs(want)), (i_cnt, v)
+
+    def test_sum_is_its_first_term_at_tiny_t(self):
+        assert _log_kummer(1499, 238.9, -800.0) == 0.0
+
+    @pytest.mark.parametrize("i_cnt,t_max", [(19, 7.8), (1499, 238.9), (2999, 104.4), (150, 5000.0)])
+    def test_value_ignores_the_other_arguments(self, i_cnt, t_max):
+        # the bands and their coefficients depend on (I, t_max) alone, so an
+        # argument has the same bits alone, in any array and in any order
+        log_u = np.linspace(-60.0, 0.0, 600)
+        got = _log_kummer(i_cnt, t_max, log_u)
+        assert np.all(np.isfinite(got)) and np.all(np.diff(got) >= 0.0)
+        assert np.array_equal(got[::-1], _log_kummer(i_cnt, t_max, log_u[::-1]))
+        assert np.array_equal(got, [_log_kummer(i_cnt, t_max, v) for v in log_u])
+        assert np.array_equal(got.reshape(3, -1)[:, 7], _log_kummer(i_cnt, t_max, log_u.reshape(3, -1)[:, 7]))
+
+    @pytest.mark.parametrize("t_max", [1e300, math.inf, math.nan])
+    @pytest.mark.filterwarnings("error")
+    def test_series_past_its_budget_is_refused(self, t_max):
+        with pytest.raises(QuadratureError, match="needs over 65536 terms"):
+            _log_kummer(19, t_max, -1.0)
 
     @pytest.mark.parametrize("x", [10.0, 14.0, 20.0, 30.0])
     def test_direct_and_transformed_routes_agree(self, x):
@@ -230,7 +286,7 @@ class TestGauss2F1:
 
 def whittaker_factor(i_cnt, t):
     # t^(1/4) e^(-t/2) 1F1((I+1)/2, 1/2; t) = M_{-(2I+1)/4, -1/4}(t), the
-    # expansion exact_pdf_zI evaluates
+    # factor whose log 1F1 exact_pdf_zI takes from _log_kummer
     return t**0.25 * math.exp(-0.5 * t) * hyp1f1(0.5 * (i_cnt + 1), 0.5, t)
 
 
