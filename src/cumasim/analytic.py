@@ -350,67 +350,31 @@ def _log_kummer(i_cnt: int, t_max: float, log_u):
     return out.reshape(log_u.shape)
 
 
-# The module's two Gauss-Legendre rules on [-1, 1], 160 nodes for the
-# convolution below and 12 per panel for ExactLaw, are numpy 2.4.6's
-# leggauss(n), held as fixed values: leggauss solves a LAPACK eigenproblem,
-# which would wake the BLAS thread pool at import, add about 1 MB of peak RSS
-# and tie every exact table to the LAPACK build. Each rule is stored as its
-# upper half (nodes ascending); leggauss returns the nodes exactly
-# antisymmetric and the weights exactly symmetric, so mirroring the half
-# gives back every bit.
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even.
+
+    Four Newton steps on P_n from Tricomi's guesses cos(pi (4k - 1) / (4n + 2)),
+    with P_n and P_(n-1) from legvander's recurrence (no LAPACK call, so no
+    BLAS thread wakes at import and the rules do not depend on the LAPACK
+    build), then w = 2 / ((1 - x^2) P_n'(x)^2). Newton ends in a cycle in the
+    last ulp, so the step count fixes the bits. The upper half is solved and
+    mirrored: the nodes are exactly antisymmetric, the weights symmetric.
+    """
+
+    def p_and_dp(x):
+        v = legvander(x, n)
+        return v[:, n], n * (v[:, n - 1] - x * v[:, n]) / (1.0 - x * x)
+
+    x = np.cos(math.pi * (4 * np.arange(n // 2, 0, -1) - 1) / (4 * n + 2))
+    for _ in range(4):
+        p, dp = p_and_dp(x)
+        x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * p_and_dp(x)[1] ** 2)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
-def _gauss_legendre(x_upper: np.ndarray, w_upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes and their weights of an even-order rule, from its upper half."""
-    return np.concatenate((-x_upper[::-1], x_upper)), np.concatenate((w_upper[::-1], w_upper))
-
-
-_CONV_X_UPPER = np.array([
-    0.009786689277549034, 0.029356318347777372, 0.04891470039990244, 0.06845434220965804,
-    0.0879677577325559, 0.1074474709719456, 0.12688601884322478, 0.1462759540331028,
-    0.16560984785282168, 0.18488029308424186, 0.2040799068177022, 0.22320133328056646,
-    0.24223724665537366, 0.26118035388651134, 0.2800233974743376, 0.2987591582556804,
-    0.3173804581696501, 0.33588016300770407, 0.3542511851469109, 0.3724864862653668,
-    0.3905790800387236, 0.40852203481679566, 0.4263084762792193, 0.44393159006914895,
-    0.4613846244039793, 0.4786608926620941, 0.4957537759446509, 0.5126567256114192,
-    0.529363265789701, 0.545866995855374, 0.5621615928851031, 0.5782408140787856,
-    0.5940984991512975, 0.6097285726926287, 0.6251250464954985, 0.6402820218495642,
-    0.6551936918013398, 0.6698543433789621, 0.6842583597809498, 0.6984002225281183,
-    0.7122745135778249, 0.7258759173997351, 0.7391992230123146, 0.7522393259792663,
-    0.7649912303651483, 0.7774500506494229, 0.7896110135982043, 0.801469460092987,
-    0.8130208469156556, 0.8242607484890903, 0.8351848585727043, 0.8457889919122618,
-    0.8560690858433447, 0.8660212018478562, 0.8756415270629638, 0.884926375741905,
-    0.8938721906660994, 0.9024755445080243, 0.9107331411443395, 0.9186418169187573,
-    0.9261985418541848, 0.9334004208136781, 0.9402446946097828, 0.946728741061852,
-    0.952850076000975, 0.9586063542221832, 0.9639953703836628, 0.9690150598527875,
-    0.9736634994989339, 0.9779389084333059, 0.9818396486965263, 0.9853642258958903,
-    0.9885112897968072, 0.9912796348796464, 0.9936682008920968, 0.9956760734880251,
-    0.9973024852772795, 0.9985468187515167, 0.9994086206413058, 0.9998877522721632,
-])
-_CONV_W_UPPER = np.array([
-    0.01957275361700998, 0.019565254886697334, 0.01955026029899216, 0.0195277755986339,
-    0.01949780939998049, 0.01946037318370803, 0.019415481292412166, 0.019363150925113363,
-    0.019303402130667408, 0.019236257800084294, 0.019161743657758433, 0.019079888251612713,
-    0.018990722942161548, 0.01889428189049582, 0.018790602045195066, 0.018679723128171892,
-    0.018561687619453447, 0.018436540740906383, 0.018304330438911862, 0.01816510736599588,
-    0.018018924861423303, 0.017865838930762663, 0.01770590822442915, 0.01753919401521433,
-    0.017365760174811368, 0.017185673149344778, 0.016999001933912718, 0.016805818046154396,
-    0.01660619549884992, 0.016400210771563974, 0.01618794278134584, 0.015969472852493883,
-    0.015744884685399158, 0.01551426432447733, 0.015277700125204406, 0.01503528272026457,
-    0.01478710498482814, 0.014533262000968971, 0.014273851021236177, 0.014008971431395487,
-    0.013738724712351626, 0.013463214401270318, 0.01318254605191028, 0.012896827194183405,
-    0.01260616729295983, 0.01231067770612786, 0.012010471641932191, 0.011705664115602397,
-    0.011396371905287543, 0.011082713507318511, 0.01076480909081059, 0.010442780451624606,
-    0.010116750965707692, 0.009786845541828414, 0.009453190573723003, 0.009115913891679943,
-    0.008775144713568259, 0.008431013595342733, 0.008083652381036161, 0.0077331941522669435,
-    0.0073797731772735934, 0.007023524859513954, 0.006664585685837299, 0.006303093174277863,
-    0.0059391858214858555, 0.0055730030498608914, 0.005204685154446979, 0.00483437324970281,
-    0.004462209216335371, 0.0040883356485682445, 0.003712895802586596, 0.0033360335478206924,
-    0.0029578933250383405, 0.0025786201218385967, 0.002198359496795865, 0.0018172577596658945,
-    0.0014354627534841433, 0.0010531276722110425, 0.0006704383201556631, 0.00028805852852534377,
-])
 # w = 30 (x + 1) maps the rule to [0, 60]
-_CONV_X, _CONV_WX = _gauss_legendre(_CONV_X_UPPER, _CONV_W_UPPER)
+_CONV_X, _CONV_WX = _gauss_legendre(160)
 _CONV_SHRINK = np.exp(-30.0 * (_CONV_X + 1.0))  # e^-w at the nodes
 _CONV_WEIGHTS = 30.0 * _CONV_WX
 # Past w = 53 ln 2 (53 = float64's significand width), x = (z/2) e^-w is below
@@ -463,15 +427,7 @@ def exact_pdf_z(z, stats: ChannelStats):
 
 _PANEL = 0.5  # panel width in ln z
 _ORDER = 12  # Gauss-Legendre nodes per panel
-_GL_X_UPPER = np.array([
-    0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
-    0.9041172563704748, 0.9815606342467192,
-])
-_GL_W_UPPER = np.array([
-    0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
-    0.10693932599531907, 0.04717533638651141,
-])
-_GL_X, _GL_W = _gauss_legendre(_GL_X_UPPER, _GL_W_UPPER)
+_GL_X, _GL_W = _gauss_legendre(_ORDER)
 # node values -> Legendre coefficients of the interpolant's antiderivative
 # from the panel's left end, in the panel coordinate x in [-1, 1]
 _ANTIDERIV = legint((np.arange(_ORDER) + 0.5)[:, None] * legvander(_GL_X, _ORDER - 1).T * _GL_W, lbnd=-1)
@@ -533,7 +489,7 @@ class ExactLaw:
         return float(np.sum(self._mass * phi(self._z)))
 
     def cdf(self, z):
-        """Pr{Z <= z}, elementwise; 0 at and below the table's left edge, NaN for NaN, clipped to [0, 1]."""
+        """Pr{Z <= z}, elementwise; 0 at and below the table's left edge, 1 at and above its right, NaN for NaN."""
         z = np.asarray(z, dtype=float)
         flat = z.reshape(-1)
         pos = flat > 0.0
@@ -541,10 +497,13 @@ class ExactLaw:
         panel = np.clip(np.floor(s), 0, len(self._g) - 1).astype(int)
         x = np.clip(2.0 * (s - panel) - 1.0, -1.0, 1.0)
         part = np.sum(legvander(x, _ORDER) * self._antideriv[panel], axis=1)
-        # the table holds no mass below its left edge, where the clipped
-        # antiderivative would still read a rounding residue
-        inside = pos & (s > 0.0)
-        out = np.where(inside, np.clip(self._cum[panel] + part, 0.0, 1.0), np.where(np.isnan(flat), np.nan, 0.0))
+        # the table holds no mass past its edges, where the clipped
+        # antiderivative would still read a rounding residue of 0 or 1
+        out = np.select(
+            [np.isnan(flat), ~pos | (s <= 0.0), s >= len(self._g)],
+            [np.nan, 0.0, 1.0],
+            np.clip(self._cum[panel] + part, 0.0, 1.0),
+        )
         return out.reshape(z.shape)[()]
 
 

@@ -676,7 +676,7 @@ class TestCli:
             "0,sop_lower,0.491954580328,0.130230889249,,,10000,0\n"
             "1,er,378.72481213,36.2737451208,,,10000,0\n"
             "1,op,1.11930544828e-06,0.0288662365036,,,10000,0\n"
-            "1,sop,0.659476617873,0.746819334966,,,10000,0\n"
+            "1,sop,0.659476617873,0.746819334965,,,10000,0\n"
             "1,sop_lower,0.659476617873,0.498597216916,,,10000,0\n"
             "2,er,378.72481213,36.2737451208,,,10000,0\n"
             "2,op,1.11930544828e-06,0.0288662365036,,,10000,0\n"
@@ -687,12 +687,12 @@ class TestCli:
         "sweep --preset 26GHz-C --eve-preset 6GHz-NC --axis delta_b --values 1,0.1,0.01 "
         "--metrics er,op,sop,sop_lower --users 10 --no-mc": (
             f"{CSV_HEADER}\n1,er,2998.96551309,62.6400528397,,,10000,0\n"
-            "1,op,2.9611532331e-91,9.37462418245e-55,,,10000,0\n"
+            "1,op,2.9611532331e-91,9.37462418244e-55,,,10000,0\n"
             "1,sop,1.11360345335e-84,0.000113375815725,,,10000,0\n"
             "1,sop_lower,1.11360345335e-84,0.000101858763287,,,10000,0\n"
-            "0.1,er,3032.18479404,95.6765249783,,,10000,0\n"
+            "0.1,er,3032.18479404,95.6765249782,,,10000,0\n"
             "0.1,op,2.9611532331e-92,1.96695527921e-85,,,10000,0\n"
-            "0.1,sop,1.11360345335e-85,3.29564070938e-09,,,10000,0\n"
+            "0.1,sop,1.11360345335e-85,3.29564070937e-09,,,10000,0\n"
             "0.1,sop_lower,1.11360345335e-85,3.261001659e-09,,,10000,0\n"
             "0.01,er,3065.40407499,128.87737876,,,10000,0\n"
             "0.01,op,2.9611532331e-93,4.96147681131e-92,,,10000,0\n"
@@ -1114,7 +1114,7 @@ class TestProcessEntry:
         assert child.stdout.decode().splitlines()[-1] == "[]"
 
     def test_exact_runs_call_no_eigensolver(self):
-        # the exact chain's quadrature rules are fixed values; only a Monte Carlo factor diagonalises
+        # the exact chain's quadrature rules come from Newton's method; only a Monte Carlo factor diagonalises
         code = (
             "import sys, numpy.linalg\n"
             "def refuse(*args, **kwargs):\n"
