@@ -130,8 +130,8 @@ def _finite_mean(x: np.ndarray) -> float:
 
 def _cmd_simulate(args) -> int:
     _check_delta("delta", args.delta)  # before the grid is factored
-    config = SimConfig(corr=correlation_matrix(preset_grid(args.preset)), users=args.users, delta=args.delta)
-    samples = montecarlo.sir_samples(config, args.trials, SeedSpec(args.seed))
+    config = SimConfig(corr=correlation_matrix(preset_grid(args.preset)), users=args.users)
+    samples = montecarlo.sir_samples(config, args.trials, SeedSpec(args.seed)).over(args.delta)
     point = evaluate_point(("er", "op"), args.users, gamma_th=args.gamma_th, rs=None, bob_samples=samples)
     (_, _, er, er_se), (_, _, op, op_se) = point.values()
     print(f"preset = {args.preset}")
@@ -149,13 +149,13 @@ def _cmd_compare(args) -> int:
     stats = ChannelStats.from_grid(grid, args.users)
     _check_delta("delta", args.delta)  # before the grid is factored
     seed = SeedSpec(args.seed)
-    config = SimConfig(corr=correlation_matrix(grid), users=args.users, delta=args.delta)
+    config = SimConfig(corr=correlation_matrix(grid), users=args.users)
     samples = montecarlo.sir_samples(config, args.trials, seed)
     point = evaluate_point(
         ("er", "op"), args.users, gamma_th=args.gamma_th, rs=None, bob=stats, delta_b=args.delta,
         exact=args.exact == "on", bob_samples=samples,
     )
-    ks = harness.compare_distributions(config, approx.beta_I(stats, args.delta), args.trials, seed)
+    ks = harness.compare_distributions(config, approx.beta_I(stats), args.trials, seed)
     lines = [f"preset = {args.preset}  users = {args.users}  trials = {args.trials}"]
     for label, (closed, exact, mc, mc_se) in zip(("er", f"op[{args.gamma_th:g}]"), point.values()):
         exact_text = "" if exact is None else f"  exact = {exact:.6g}"

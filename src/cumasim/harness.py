@@ -4,9 +4,9 @@ A sweep walks one axis (number of users, secrecy rate, Bob's residual
 interference factor, or Bob's total port count) and evaluates the
 requested metrics three ways per point: closed-form approximation,
 the tabulated exact law (optional) and Monte Carlo with standard
-errors. A receiver's exact law is tabulated once per grid and users
-(delta only scales it), and its samples are drawn once per grid, users
-and delta. No sweep and no KS check loads scipy.
+errors. A receiver's exact law is tabulated and its samples are drawn
+once per grid and users, at delta = 1: delta only scales them. No sweep
+and no KS check loads scipy.
 """
 
 from __future__ import annotations
@@ -150,24 +150,25 @@ def _fmt(v) -> str:
 def run_sweep(spec: SweepSpec) -> ComparisonReport:
     """Evaluate the sweep and (optionally) write its CSV.
 
-    A receiver's stats, which keep its exact law, depend only on its grid
-    and users, and its samples for Monte Carlo columns also on its delta.
-    Each is built once while the axis leaves those unchanged and released
-    before its replacement; Bob and Eve on one grid and users share one
-    stats, and so one law, whatever their deltas, while each draws its own
-    samples. Only Monte Carlo columns build a grid's factor, once per grid.
+    A receiver's stats, which keep its exact law, and its samples for
+    Monte Carlo columns are at delta = 1 and depend only on its grid and
+    users. Each is built once while the axis leaves those unchanged (so a
+    delta_b sweep draws each receiver once) and released before its
+    replacement; Bob and Eve on one grid and users share one stats and
+    law, whatever their deltas, and each draws its own samples. Only Monte
+    Carlo columns build a grid's factor, once per grid.
     """
     factor = functools.lru_cache(maxsize=2)(correlation_matrix)
     stats = functools.lru_cache(maxsize=2)(ChannelStats.from_grid)
-    drawn = {}  # substream -> ((grid, users, delta), samples): the last Bob (0) and the last Eve (1)
+    drawn = {}  # substream -> ((grid, users), samples): the last Bob (0) and the last Eve (1)
     seed = SeedSpec(spec.seed)
 
-    def receiver(grid, users, delta, substream):
-        key = (grid, users, delta)
+    def receiver(grid, users, substream):
+        key = (grid, users)
         if spec.mc and drawn.get(substream, (None,))[0] != key:
             drawn.pop(substream, None)
             # the factor first: its budget refuses a huge ports-axis grid before the stats build its table
-            config = SimConfig(factor(grid), users, delta)
+            config = SimConfig(factor(grid), users)
             drawn[substream] = key, montecarlo.sir_samples(config, spec.trials, seed, substream=substream)
         return stats(grid, users), drawn[substream][1] if spec.mc else None
 
@@ -189,8 +190,8 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
         axis_value = float(grid.total_ports) if spec.axis == "ports" else float(v)
 
         bob_samples = eve_samples = None  # so that a replaced receiver is freed before its redraw
-        bob, bob_samples = receiver(grid, users, delta_b, 0)
-        eve, eve_samples = receiver(eve_grid, users, spec.delta_e, 1) if secrecy else (None, None)
+        bob, bob_samples = receiver(grid, users, 0)
+        eve, eve_samples = receiver(eve_grid, users, 1) if secrecy else (None, None)
         point = evaluate_point(
             spec.metrics, users, gamma_th=spec.gamma_th, rs=rs, bob=bob, eve=eve, delta_b=delta_b,
             delta_e=spec.delta_e, exact=spec.exact == "on", bob_samples=bob_samples, eve_samples=eve_samples,
@@ -231,11 +232,11 @@ def evaluate_point(
     ``bob``, the exact law needs ``bob`` and ``exact``, and Monte Carlo
     needs Bob's SampleSet ``bob_samples``. The secrecy metrics also need
     Eve's stats ``eve`` or samples ``eve_samples`` (``rs`` is read only by
-    them). The stats are at delta = 1: ``delta_b`` and ``delta_e`` scale
-    them here, through beta_I and ``ExactLaw.over``. The Monte Carlo
-    reductions run first, so their validation errors come before a
-    failing law's; then each terminal's exact law, ``ChannelStats.law``,
-    is read, tabulated on its first use.
+    them). The stats and samples are at delta = 1: ``delta_b`` and
+    ``delta_e`` scale them here, through beta_I, ``ExactLaw.over`` and
+    ``SampleSet.over``. The Monte Carlo reductions run first, so their
+    errors come before a failing law's; then each terminal's exact law,
+    ``ChannelStats.law``, is read, tabulated on its first use.
     """
     bad = [m for m in metrics if m not in _METRICS]
     if bad:
@@ -245,6 +246,8 @@ def evaluate_point(
         raise DomainError("secrecy metrics need Eve's stats")
     mc = {m: (None, None) for m in metrics}
     if bob_samples is not None:
+        bob_samples = bob_samples.over(delta_b)
+        eve_samples = None if eve_samples is None else eve_samples.over(delta_e)
         mc = {m: montecarlo.mc_estimate(m, bob_samples, eve_samples, users=users, gamma_th=gamma_th, rs=rs)
               for m in metrics}
     laws = scales = None
@@ -291,8 +294,8 @@ def compare_distributions(config: SimConfig, beta: float, trials: int, seed: See
     """KS distances between simulated SIR samples and the fitted laws at the raw-SIR scale ``beta``.
 
     The total SIR is tested against the exponential fit and the in-phase
-    branch against the Gamma(1/2) fit. ``beta`` is beta_I(stats,
-    config.delta) for the config's terminal, like every closed form's.
+    branch against the Gamma(1/2) fit. The samples are at delta = 1 and
+    ``beta`` is beta_I(stats): KS is scale-free, so that serves any delta.
     """
     samples = montecarlo.sir_samples(config, trials, seed)
     ks_total = ks_statistic(samples.sir, lambda x: approx.approx_cdf_z(x, beta))

@@ -5,18 +5,18 @@ complex Gaussian, Re d + i Im d = F z from 2r standard normals z and the
 rank-r correlation factor F, activates the ports whose in-phase
 (quadrature) component is positive, giving the masks m_I (m_Q), and forms
 
-    SIR_I = (sum of activated Re d)^2 / (delta * sum over interferers of (activated Re sum)^2)
+    SIR_I = (sum of activated Re d)^2 / (sum over interferers of (activated Re sum)^2)
 
-with the quadrature branch analogous; the reported sample is
-SIR_I + SIR_Q. The interferer channels are never drawn: interferer j's
-activated in-phase sum is m_I^T F x_j with x_j ~ N(0, I) independent of
-d, so given d the I sums are i.i.d. N(0, q_I) with q_I = |F^T m_I|^2 =
-m_I^T C m_I, and their power is exactly q_I times a chi-square variate
-with I degrees of freedom (likewise for Q, independently). A trial
-therefore costs two products with F and two chi-square variates, whatever
-the user count. Real and imaginary parts carry unit variance instead of
-the 1/2 of unit channel power: the scale multiplies numerator and
-denominator alike, so it cancels from the SIR.
+with the quadrature branch analogous; the reported sample is SIR_I + SIR_Q
+at delta = 1 (`SampleSet.over` divides it by delta). The interferer
+channels are never drawn: interferer j's activated in-phase sum is
+m_I^T F x_j with x_j ~ N(0, I) independent of d, so given d the I sums are
+i.i.d. N(0, q_I) with q_I = |F^T m_I|^2 = m_I^T C m_I, and their power is
+exactly q_I times a chi-square variate with I degrees of freedom (likewise
+for Q, independently). A trial therefore costs two products with F and two
+chi-square variates, whatever the user count. Real and imaginary parts
+carry unit variance instead of the 1/2 of unit channel power: the scale
+multiplies numerator and denominator alike, so it cancels from the SIR.
 
 Trials run in blocks of _BLOCK: a block stacks its trials' normals into
 one (2 _BLOCK, r) matrix and costs two GEMMs with F, one for the draws
@@ -35,7 +35,7 @@ loop and `mc_estimate` the one reduction from its samples to a metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,9 +55,9 @@ __all__ = [
 _MAX_REDRAWS = 64
 # Trials per block: each block makes two GEMMs with the factor, of 2 * _BLOCK rows.
 _BLOCK = 64
-# A SampleSet holds four 8-byte values per trial (sir, sir_i, |K_I|, q_I);
-# refuse runs past 1 GiB.
-_TRIAL_BYTES = 4 * 8
+# A SampleSet holds four 8-byte values per trial (sir, sir_i, |K_I|, q_I), and
+# its view at delta != 1 two more (sir, sir_i); refuse runs past 1 GiB.
+_TRIAL_BYTES = 6 * 8
 _MAX_SAMPLE_BYTES = 1 << 30
 
 
@@ -83,12 +83,10 @@ class SimConfig:
 
     corr: CorrelationMatrix
     users: int
-    delta: float = 1.0
 
     def __post_init__(self):
         if self.users < 2:
             raise DomainError(f"need at least 2 users, got {self.users}")
-        _check_delta("delta", self.delta)
 
     @property
     def interferers(self) -> int:
@@ -108,7 +106,7 @@ def select_ports(desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(desired.real > 0.0), np.flatnonzero(desired.imag > 0.0)
 
 
-def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, delta: float):
+def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int):
     """Conditional draws for one block of _BLOCK trials: (sir, sir_i, |K_I|, q_I, redraws) arrays.
 
     ``factor`` is the (N, r) correlation factor, and every draw comes from
@@ -122,7 +120,6 @@ def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, d
     """
     if interferers < 1:
         raise DomainError(f"need at least one interferer, got {interferers}")
-    _check_delta("delta", delta)
     sir, sir_i, q_i = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
     k_i = np.empty(_BLOCK, dtype=np.int64)
     redraws = np.zeros(_BLOCK, dtype=np.int64)
@@ -144,7 +141,7 @@ def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int, d
             k_i[t] = len(on_i)
         proj = d @ factor
         q = np.square(proj, out=proj).sum(axis=1).reshape(n, 2)
-        xi = delta * q * chi
+        xi = q * chi
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratio = nu / xi
             sir_i[rows], sir[rows], q_i[rows] = ratio[:, 0], ratio[:, 0] + ratio[:, 1], q[:, 0]
@@ -160,7 +157,7 @@ class SampleSet:
 
     ``q_i`` is each trial's m_I^T C m_I: one interferer's activated
     in-phase sum is N(0, q_i / 2) at unit channel power, given the
-    desired draw.
+    desired draw. Every SIR sample is finite, or FloatingPointError.
     """
 
     sir: np.ndarray
@@ -168,6 +165,19 @@ class SampleSet:
     k_i_sizes: np.ndarray
     q_i: np.ndarray
     redrawn: int
+
+    def __post_init__(self):
+        bad = np.flatnonzero(~np.isfinite(self.sir))
+        if bad.size:
+            raise FloatingPointError(f"trial {bad[0]}: SIR sample is not finite")
+
+    def over(self, delta: float) -> "SampleSet":
+        """The samples of SIR / delta: this set itself at delta = 1, else new sir and sir_i sharing the rest."""
+        _check_delta("delta", delta)
+        if delta == 1.0:
+            return self
+        with np.errstate(over="ignore"):
+            return replace(self, sir=self.sir / delta, sir_i=self.sir_i / delta)
 
 
 def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int = 0) -> SampleSet:
@@ -184,7 +194,7 @@ def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int =
     if trials * _TRIAL_BYTES > _MAX_SAMPLE_BYTES:
         raise DomainError(
             f"{trials} trials would need {trials * _TRIAL_BYTES / 2**30:.3g} GiB of samples "
-            f"(limit {_MAX_SAMPLE_BYTES // _TRIAL_BYTES} trials per run)"
+            f"and their view at delta != 1 (limit {_MAX_SAMPLE_BYTES // _TRIAL_BYTES} trials per run)"
         )
     factor = config.corr.factor
     sir = np.empty(trials)
@@ -194,13 +204,10 @@ def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int =
     redrawn = 0
     for b, start in enumerate(range(0, trials, _BLOCK)):
         n = min(_BLOCK, trials - start)
-        *block, redraws = sir_sample(seed.rng(b, substream), factor, config.interferers, config.delta)
+        *block, redraws = sir_sample(seed.rng(b, substream), factor, config.interferers)
         for arr, got in zip((sir, sir_i, ki, q_i), block):
             arr[start : start + n] = got[:n]
         redrawn += int(redraws[:n].sum())
-    bad = np.flatnonzero(~np.isfinite(sir))
-    if bad.size:
-        raise FloatingPointError(f"trial {bad[0]}: SIR sample is not finite")
     return SampleSet(sir=sir, sir_i=sir_i, k_i_sizes=ki, q_i=q_i, redrawn=redrawn)
 
 

@@ -94,18 +94,19 @@ def link_sir_sample(realization: ChannelRealization, delta: float) -> TrialResul
     return TrialResult(sir=float(sir_i + nu_q / (delta * xi_q)), sir_i=float(sir_i), k_i_size=len(k_i), k_q_size=len(k_q))
 
 
-def link_samples(config, entries, trials, seed, omega=1.0, substream=0) -> np.ndarray:
-    """Total SIR of `trials` link-level draws at channel power omega; flagged draws are redrawn.
+def link_samples(config, entries, trials, seed, delta, omega=1.0, substream=0) -> np.ndarray:
+    """Total SIR of `trials` link-level draws at residual factor delta and channel power omega.
 
-    `entries` is the N x N correlation matrix of the grid behind `config`,
-    which takes users and delta; the package itself fixes the power at 1.
+    Flagged draws are redrawn. `entries` is the N x N correlation matrix
+    of the grid behind `config`, which gives the users; the package itself
+    fixes the power at 1 and draws at delta = 1.
     """
     factor = full_factor(entries)
     out = np.empty(trials)
     for t in range(trials):
         rng = seed.rng(t, substream)
         for _ in range(_MAX_REDRAWS):
-            res = link_sir_sample(_draw(rng, factor, omega, config.interferers), config.delta)
+            res = link_sir_sample(_draw(rng, factor, omega, config.interferers), delta)
             if not res.flagged:
                 break
         else:

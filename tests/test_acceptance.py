@@ -292,9 +292,9 @@ def test_a09_sweep_trends():
     deltas = (1.0, 0.5, 0.25, 0.1)
     sop_d = []
     sop_d_se = []
+    bob, eve = sop_pair(SimConfig(corr=cases["6GHz-VC"], users=20), eve_cfg, 6000, SEED)
     for d in deltas:
-        bob_cfg = SimConfig(corr=cases["6GHz-VC"], users=20, delta=d)
-        p, se_p = mc_estimate("sop", *sop_pair(bob_cfg, eve_cfg, 6000, SEED), rs=1.0)
+        p, se_p = mc_estimate("sop", bob.over(d), eve, rs=1.0)
         sop_d.append(p)
         sop_d_se.append(se_p + 1e-12)
     ok = _steps_ok(sop_d, sop_d_se, -1) and _span_ok(sop_d, sop_d_se, -1)
@@ -310,8 +310,8 @@ def test_a09_sweep_trends():
     for n2 in (4, 10, 20, 33):
         grid = PortGrid(base.n1, n2, base.w1, base.w2)
         n_trials = 2000 if grid.total_ports > 1500 else 4000
-        bob_cfg = SimConfig(corr=correlation_matrix(grid), users=20, delta=0.1)
-        p, se_p = mc_estimate("sop", *sop_pair(bob_cfg, eve_cfg, n_trials, SEED), rs=2.0)
+        bob, eve = sop_pair(SimConfig(corr=correlation_matrix(grid), users=20), eve_cfg, n_trials, SEED)
+        p, se_p = mc_estimate("sop", bob.over(0.1), eve, rs=2.0)
         sop_n.append(p)
         sop_n_se.append(se_p + 1e-12)
         labels.append(f"N={grid.total_ports}:{p:.4f}")

@@ -141,13 +141,13 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("axis,values,draws", [
         ("rs", (0.0, 1.0, 2.0), 2),  # neither receiver depends on the secrecy rate
-        ("delta_b", (1.0, 0.5, 0.25), 4),  # Eve is drawn once
+        ("delta_b", (1.0, 0.5, 0.25), 2),  # delta only scales the samples
         ("ports", (3.0, 4.0, 5.0), 4),
         ("users", (4.0, 6.0, 8.0), 6),  # both receivers change at every point
     ])
     def test_each_receiver_is_drawn_once_per_system(self, monkeypatch, axis, values, draws):
-        # a receiver's samples once per (grid, users, delta), its exact law
-        # once per (grid, users): a delta_b sweep tabulates Bob's law once
+        # a receiver's samples and its exact law once per (grid, users): a
+        # delta_b sweep draws Bob's samples and tabulates his law once
         calls, laws = [], []
         init = ExactLaw.__init__
 
@@ -167,7 +167,7 @@ class TestRunSweep:
         )
         assert len(run_sweep(spec).rows) == 6
         assert len(calls) == draws
-        assert len(laws) == (2 if axis == "delta_b" else draws)
+        assert len(laws) == draws
 
     @pytest.mark.parametrize("mc", [False, True], ids=["no-mc", "mc"])
     def test_equal_receivers_share_one_law(self, monkeypatch, capsys, mc):
@@ -213,7 +213,7 @@ class TestRunSweep:
         monkeypatch.setattr(montecarlo, "sir_samples", counting)
         assert main(argv) == 0
         assert len(laws) == 1
-        assert substreams == ([0, 1, 0] if mc else [])
+        assert substreams == ([0, 1] if mc else [])
         rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
         stats = ChannelStats.from_grid(preset_grid("6GHz-NC"), 6)
         for row, delta_b in zip(rows[1::2], (1.0, 0.5)):
@@ -223,7 +223,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("axis", ["users", "ports", "delta_b"])
     @pytest.mark.parametrize("metrics", [("er",), ("er", "sop")], ids=["bob", "bob-and-eve"])
     def test_a_sweep_holds_one_bob_and_one_eve(self, monkeypatch, axis, metrics):
-        # a replaced receiver is released before its successor is drawn
+        # a replaced receiver is released before its successor is drawn; a
+        # delta_b sweep draws each receiver once
         live, others = [], []
 
         def counting(*args, **kwargs):
@@ -239,7 +240,7 @@ class TestRunSweep:
             preset=None if axis == "ports" else "6GHz-NC",
         )
         run_sweep(spec)
-        assert len(others) >= 3
+        assert len(others) >= (len(metrics) if axis == "delta_b" else 3)
         assert max(others) <= len(metrics) - 1
 
     @pytest.mark.parametrize("axis,values", [("users", (4.0, 8.0)), ("ports", (4.0,))])
@@ -683,6 +684,31 @@ class TestCli:
             "2,sop,0.794800735088,0.992424879111,,,10000,0\n"
             "2,sop_lower,0.794800735088,0.869072763714,,,10000,0\n"
         ),
+        # Monte Carlo at delta != 1: samples drawn at delta = 1 and read at delta
+        "sweep --preset 6GHz-VC --eve-preset 6GHz-NC --axis delta_b --values 1,0.3,0.07 "
+        "--metrics er,op,sop,sop_lower --users 8 --trials 1000 --seed 4 --exact off": (
+            f"{CSV_HEADER}\n1,er,163.532464549,,18.1692651584,0.154083433168,1000,4\n"
+            "1,op,3.94274597367e-07,,0.006,0.00244213021766,1000,4\n"
+            "1,sop,0.659476617873,,0.859,0.0110054077616,1000,4\n"
+            "1,sop_lower,0.659476617873,,0.792,0.0128349522788,1000,4\n"
+            "0.3,er,177.428142627,,30.052712106,0.180760875073,1000,4\n"
+            "0.3,op,1.18282395533e-07,,0,0,1000,4\n"
+            "0.3,sop,0.367487639105,,0.3,0.0144913767462,1000,4\n"
+            "0.3,sop_lower,0.367487639105,,0.239,0.0134862522592,1000,4\n"
+            "0.07,er,194.224411342,,46.0820794889,0.192430111149,1000,4\n"
+            "0.07,op,2.75992268757e-08,,0,0,1000,4\n"
+            "0.07,sop,0.119381809185,,0.005,0.00223047080232,1000,4\n"
+            "0.07,sop_lower,0.119381809185,,0.004,0.00199599599198,1000,4\n"
+        ),
+        "compare --preset 6GHz-C --users 8 --delta 0.3 --trials 1500 --seed 3 --exact off": (
+            "preset = 6GHz-C  users = 8  trials = 1500\ner: approx = 178.721  mc = 30.4248 +- 0.153\n"
+            "op[1]: approx = 1.05752e-07  mc = 0 +- 0\nks_total_vs_fit = 1.0000\n"
+            "ks_inphase_vs_fit = 0.9970\n"
+        ),
+        "simulate --preset 6GHz-NC --users 8 --delta 0.3 --trials 1500 --seed 3": (
+            "preset = 6GHz-NC\ntrials = 1500\ner_mc = 29.4856287 +- 0.144\nop_mc[1] = 0 +- 0\n"
+            "mean_sir = 13.5317269\nmean_k_i = 13.96\nredrawn = 0\n"
+        ),
         # exact columns in the far tail (OP near 1e-55 and below)
         "sweep --preset 26GHz-C --eve-preset 6GHz-NC --axis delta_b --values 1,0.1,0.01 "
         "--metrics er,op,sop,sop_lower --users 10 --no-mc": (
@@ -969,6 +995,9 @@ class TestCli:
              "not finite"),
             (["simulate", "--preset", "6GHz-NC", "--users", "2", "--trials", "1000", "--delta", "1e-305"],
              "not finite"),
+            # delta = 5e-324: every sample read at delta overflows
+            (["sweep", "--preset", "6GHz-NC", "--axis", "delta_b", "--values", "5e-324", "--metrics", "er",
+              "--users", "3", "--trials", "1000", "--exact", "off"], "not finite"),
             # 1500 users on 40GHz-NC: the density is finite, but 0.5-wide panels
             # no longer resolve the law, whose table misses its mass check
             (["sweep", "--preset", "40GHz-NC", "--axis", "users", "--values", "1500", "--metrics", "er,op", "--no-mc",

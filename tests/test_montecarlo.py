@@ -150,26 +150,21 @@ class TestSirSample:
 class TestConditionalKernel:
     """The package's block kernel, `sir_sample`, and its agreement with the oracle."""
 
-    def test_delta_scaling(self, case1_corr):
-        full = sir_sample(SEED.rng(0), case1_corr.factor, 19, 1.0)
-        half = sir_sample(SEED.rng(0), case1_corr.factor, 19, 0.5)
-        np.testing.assert_allclose(half[0], 2.0 * full[0], rtol=1e-12)
-        np.testing.assert_allclose(half[1], 2.0 * full[1], rtol=1e-12)
-        for a, b in zip(half[2:], full[2:]):  # the same masks, q_I and redraws
-            assert np.array_equal(a, b)
-
     def test_empty_activation_is_redrawn(self):
         # a single port activates a branch with probability 1/2, so most
         # trials are redrawn, and every returned trial has both branches
-        sir, sir_i, k_i, q_i, redraws = sir_sample(SEED.rng(0), np.ones((1, 1)), 3, 1.0)
+        sir, sir_i, k_i, q_i, redraws = sir_sample(SEED.rng(0), np.ones((1, 1)), 3)
         assert 0 < np.count_nonzero(redraws) < _BLOCK
         assert np.all(np.isfinite(sir)) and np.all(sir_i < sir)
         assert np.all(k_i == 1) and np.all(q_i == 1.0)
 
     @pytest.mark.parametrize("preset", ["6GHz-NC", "6GHz-VC", "26GHz-NC", None], ids=lambda p: p or "one-port")
     def test_matches_separate_mask_kernel_bit_for_bit(self, preset):
-        # the kernel with a separate mask array, masked sums of masks * d and
-        # np.square(masks @ factor); the in-place kernel must equal it exactly
+        # the kernel with a separate mask array, masked sums of masks * d,
+        # np.square(masks @ factor) and delta inside the interference power;
+        # the in-place kernel, drawn at delta = 1 and read through over(delta),
+        # must equal it exactly where delta is a power of two, and to
+        # rounding (the division moves) elsewhere
         def separate_masks(rng, factor, interferers, delta):
             sir, sir_i, q_i = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
             k_i = np.empty(_BLOCK, dtype=np.int64)
@@ -198,44 +193,52 @@ class TestConditionalKernel:
             raise AssertionError("the reference kernel ran out of redraws")
 
         factor = np.ones((1, 1)) if preset is None else correlation_matrix(preset_grid(preset)).factor
-        for block, delta in ((0, 1.0), (1, 0.3)):
-            got = sir_sample(SEED.rng(block), factor, 9, delta)
-            want = separate_masks(SEED.rng(block), factor, 9, delta)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        drawn = sir_samples(SimConfig(CorrelationMatrix(factor=factor), 10), 2 * _BLOCK, SEED)
+        for delta, maxulp in ((1.0, 0), (0.5, 0), (0.3, 4)):
+            got = drawn.over(delta)
+            blocks = [separate_masks(SEED.rng(b), factor, 9, delta) for b in range(2)]
+            sir, sir_i, k_i, q_i, redraws = map(np.concatenate, zip(*blocks))
+            np.testing.assert_array_max_ulp(got.sir, sir, maxulp=maxulp)
+            np.testing.assert_array_max_ulp(got.sir_i, sir_i, maxulp=maxulp)
+            assert np.array_equal(got.k_i_sizes, k_i) and np.array_equal(got.q_i, q_i)
+            assert got.redrawn == redraws.sum()
         if preset is None:  # the redraw rounds were exercised
-            assert np.count_nonzero(got[4]) > 0
+            assert drawn.redrawn > 0
 
     def test_validation(self, case1_corr):
-        for interferers, delta in ((0, 1.0), (2, 0.0), (2, 1.2)):
-            with pytest.raises(DomainError):
-                sir_sample(SEED.rng(0), case1_corr.factor, interferers, delta)
+        with pytest.raises(DomainError, match="interferer"):
+            sir_sample(SEED.rng(0), case1_corr.factor, 0)
         # no port ever activates: every trial stays empty
         with pytest.raises(DomainError, match="redraws"):
-            sir_sample(SEED.rng(0), np.zeros((2, 1)), 2, 1.0)
+            sir_sample(SEED.rng(0), np.zeros((2, 1)), 2)
 
     def test_matches_per_trial_matrix_vector_reference(self):
         # the loop the blocks replaced: two matrix-vector products with F per
-        # trial; the GEMMs sum in another order, so agreement is to rounding
+        # trial and delta inside the interference power; the GEMMs sum in
+        # another order and over(delta) divides afterwards, so agreement is
+        # to rounding
         config = SimConfig(corr=correlation_matrix(preset_grid("6GHz-VC")), users=20)
         factor = config.corr.factor
         n = 2 * _BLOCK + 3
-        want = np.empty((3 * _BLOCK, 4))
-        for b in range(3):
-            rng = SEED.rng(b)
-            z = rng.standard_normal((2 * _BLOCK, factor.shape[1]))
-            chi = rng.chisquare(config.interferers, (_BLOCK, 2))
-            for j in range(_BLOCK):
-                d = np.stack([factor @ z[2 * j], factor @ z[2 * j + 1]])
-                masks = (d > 0.0).astype(float)
-                q = np.array([np.square(factor.T @ m).sum() for m in masks])
-                nu = np.square((masks * d).sum(axis=1))
-                ratio = nu / (config.delta * q * chi[j])
-                want[b * _BLOCK + j] = ratio.sum(), ratio[0], masks[0].sum(), q[0]
-        s = sir_samples(config, n, SEED)
-        assert s.redrawn == 0
-        assert np.array_equal(s.k_i_sizes, want[:n, 2])
-        for got, ref in ((s.sir, want[:n, 0]), (s.sir_i, want[:n, 1]), (s.q_i, want[:n, 3])):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        drawn = sir_samples(config, n, SEED)
+        assert drawn.redrawn == 0
+        for delta in (1.0, 0.3):
+            want = np.empty((3 * _BLOCK, 4))
+            for b in range(3):
+                rng = SEED.rng(b)
+                z = rng.standard_normal((2 * _BLOCK, factor.shape[1]))
+                chi = rng.chisquare(config.interferers, (_BLOCK, 2))
+                for j in range(_BLOCK):
+                    d = np.stack([factor @ z[2 * j], factor @ z[2 * j + 1]])
+                    masks = (d > 0.0).astype(float)
+                    q = np.array([np.square(factor.T @ m).sum() for m in masks])
+                    nu = np.square((masks * d).sum(axis=1))
+                    ratio = nu / (delta * q * chi[j])
+                    want[b * _BLOCK + j] = ratio.sum(), ratio[0], masks[0].sum(), q[0]
+            s = drawn.over(delta)
+            assert np.array_equal(s.k_i_sizes, want[:n, 2])
+            for got, ref in ((s.sir, want[:n, 0]), (s.sir_i, want[:n, 1]), (s.q_i, want[:n, 3])):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_mean_mask_quadratic_form(self):
         # E[m_k m_l] = 1/4 + asin(rho_kl) / (2 pi) (Sheppard), so
@@ -253,7 +256,7 @@ class TestConditionalKernel:
         config = SimConfig(corr=correlation_matrix(grid), users=20)
         n = 5000
         # the oracle draws at channel power 2.5; the SIR does not depend on it
-        oracle = link_samples(config, dense_correlation(grid), n, SeedSpec(77), omega=2.5)
+        oracle = link_samples(config, dense_correlation(grid), n, SeedSpec(77), 1.0, omega=2.5)
         ks = ks_2samp(sir_samples(config, n, SEED).sir, oracle).statistic
         # two-sample KS critical value at alpha = 0.001
         crit = math.sqrt(-math.log(0.001 / 2.0) * (n + n) / (2.0 * n * n))
@@ -292,7 +295,7 @@ class TestSampleRuns:
             for field in ("sir", "sir_i", "k_i_sizes", "q_i"):
                 assert np.array_equal(getattr(short, field), getattr(long, field)[:trials])
             # redrawn counts the returned trials' redraws, not the whole last block's
-            blocks = [sir_sample(SEED.rng(b), config.corr.factor, config.interferers, config.delta) for b in range(4)]
+            blocks = [sir_sample(SEED.rng(b), config.corr.factor, config.interferers) for b in range(4)]
             redraws = np.concatenate([block[4] for block in blocks])
             assert short.redrawn == redraws[:trials].sum()
             assert long.redrawn == redraws[: 3 * _BLOCK + 5].sum()
@@ -326,6 +329,35 @@ class TestSampleRuns:
     def test_branch_samples(self, case1_config):
         s = sir_samples(case1_config, 300, SEED)
         assert np.all(s.sir_i <= s.sir + 1e-12)
+
+
+class TestSampleSetOver:
+    """`SampleSet.over(delta)`: a set drawn at delta = 1, read at delta."""
+
+    def test_unit_delta_is_the_set_itself(self, case1_config):
+        s = sir_samples(case1_config, 100, SEED)
+        assert s.over(1.0) is s
+
+    def test_delta_scaling(self, case1_config):
+        full = sir_samples(case1_config, 300, SEED)
+        half = full.over(0.5)
+        assert np.array_equal(half.sir, 2.0 * full.sir) and np.array_equal(half.sir_i, 2.0 * full.sir_i)
+        # the masks, q_I and redraws are shared, not copied
+        assert half.k_i_sizes is full.k_i_sizes and half.q_i is full.q_i and half.redrawn == full.redrawn
+        # the drawn set is left as it was
+        assert np.array_equal(full.sir, sir_samples(case1_config, 300, SEED).sir)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.2, math.nan])
+    def test_delta_domain(self, case1_config, delta):
+        s = sir_samples(case1_config, 50, SEED)
+        with pytest.raises(DomainError, match="delta must lie in"):
+            s.over(delta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_view_is_not_finite(self, case1_config):
+        s = sir_samples(case1_config, 50, SEED)
+        with pytest.raises(FloatingPointError, match="trial 0: SIR sample is not finite"):
+            s.over(5e-324)
 
 
 def interference_sums(samples, config, seed=SEED):
@@ -377,10 +409,13 @@ class TestMcMetrics:
             sir_samples(case1_config, 0, SEED)
 
     def test_trial_cap_refuses_before_allocating(self, case1_config):
-        # 2^40 trials would need 40 TiB of sample arrays; np.empty would
+        # 2^40 trials would need 48 TiB of sample arrays; np.empty would
         # raise MemoryError, so a DomainError shows the cap came first
         with pytest.raises(DomainError, match="GiB of samples"):
             sir_samples(case1_config, 2**40, SEED)
+        # six 8-byte values per trial, a set and its view at delta != 1, fit 1 GiB
+        with pytest.raises(DomainError, match="limit 22369621 trials per run"):
+            sir_samples(case1_config, 22_369_622, SEED)
 
     def test_reducer_validation(self, case1_config):
         s = sir_samples(case1_config, 50, SEED)
@@ -426,11 +461,8 @@ class TestMcSop:
     def test_interference_cancellation_ordering(self):
         bob_grid = preset_grid("6GHz-VC")
         eve_cfg = SimConfig(corr=correlation_matrix(preset_grid("6GHz-NC")), users=20)
-        vals = []
-        for delta_b in (1.0, 0.5, 0.1):
-            bob_cfg = SimConfig(corr=correlation_matrix(bob_grid), users=20, delta=delta_b)
-            p, _ = mc_estimate("sop", *sop_pair(bob_cfg, eve_cfg, 4000), rs=1.0)
-            vals.append(p)
+        bob, eve = sop_pair(SimConfig(corr=correlation_matrix(bob_grid), users=20), eve_cfg, 4000)
+        vals = [mc_estimate("sop", bob.over(delta_b), eve, rs=1.0)[0] for delta_b in (1.0, 0.5, 0.1)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_bob_and_eve_streams_independent(self, case1_config):
@@ -442,14 +474,16 @@ class TestMcSop:
     def test_lower_bound_below_sop(self, case1_config, rs):
         # sir_B < 2^rs sir_E implies log2(1 + sir_B) - log2(1 + sir_E) < rs,
         # so on the same samples the bound never exceeds the SOP
-        bob, eve = sop_pair(case1_config, SimConfig(corr=case1_config.corr, users=20, delta=0.5), 3000)
+        bob, eve = sop_pair(case1_config, case1_config, 3000)
+        eve = eve.over(0.5)
         lower, _ = mc_estimate("sop_lower", bob, eve, rs=rs)
         sop, _ = mc_estimate("sop", bob, eve, rs=rs)
         assert lower <= sop
 
     def test_zero_rate_sop_is_the_lower_bound(self, case1_config):
         # at rs = 0 both count the trials with sir_B < sir_E
-        bob, eve = sop_pair(case1_config, SimConfig(corr=case1_config.corr, users=20, delta=0.5), 3000)
+        bob, eve = sop_pair(case1_config, case1_config, 3000)
+        eve = eve.over(0.5)
         sop = mc_estimate("sop", bob, eve, rs=0.0)
         assert 0.0 < sop[0] < 1.0
         assert sop == mc_estimate("sop_lower", bob, eve, rs=0.0)
