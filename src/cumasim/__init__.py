@@ -11,7 +11,7 @@ types; every other public name is imported from its module.
 from .analytic import ChannelStats, QuadratureError, exact_er, exact_op
 from .approx import approx_er, approx_op, beta_I
 from .geometry import correlation_matrix, preset_grid
-from .montecarlo import SeedSpec, SimConfig, mc_estimate, sir_samples
+from .montecarlo import SeedSpec, SimConfig, mc_stderr, sir_samples
 from .specfun import DomainError
 
 __version__ = "0.1.0"

@@ -16,9 +16,9 @@ law as the law of Z / delta. The average channel power Omega is fixed
 at 1. It scales mu^2, sigma1^2 and sigma2^2 alike, so it cancels from
 every SIR statistic and is no input anywhere in the package.
 
-Every exact metric is a one-dimensional sum over one or two tabulated
-laws (``ExactLaw``) of the raw SIR, so rates and thresholds are read in
-the same units as the simulator's samples.
+Every exact metric reads one or two laws of the raw SIR only through
+``expect`` and ``cdf``: a tabulated ``ExactLaw``, or a Monte Carlo
+``SampleSet``, whose samples' empirical law has the same two methods.
 
 The density's confluent factor, log 1F1((I+1)/2; 1/2; t), is the
 module's own ``_log_kummer``, a sum of positive terms in numpy, so no
@@ -536,11 +536,7 @@ def _secrecy_expect(law_b: ExactLaw, law_e: ExactLaw, rs: float, shift: float) -
 
 
 def exact_sop(law_b: ExactLaw, law_e: ExactLaw, rs: float) -> float:
-    """Secrecy outage probability E_E[F_B(tau (1 + Z_E) - 1)], tau = 2^rs.
-
-    Both rate variables are raw SIRs, matching the rate convention of the
-    ergodic-rate and outage metrics (and of the simulator).
-    """
+    """Secrecy outage probability E_E[F_B(tau (1 + Z_E) - 1)], tau = 2^rs, raw-SIR variables."""
     return _secrecy_expect(law_b, law_e, rs, 1.0)
 
 

@@ -206,7 +206,7 @@ def run_sweep(spec: SweepSpec) -> ComparisonReport:
 
 
 def _route(metric, exact, users, gamma_th, rs, bob, eve):
-    """One metric from Bob's and Eve's Gamma scales, or from their exact laws if ``exact``.
+    """One metric from Bob's and Eve's Gamma scales, or from their laws (exact or sampled) if ``exact``.
 
     Each closed form takes the same arguments as its exact counterpart;
     sop and sop_lower share the closed-form lower bound.
@@ -234,8 +234,9 @@ def evaluate_point(
     Eve's stats ``eve`` or samples ``eve_samples`` (``rs`` is read only by
     them). The stats and samples are at delta = 1: ``delta_b`` and
     ``delta_e`` scale them here, through beta_I, ``ExactLaw.over`` and
-    ``SampleSet.over``. The Monte Carlo reductions run first, so their
-    errors come before a failing law's; then each terminal's exact law,
+    ``SampleSet.over``. The Monte Carlo mean is the exact column's metric
+    function read on the samples, after ``montecarlo.mc_stderr``, whose
+    refusals come before a failing law's; then each terminal's exact law,
     ``ChannelStats.law``, is read, tabulated on its first use.
     """
     bad = [m for m in metrics if m not in _METRICS]
@@ -246,10 +247,10 @@ def evaluate_point(
         raise DomainError("secrecy metrics need Eve's stats")
     mc = {m: (None, None) for m in metrics}
     if bob_samples is not None:
-        bob_samples = bob_samples.over(delta_b)
-        eve_samples = None if eve_samples is None else eve_samples.over(delta_e)
-        mc = {m: montecarlo.mc_estimate(m, bob_samples, eve_samples, users=users, gamma_th=gamma_th, rs=rs)
-              for m in metrics}
+        samples = (bob_samples.over(delta_b), None if eve_samples is None else eve_samples.over(delta_e))
+        for m in metrics:
+            se = montecarlo.mc_stderr(m, *samples, users=users, gamma_th=gamma_th, rs=rs)
+            mc[m] = (_route(m, True, users, gamma_th, rs, *samples), se)
     laws = scales = None
     if bob is not None:
         sides = ((bob, delta_b), (eve if secrecy else None, delta_e))

@@ -29,7 +29,9 @@ then, round by round, the redraws of the trials still left with an empty
 branch, in trial order (normals, then variates). A block is always drawn
 in full and a short last block is cut to length, so a run is
 bit-identical to any longer run's prefix. `sir_samples` is the one trial
-loop and `mc_estimate` the one reduction from its samples to a metric.
+loop. Its `SampleSet` is also the samples' empirical law, with
+`ExactLaw`'s `expect` and `cdf`, so `analytic`'s metric functions read it
+as they read an exact law; `mc_stderr` adds each metric's standard error.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
     "select_ports",
     "sir_sample",
     "sir_samples",
-    "mc_estimate",
+    "mc_stderr",
 ]
 
 _MAX_REDRAWS = 64
@@ -179,6 +181,14 @@ class SampleSet:
         with np.errstate(over="ignore"):
             return replace(self, sir=self.sir / delta, sir_i=self.sir_i / delta)
 
+    def expect(self, phi) -> float:
+        """E[phi(Z)] under the samples' empirical law: the mean of ``phi`` (vectorised over z) over the SIR samples."""
+        return float(np.mean(phi(self.sir)))
+
+    def cdf(self, z):
+        """Pr{Z <= z} under the samples' empirical law, elementwise; it sorts on each call and keeps no copy."""
+        return np.searchsorted(np.sort(self.sir), z, side="right") / len(self.sir)
+
 
 def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int = 0) -> SampleSet:
     """Draw `trials` independent SIR samples, one `sir_sample` block per _BLOCK trials.
@@ -211,45 +221,35 @@ def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int =
     return SampleSet(sir=sir, sir_i=sir_i, k_i_sizes=ki, q_i=q_i, redrawn=redrawn)
 
 
-def mc_estimate(
-    metric: str,
-    bob: SampleSet,
-    eve: SampleSet | None = None,
-    *,
-    users: int = 1,
-    gamma_th: float = 1.0,
-    rs: float = 1.0,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of one metric and its standard error.
+def mc_stderr(metric: str, bob: SampleSet, eve: SampleSet | None = None, *, users: int = 1, gamma_th: float = 1.0,
+              rs: float = 1.0) -> float:
+    """Standard error of a metric's Monte Carlo value, its exact metric function read on the samples.
 
-    er is users * mean(log2(1 + sir)) with the sample standard error
-    (users = 1 gives the per-user rate). The others are fractions of
-    trials, with the binomial standard error: op counts log2(1 + sir) <
-    gamma_th; sop counts log2(1 + sir_B) - log2(1 + sir_E) < rs and
-    sop_lower counts sir_B < 2^rs sir_E, pairing Bob's and Eve's samples
-    trial by trial (draw them from disjoint substreams of one seed so
-    that the two channels are independent). A standard error needs at
-    least two samples.
+    er: the sample standard error of users * log2(1 + sir). op: the
+    binomial standard error of the share of sir <= 2^gamma_th - 1. sop
+    (s = 1) and sop_lower (s = 0) average 1{sir_B <= tau (s + sir_E) - s},
+    tau = 2^rs, over every Bob/Eve pair; this U-statistic's variance is
+    Hoeffding's var_E[F_B(tau (s + Z_E) - s)] / n_E + var_B[F_E((s + Z_B) / tau - s)] / n_B,
+    read on the empirical CDFs. Bob's and Eve's sets come from disjoint
+    substreams of one seed, and each holds at least two samples.
     """
+    for s in (bob, eve):
+        if s is not None and len(s.sir) < 2:
+            raise DomainError(f"a Monte Carlo estimate needs at least 2 samples, got {len(s.sir)}")
     n = len(bob.sir)
-    if n < 2:
-        raise DomainError(f"a Monte Carlo estimate needs at least 2 samples, got {n}")
     if metric == "er":
-        rates = np.log2(1.0 + bob.sir)
-        return users * float(rates.mean()), users * float(rates.std(ddof=1)) / math.sqrt(n)
+        return users * float(np.log2(1.0 + bob.sir).std(ddof=1)) / math.sqrt(n)
     if metric == "op":
         _check_rate("gamma_th", gamma_th)
-        hits = np.log2(1.0 + bob.sir) < gamma_th
-    elif metric in ("sop", "sop_lower"):
-        if eve is None:
-            raise DomainError(f"{metric} needs Eve's samples")
-        _check_rate("secrecy rate", rs)
-        if metric == "sop":
-            hits = np.log2(1.0 + bob.sir) - np.log2(1.0 + eve.sir) < rs
-        else:
-            with np.errstate(over="ignore"):  # an overflow to inf still compares true
-                hits = bob.sir < exp2(rs) * eve.sir
-    else:
+        p = float(bob.cdf(exp2(gamma_th) - 1.0))
+        return math.sqrt(p * (1.0 - p) / n)
+    if metric not in ("sop", "sop_lower"):
         raise DomainError(f"unknown Monte Carlo metric {metric!r}")
-    p = float(np.mean(hits))
-    return p, math.sqrt(p * (1.0 - p) / n)
+    if eve is None:
+        raise DomainError(f"{metric} needs Eve's samples")
+    _check_rate("secrecy rate", rs)
+    tau, shift = exp2(rs), 1.0 if metric == "sop" else 0.0
+    with np.errstate(over="ignore"):  # an overflow to inf is above every sample
+        var_e = np.var(bob.cdf(tau * (shift + eve.sir) - shift), ddof=1) / len(eve.sir)
+    var_b = np.var(eve.cdf((shift + bob.sir) / tau - shift), ddof=1) / n
+    return math.sqrt(var_e + var_b)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cumasim.analytic import ChannelStats, exact_er, exact_pdf_zI, sop_lower_numeric
+from cumasim.analytic import ChannelStats, exact_er, exact_op, exact_pdf_zI, sop_lower_numeric
 from cumasim.approx import (
     approx_cdf_z,
     approx_er,
@@ -23,10 +23,10 @@ from cumasim.approx import (
 )
 from cumasim.geometry import PortGrid, correlation_matrix, grid_from_aperture, offset_correlation, preset_grid
 from cumasim.harness import ks_statistic
-from cumasim.montecarlo import SeedSpec, SimConfig, mc_estimate, sir_samples
+from cumasim.montecarlo import SeedSpec, SimConfig, mc_stderr, sir_samples
 
 from test_approx import exponential_law, paper_a0, random_stats
-from test_montecarlo import interference_sums, sop_pair
+from test_montecarlo import interference_sums, mc_secrecy, sop_pair
 
 APERTURE = (0.15, 0.08)
 SEED = SeedSpec(987654321)
@@ -50,9 +50,8 @@ class _Point:
 
     def __init__(self, config, trials, seed):
         s = sir_samples(config, trials, seed)
-        self.er, self.er_se = mc_estimate("er", s, users=config.users)
-        self.op, op_se = mc_estimate("op", s, gamma_th=1.0)
-        self.op_se = op_se + 1e-12
+        self.er, self.er_se = exact_er(config.users, s), mc_stderr("er", s, users=config.users)
+        self.op, self.op_se = exact_op(1.0, s), mc_stderr("op", s, gamma_th=1.0) + 1e-12
 
 
 def test_a01_port_layout_reproduction():
@@ -281,7 +280,7 @@ def test_a09_sweep_trends():
 
     # same port density on both sides: secrecy saturates at one half
     nc_cfg = SimConfig(corr=cases["6GHz-NC"], users=20)
-    p, se_p = mc_estimate("sop", *sop_pair(nc_cfg, nc_cfg, 6000, SEED), rs=1e-9)
+    p, se_p = mc_secrecy("sop", *sop_pair(nc_cfg, nc_cfg, 6000, SEED), rs=1e-9)
     ok = abs(p - 0.5) <= 2.5 * se_p + 0.01
     report("A09e secrecy-half-saturation", ok, f"SOP(rs->0) = {p:.3f} +- {se_p:.3f}")
     if not ok:
@@ -294,7 +293,7 @@ def test_a09_sweep_trends():
     sop_d_se = []
     bob, eve = sop_pair(SimConfig(corr=cases["6GHz-VC"], users=20), eve_cfg, 6000, SEED)
     for d in deltas:
-        p, se_p = mc_estimate("sop", bob.over(d), eve, rs=1.0)
+        p, se_p = mc_secrecy("sop", bob.over(d), eve, rs=1.0)
         sop_d.append(p)
         sop_d_se.append(se_p + 1e-12)
     ok = _steps_ok(sop_d, sop_d_se, -1) and _span_ok(sop_d, sop_d_se, -1)
@@ -311,7 +310,7 @@ def test_a09_sweep_trends():
         grid = PortGrid(base.n1, n2, base.w1, base.w2)
         n_trials = 2000 if grid.total_ports > 1500 else 4000
         bob, eve = sop_pair(SimConfig(corr=correlation_matrix(grid), users=20), eve_cfg, n_trials, SEED)
-        p, se_p = mc_estimate("sop", bob.over(0.1), eve, rs=2.0)
+        p, se_p = mc_secrecy("sop", bob.over(0.1), eve, rs=2.0)
         sop_n.append(p)
         sop_n_se.append(se_p + 1e-12)
         labels.append(f"N={grid.total_ports}:{p:.4f}")

@@ -27,7 +27,7 @@ from cumasim.harness import (
     parse_config,
     run_sweep,
 )
-from cumasim.montecarlo import SeedSpec, SimConfig, mc_estimate, sir_samples
+from cumasim.montecarlo import SeedSpec, SimConfig, mc_stderr, sir_samples
 from cumasim.specfun import DomainError
 
 
@@ -333,15 +333,18 @@ class TestEvaluatePoint:
         law_b, law_e = bob.law, eve.law
         beta_b, beta_e = beta_I(bob), beta_I(eve)
         samples = (point_inputs["bob_samples"], point_inputs["eve_samples"])
+        # the Monte Carlo mean is the exact metric function on the sample sets
         want = {
-            "er": (approx.approx_er(6, beta_b), analytic.exact_er(6, law_b)),
-            "op": (approx.approx_op(1.0, beta_b), analytic.exact_op(1.0, law_b)),
-            "sop": (approx.sop_lower_closed(beta_b, beta_e, 0.5), analytic.exact_sop(law_b, law_e, 0.5)),
-            "sop_lower": (approx.sop_lower_closed(beta_b, beta_e, 0.5), analytic.sop_lower_numeric(law_b, law_e, 0.5)),
+            "er": (approx.approx_er(6, beta_b), analytic.exact_er(6, law_b), analytic.exact_er(6, samples[0])),
+            "op": (approx.approx_op(1.0, beta_b), analytic.exact_op(1.0, law_b), analytic.exact_op(1.0, samples[0])),
+            "sop": (approx.sop_lower_closed(beta_b, beta_e, 0.5), analytic.exact_sop(law_b, law_e, 0.5),
+                    analytic.exact_sop(*samples, 0.5)),
+            "sop_lower": (approx.sop_lower_closed(beta_b, beta_e, 0.5), analytic.sop_lower_numeric(law_b, law_e, 0.5),
+                          analytic.sop_lower_numeric(*samples, 0.5)),
         }
         for metric, cols in want.items():
-            mc = mc_estimate(metric, *samples, users=6, gamma_th=1.0, rs=0.5)
-            assert point[metric] == (*cols, *mc)
+            se = mc_stderr(metric, *samples, users=6, gamma_th=1.0, rs=0.5)
+            assert point[metric] == (*cols, se)
 
     def test_a_column_needs_its_input(self, point_inputs, monkeypatch):
         def refuse(stats):
@@ -361,15 +364,19 @@ class TestEvaluatePoint:
             harness.evaluate_point(("bogus",), 6, gamma_th=1.0, rs=0.5, bob=point_inputs["bob"])
         with pytest.raises(DomainError, match="Eve"):
             harness.evaluate_point(("sop",), 6, gamma_th=1.0, rs=0.5, bob=point_inputs["bob"])
-        with pytest.raises(DomainError, match="Eve"):
-            harness.evaluate_point(("sop",), 6, gamma_th=1.0, rs=0.5, bob_samples=point_inputs["bob_samples"])
+        for metric in ("sop", "sop_lower"):
+            with pytest.raises(DomainError, match=f"{metric} needs Eve's samples"):
+                harness.evaluate_point((metric,), 6, gamma_th=1.0, rs=0.5, bob_samples=point_inputs["bob_samples"])
+        one = dataclasses.replace(point_inputs["bob_samples"], sir=np.ones(1))
+        with pytest.raises(DomainError, match="needs at least 2 samples, got 1"):
+            harness.evaluate_point(("er",), 6, gamma_th=1.0, rs=0.5, bob_samples=one)
 
 
 class TestCsv:
     def test_golden_mc_columns(self):
-        # all four Monte Carlo reductions of one small sweep, frozen from the
+        # all four Monte Carlo columns of one small sweep, frozen from the
         # first run of the one-generator-per-block stream on the
-        # reflection-folded factor at this seed
+        # reflection-folded factor at this seed (secrecy over all Bob/Eve pairs)
         spec = SweepSpec(
             axis="delta_b",
             values=(1.0, 0.25),
@@ -386,12 +393,12 @@ class TestCsv:
         assert [",".join(c[:2] + c[4:6]) for c in cells] == [
             "1,er,16.4107138673,0.151238089934",
             "1,op,0.003,0.00172945077987",
-            "1,sop,0.703,0.0144496020706",
-            "1,sop_lower,0.672,0.0148464137084",
+            "1,sop,0.69455,0.0116500452598",
+            "1,sop_lower,0.665564,0.0120009062808",
             "0.25,er,27.1922620792,0.170451043098",
             "0.25,op,0,0",
-            "0.25,sop,0.136,0.010839926199",
-            "0.25,sop_lower,0.129,0.0105999528301",
+            "0.25,sop,0.143046,0.00828440070633",
+            "0.25,sop_lower,0.135143,0.00804432982568",
         ]
 
     def test_header_and_shape(self):
@@ -650,18 +657,18 @@ class TestCli:
         ),
         "sweep --preset 6GHz-NC --eve-preset 6GHz-C --axis rs --values 0,1,2 --metrics sop,sop_lower "
         "--users 8 --trials 1000 --seed 3 --exact off": (
-            f"{CSV_HEADER}\n0,sop,0.535978121092,,0.541,0.0157581407533,1000,3\n"
-            "0,sop_lower,0.535978121092,,0.541,0.0157581407533,1000,3\n"
-            "1,sop,0.697898119422,,0.901,0.0094445222219,1000,3\n"
-            "1,sop_lower,0.697898119422,,0.854,0.0111661989952,1000,3\n"
-            "2,sop,0.822073022449,,0.994,0.00244213021766,1000,3\n"
-            "2,sop_lower,0.822073022449,,0.977,0.00474035863622,1000,3\n"
+            f"{CSV_HEADER}\n0,sop,0.535978121092,,0.543286,0.0128592450241,1000,3\n"
+            "0,sop_lower,0.535978121092,,0.543286,0.0128592450241,1000,3\n"
+            "1,sop,0.697898119422,,0.902823,0.00671527976516,1000,3\n"
+            "1,sop_lower,0.697898119422,,0.850601,0.00843656999682,1000,3\n"
+            "2,sop,0.822073022449,,0.992115,0.00154517931941,1000,3\n"
+            "2,sop_lower,0.822073022449,,0.974342,0.00289113138974,1000,3\n"
         ),
         "sweep --axis ports --values 3,4 --eve-preset 6GHz-NC --metrics sop,er --users 6 --trials 1000 "
         "--seed 5 --exact off": (
-            f"{CSV_HEADER}\n183,sop,0.976457974599,,0.871,0.0105999528301,1000,5\n"
+            f"{CSV_HEADER}\n183,sop,0.976457974599,,0.866719,0.00798320070971,1000,5\n"
             "183,er,99.2822627063,,15.1780930733,0.146638893161,1000,5\n"
-            "244,sop,0.659476617873,,0.806,0.0125045591686,1000,5\n"
+            "244,sop,0.659476617873,,0.807971,0.00965060259509,1000,5\n"
             "244,er,125.805746327,,16.8198723612,0.146532128772,1000,5\n"
         ),
         "compare --preset 6GHz-NC --users 8 --trials 1000 --seed 5 --exact on": (
@@ -689,16 +696,16 @@ class TestCli:
         "--metrics er,op,sop,sop_lower --users 8 --trials 1000 --seed 4 --exact off": (
             f"{CSV_HEADER}\n1,er,163.532464549,,18.1692651584,0.154083433168,1000,4\n"
             "1,op,3.94274597367e-07,,0.006,0.00244213021766,1000,4\n"
-            "1,sop,0.659476617873,,0.859,0.0110054077616,1000,4\n"
-            "1,sop_lower,0.659476617873,,0.792,0.0128349522788,1000,4\n"
+            "1,sop,0.659476617873,,0.866904,0.00787631652043,1000,4\n"
+            "1,sop_lower,0.659476617873,,0.799933,0.00966751239036,1000,4\n"
             "0.3,er,177.428142627,,30.052712106,0.180760875073,1000,4\n"
             "0.3,op,1.18282395533e-07,,0,0,1000,4\n"
-            "0.3,sop,0.367487639105,,0.3,0.0144913767462,1000,4\n"
-            "0.3,sop_lower,0.367487639105,,0.239,0.0134862522592,1000,4\n"
+            "0.3,sop,0.367487639105,,0.280834,0.0112882638962,1000,4\n"
+            "0.3,sop_lower,0.367487639105,,0.231854,0.0103961161305,1000,4\n"
             "0.07,er,194.224411342,,46.0820794889,0.192430111149,1000,4\n"
             "0.07,op,2.75992268757e-08,,0,0,1000,4\n"
-            "0.07,sop,0.119381809185,,0.005,0.00223047080232,1000,4\n"
-            "0.07,sop_lower,0.119381809185,,0.004,0.00199599599198,1000,4\n"
+            "0.07,sop,0.119381809185,,0.004967,0.000950902748991,1000,4\n"
+            "0.07,sop_lower,0.119381809185,,0.004111,0.000827724885748,1000,4\n"
         ),
         "compare --preset 6GHz-C --users 8 --delta 0.3 --trials 1500 --seed 3 --exact off": (
             "preset = 6GHz-C  users = 8  trials = 1500\ner: approx = 178.721  mc = 30.4248 +- 0.153\n"
@@ -1088,11 +1095,11 @@ class TestProcessEntry:
         code = (
             "import sys\n"
             "from cumasim import (ChannelStats, SeedSpec, SimConfig, approx_er, approx_op, beta_I,\n"
-            "                     correlation_matrix, mc_estimate, preset_grid, sir_samples)\n"
+            "                     correlation_matrix, exact_er, mc_stderr, preset_grid, sir_samples)\n"
             "beta = beta_I(ChannelStats.from_grid(preset_grid('6GHz-NC'), 20))\n"
             "approx_er(20, beta), approx_op(1.0, beta)\n"
             "samples = sir_samples(SimConfig(correlation_matrix(preset_grid('6GHz-NC')), 20), 100, SeedSpec(1))\n"
-            "mc_estimate('er', samples, users=20)\n"
+            "exact_er(20, samples), mc_stderr('er', samples, users=20)\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         )
         child = run_child([], code)

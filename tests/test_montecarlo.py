@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from cumasim.analytic import exact_er, exact_op, exact_sop, sop_lower_numeric
 from cumasim.geometry import CorrelationMatrix, PortGrid, correlation_matrix, preset_grid
 from cumasim.harness import ks_statistic
-from cumasim.montecarlo import _BLOCK, SeedSpec, SimConfig, mc_estimate, select_ports, sir_sample, sir_samples
+from cumasim.montecarlo import _BLOCK, SampleSet, SeedSpec, SimConfig, mc_stderr, select_ports, sir_sample, sir_samples
 from cumasim.specfun import DomainError
 from link_oracle import ChannelRealization, dense_correlation, draw_realization, link_samples, link_sir_sample
 
@@ -268,7 +269,8 @@ class TestConditionalKernel:
         # at the benchmark's reference seed, as recorded in
         # bench/reference.json (workload mc-large-grid, key er.mc)
         config = SimConfig(corr=correlation_matrix(preset_grid("26GHz-C")), users=10)
-        er, se = mc_estimate("er", sir_samples(config, 2000, SEED), users=10)
+        s = sir_samples(config, 2000, SEED)
+        er, se = exact_er(10, s), mc_stderr("er", s, users=10)
         assert abs(er - 52.036) < 5.0 * math.hypot(se, 0.055)
 
 
@@ -360,6 +362,47 @@ class TestSampleSetOver:
             s.over(5e-324)
 
 
+def sample_set(sir):
+    """A SampleSet of the given SIR samples; its other per-trial fields are placeholders."""
+    sir = np.asarray(sir, dtype=float)
+    return SampleSet(sir=sir, sir_i=sir, k_i_sizes=np.ones(len(sir), dtype=np.int64), q_i=np.ones(len(sir)), redrawn=0)
+
+
+class TestSampleSetLaw:
+    """A SampleSet read as its samples' empirical law, through `ExactLaw`'s `expect` and `cdf`."""
+
+    SIR = (3.0, 0.5, 3.0, 7.25, 0.5, 0.5, 12.0)  # unsorted, with ties
+
+    @pytest.mark.parametrize("delta", [1.0, 0.3])
+    def test_cdf_counts_the_samples_at_or_below(self, delta):
+        law = sample_set(self.SIR).over(delta)
+        z = np.array([0.0, 0.4, 0.5, 1.0, 3.0, 3.5, 7.25, 12.0, 13.0, 1e300, math.inf]) / delta
+        brute = np.array([np.count_nonzero(law.sir <= t) for t in z]) / len(law.sir)
+        assert np.array_equal(law.cdf(z), brute)
+        assert np.array_equal(law.cdf(z.reshape(-1, 1)), brute.reshape(-1, 1))
+        assert all(law.cdf(t) == want for t, want in zip(z, brute))
+        # a threshold on a sample counts it; 0 below the smallest sample, 1 at and above the largest
+        low, high = law.sir.min(), law.sir.max()
+        assert law.cdf(np.nextafter(low, 0.0)) == 0.0 and law.cdf(low) == 3 / 7
+        assert law.cdf(np.nextafter(high, 0.0)) == 6 / 7 and law.cdf(high) == 1.0 == law.cdf(2.0 * high)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.3])
+    def test_cdf_of_a_drawn_set_with_ties(self, case1_config, delta):
+        drawn = sir_samples(case1_config, 500, SEED)
+        law = sample_set(np.round(drawn.sir, 1)).over(delta)  # rounding leaves many ties
+        z = np.concatenate((law.sir[::7], np.random.default_rng(3).uniform(0.0, law.sir.max(), 50)))
+        brute = np.array([np.count_nonzero(law.sir <= t) for t in z]) / len(law.sir)
+        assert np.array_equal(law.cdf(z), brute)
+        assert all(law.cdf(t) == want for t, want in zip(z, brute))
+
+    @pytest.mark.parametrize("delta", [1.0, 0.3])
+    def test_expect_is_the_sample_mean(self, case1_config, delta):
+        drawn = sir_samples(case1_config, 500, SEED)
+        law = drawn.over(delta)
+        for phi in (np.log1p, lambda z: z <= 2.0, np.sqrt):
+            assert law.expect(phi) == np.mean(phi(drawn.sir / delta))
+
+
 def interference_sums(samples, config, seed=SEED):
     """Per-interferer activated in-phase sums, shape (trials, I).
 
@@ -382,15 +425,20 @@ def sop_pair(bob_cfg, eve_cfg, trials, seed=SEED):
     return sir_samples(bob_cfg, trials, seed, substream=0), sir_samples(eve_cfg, trials, seed, substream=1)
 
 
+def mc_secrecy(metric, bob, eve, rs):
+    """A secrecy metric's Monte Carlo mean and standard error, as a sweep's columns read them."""
+    return {"sop": exact_sop, "sop_lower": sop_lower_numeric}[metric](bob, eve, rs), mc_stderr(metric, bob, eve, rs=rs)
+
+
 class TestMcMetrics:
     def test_op_monotone_on_grid(self, case1_config):
         s = sir_samples(case1_config, 3000, SEED)
-        op = [mc_estimate("op", s, gamma_th=g)[0] for g in (0.25, 0.5, 1.0, 1.5, 2.5)]
+        op = [exact_op(g, s) for g in (0.25, 0.5, 1.0, 1.5, 2.5)]
         assert all(a <= b for a, b in zip(op, op[1:]))
 
     def test_stderr_shrinks_with_trials(self, case1_config):
-        _, se1 = mc_estimate("er", sir_samples(case1_config, 4000, SEED), users=20)
-        _, se2 = mc_estimate("er", sir_samples(case1_config, 8000, SEED), users=20)
+        se1 = mc_stderr("er", sir_samples(case1_config, 4000, SEED), users=20)
+        se2 = mc_stderr("er", sir_samples(case1_config, 8000, SEED), users=20)
         ratio = se1 / se2
         assert abs(ratio - math.sqrt(2.0)) < 0.2 * math.sqrt(2.0)
 
@@ -398,8 +446,8 @@ class TestMcMetrics:
         # frozen from the first run of the one-generator-per-block stream on
         # the reflection-folded factor at this seed (the link-level sampler gave 22.20694317794273 and 0.3831)
         s = sir_samples(case1_config, 20_000, SeedSpec(1234))
-        er, _ = mc_estimate("er", s, users=case1_config.users)
-        op, _ = mc_estimate("op", s, gamma_th=1.0)
+        er = exact_er(case1_config.users, s)
+        op = exact_op(1.0, s)
         assert er == pytest.approx(22.34180952658907, rel=1e-9)
         assert op == pytest.approx(0.3756, abs=1e-12)
         assert s.redrawn == 0
@@ -419,50 +467,51 @@ class TestMcMetrics:
 
     def test_reducer_validation(self, case1_config):
         s = sir_samples(case1_config, 50, SEED)
+        with pytest.raises(DomainError, match="unknown Monte Carlo metric 'ks'"):
+            mc_stderr("ks", s)
+        for metric in ("sop", "sop_lower"):
+            with pytest.raises(DomainError, match=f"{metric} needs Eve's samples"):
+                mc_stderr(metric, s)
         with pytest.raises(DomainError):
-            mc_estimate("ks", s)
-        with pytest.raises(DomainError):
-            mc_estimate("sop", s)
-        with pytest.raises(DomainError):
-            mc_estimate("sop_lower", s, s, rs=-0.5)
+            mc_stderr("sop_lower", s, s, rs=-0.5)
         for gamma_th in (-0.5, math.nan, math.inf):
             with pytest.raises(DomainError, match="gamma_th must be nonnegative and finite"):
-                mc_estimate("op", s, gamma_th=gamma_th)
-        assert mc_estimate("op", s, gamma_th=0.0) == (0.0, 0.0)
+                mc_stderr("op", s, gamma_th=gamma_th)
+        assert (exact_op(0.0, s), mc_stderr("op", s, gamma_th=0.0)) == (0.0, 0.0)
         one = sir_samples(case1_config, 1, SEED)
-        for metric in ("er", "op"):
-            with pytest.raises(DomainError):
-                mc_estimate(metric, one)
+        for metric, bob, eve in (("er", one, None), ("op", one, None), ("sop", s, one), ("sop_lower", one, s)):
+            with pytest.raises(DomainError, match="needs at least 2 samples, got 1"):
+                mc_stderr(metric, bob, eve)
 
 
 class TestMcSop:
     def test_identical_sides_near_half(self, case1_config):
-        p, se = mc_estimate("sop", *sop_pair(case1_config, case1_config, 4000), rs=1e-9)
+        p, se = mc_secrecy("sop", *sop_pair(case1_config, case1_config, 4000), rs=1e-9)
         assert abs(p - 0.5) < 2.5 * se + 0.01
 
     def test_large_rate_saturates(self, case1_config):
-        p, _ = mc_estimate("sop", *sop_pair(case1_config, case1_config, 2000), rs=40.0)
+        p, _ = mc_secrecy("sop", *sop_pair(case1_config, case1_config, 2000), rs=40.0)
         assert p == 1.0
 
     def test_overflowing_rate_saturates(self, case1_config):
-        # 2^rs overflows: every trial is an outage, no float error
+        # 2^rs overflows: every pair is an outage, no float error
         pair = sop_pair(case1_config, case1_config, 200)
         for metric in ("sop", "sop_lower"):
-            assert mc_estimate(metric, *pair, rs=1e308) == (1.0, 0.0)
-        assert mc_estimate("op", pair[0], gamma_th=1e308) == (1.0, 0.0)
+            assert mc_secrecy(metric, *pair, rs=1e308) == (1.0, 0.0)
+        assert (exact_op(1e308, pair[0]), mc_stderr("op", pair[0], gamma_th=1e308)) == (1.0, 0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_eve_product_saturates(self, case1_config):
         # a finite 2^rs times Eve's SIR may overflow to inf, which every Bob sample is below
         bob, eve = sop_pair(case1_config, case1_config, 200)
         eve = dataclasses.replace(eve, sir=np.full_like(eve.sir, 1e307))
-        assert mc_estimate("sop_lower", bob, eve, rs=10.0) == (1.0, 0.0)
+        assert mc_secrecy("sop_lower", bob, eve, rs=10.0) == (1.0, 0.0)
 
     def test_interference_cancellation_ordering(self):
         bob_grid = preset_grid("6GHz-VC")
         eve_cfg = SimConfig(corr=correlation_matrix(preset_grid("6GHz-NC")), users=20)
         bob, eve = sop_pair(SimConfig(corr=correlation_matrix(bob_grid), users=20), eve_cfg, 4000)
-        vals = [mc_estimate("sop", bob.over(delta_b), eve, rs=1.0)[0] for delta_b in (1.0, 0.5, 0.1)]
+        vals = [exact_sop(bob.over(delta_b), eve, 1.0) for delta_b in (1.0, 0.5, 0.1)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_bob_and_eve_streams_independent(self, case1_config):
@@ -476,14 +525,34 @@ class TestMcSop:
         # so on the same samples the bound never exceeds the SOP
         bob, eve = sop_pair(case1_config, case1_config, 3000)
         eve = eve.over(0.5)
-        lower, _ = mc_estimate("sop_lower", bob, eve, rs=rs)
-        sop, _ = mc_estimate("sop", bob, eve, rs=rs)
+        lower = sop_lower_numeric(bob, eve, rs)
+        sop = exact_sop(bob, eve, rs)
         assert lower <= sop
 
     def test_zero_rate_sop_is_the_lower_bound(self, case1_config):
-        # at rs = 0 both count the trials with sir_B < sir_E
+        # at rs = 0 both count the Bob/Eve pairs with sir_B <= sir_E
         bob, eve = sop_pair(case1_config, case1_config, 3000)
         eve = eve.over(0.5)
-        sop = mc_estimate("sop", bob, eve, rs=0.0)
+        sop = mc_secrecy("sop", bob, eve, rs=0.0)
         assert 0.0 < sop[0] < 1.0
-        assert sop == mc_estimate("sop_lower", bob, eve, rs=0.0)
+        assert sop == mc_secrecy("sop_lower", bob, eve, rs=0.0)
+
+    def test_all_pairs_stderr_calibrated_and_below_pairing(self):
+        # 32 seeds of Bob on 6GHz-VC against Eve on 6GHz-NC, 8 users, 1000 trials, rs = 1
+        bob_cfg = SimConfig(correlation_matrix(preset_grid("6GHz-VC")), 8)
+        eve_cfg = SimConfig(correlation_matrix(preset_grid("6GHz-NC")), 8)
+        pairs = [sop_pair(bob_cfg, eve_cfg, 1000, SeedSpec(seed)) for seed in range(32)]
+        rng = np.random.default_rng(0)
+        for metric, shift in (("sop", 1.0), ("sop_lower", 0.0)):
+            est, se = np.array([mc_secrecy(metric, bob, eve, rs=1.0) for bob, eve in pairs]).T
+            spread = float(np.std(est, ddof=1))
+            # the reference pairs trial t with trial t only. Given a seed's two
+            # sets, its pairing is a uniformly random one, so random re-pairings
+            # of each seed's sets sample the paired estimator's law; pooled over
+            # the seeds, their spread holds the same seed-to-seed part as `spread`
+            paired = [np.mean(bob.sir <= 2.0 * (shift + rng.permutation(eve.sir)) - shift)
+                      for bob, eve in pairs for _ in range(64)]
+            paired_spread = float(np.std(paired, ddof=1))
+            detail = f"{metric}: spread {spread:.5f}, mean stderr {se.mean():.5f}, paired spread {paired_spread:.5f}"
+            assert 1.0 / 1.5 <= se.mean() / spread <= 1.5, detail
+            assert spread <= 0.85 * paired_spread, detail
