@@ -324,18 +324,13 @@ def _log_kummer(i_cnt: int, t_max: float, log_u):
     """
     log_u = np.asarray(log_u, dtype=float)
     tops, pieces = _kummer_pieces(i_cnt, t_max)
-    # piece j holds tops[j-1] < ln u <= tops[j]; sorted by piece, each is one slice
-    piece = np.searchsorted(tops, log_u.ravel())
-    np.minimum(piece, len(tops) - 1, out=piece)
-    ends = np.cumsum(np.bincount(piece, minlength=len(tops))).tolist()
-    order = np.argsort(piece, kind="stable")
-    del piece  # a block's working set is pinned by a test
-    vals = log_u.ravel()[order]
-    lo = 0
-    for (top, k_lo, log_scale, coeffs), hi in zip(pieces, ends):
-        if hi > lo:
-            log_v = vals[lo:hi]
-            log_v -= top
+    # piece j holds tops[j-1] < ln u <= tops[j]
+    piece = np.minimum(np.searchsorted(tops, log_u), len(tops) - 1)
+    out = np.empty_like(log_u)
+    for j, (top, k_lo, log_scale, coeffs) in enumerate(pieces):
+        on = piece == j
+        if on.any():
+            log_v = log_u[on] - top
             v = np.exp(log_v)
             h = np.full_like(v, coeffs[0])
             for c in coeffs[1:]:
@@ -344,10 +339,8 @@ def _log_kummer(i_cnt: int, t_max: float, log_u):
             log_v *= k_lo
             log_v += log_scale
             log_v += np.log(h, out=h)
-        lo = hi
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out.reshape(log_u.shape)
+            out[on] = log_v
+    return out
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -411,11 +404,10 @@ def exact_pdf_z(z, stats: ChannelStats):
     for lo in range(0, len(flat), step):
         zz = flat[lo : lo + step, None]
         x = 0.5 * zz * _CONV_SHRINK
-        f = exact_pdf_zI(np.concatenate((x.ravel(), (zz - x[:, :head]).ravel(), zz.ravel())), stats)
-        first, second, at_z = np.split(f, np.cumsum((x.size, zz.size * head)))
-        vals = x * first.reshape(x.shape)
-        vals[:, :head] *= second.reshape(-1, head)
-        vals[:, head:] *= at_z[:, None]
+        f = exact_pdf_zI(np.concatenate((x, zz - x[:, :head], zz), axis=1), stats)
+        vals = x * f[:, : x.shape[1]]
+        vals[:, :head] *= f[:, x.shape[1] : -1]
+        vals[:, head:] *= f[:, -1:]
         vals *= _CONV_WEIGHTS
         out[lo : lo + len(zz)] = 2.0 * vals.sum(axis=1)
     return out.reshape(z.shape)[()]

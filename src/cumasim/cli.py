@@ -169,8 +169,11 @@ def _cmd_sweep(args) -> int:
     given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     text = None
     if args.config:
-        with open(args.config) as fh:
-            text = fh.read()
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"config {args.config} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     spec = parse_config(text, **given)
     report = run_sweep(spec)
     if not spec.out:

@@ -186,8 +186,10 @@ class SampleSet:
         return float(np.mean(phi(self.sir)))
 
     def cdf(self, z):
-        """Pr{Z <= z} under the samples' empirical law, elementwise; it sorts on each call and keeps no copy."""
-        return np.searchsorted(np.sort(self.sir), z, side="right") / len(self.sir)
+        """Pr{Z <= z} under the samples' empirical law, elementwise, NaN for NaN; it sorts per call, keeps no copy."""
+        z = np.asarray(z, dtype=float)
+        p = np.searchsorted(np.sort(self.sir), z, side="right") / len(self.sir)
+        return np.where(np.isnan(z), np.nan, p)[()]
 
 
 def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int = 0) -> SampleSet:

@@ -580,16 +580,18 @@ class TestDistinctArguments:
         assert max(seen) <= analytic._CONV_ARGS
 
     def test_law_working_set(self):
-        stats = fresh_stats("6GHz-VC", 20)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            stats.law
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        # about 1.48 MB with 16384-pair blocks and f_I at every node
-        assert peak < 0.5e6
+        # 40GHz-NC at 200 users has six 1F1 pieces, the last with 489 terms
+        for preset, users in (("6GHz-VC", 20), ("40GHz-NC", 200)):
+            stats = fresh_stats(preset, users)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                stats.law
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            # about 1.48 MB with 16384-pair blocks and f_I at every node
+            assert peak < 0.5e6, (preset, users, peak)
 
 
 @pytest.fixture(scope="module")

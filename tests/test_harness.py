@@ -768,6 +768,13 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("axis = users\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
+        # a file that is not UTF-8 text, such as a binary, is refused by name
+        cfg.write_bytes(b"axis = users\n\xff\xfe\x00")
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(cfg) in captured.err and "UTF-8" in captured.err
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2

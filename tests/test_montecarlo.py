@@ -386,6 +386,14 @@ class TestSampleSetLaw:
         assert law.cdf(np.nextafter(low, 0.0)) == 0.0 and law.cdf(low) == 3 / 7
         assert law.cdf(np.nextafter(high, 0.0)) == 6 / 7 and law.cdf(high) == 1.0 == law.cdf(2.0 * high)
 
+    def test_cdf_of_nan_is_nan(self):
+        # as ExactLaw.cdf: NaN for NaN, a scalar for a scalar
+        law = sample_set(self.SIR)
+        assert isinstance(law.cdf(1.0), float) and math.isnan(law.cdf(math.nan))
+        mixed = law.cdf(np.array([[0.4, math.nan], [3.0, math.inf]]))
+        assert mixed.shape == (2, 2) and np.isnan(mixed[0, 1])
+        assert np.array_equal(mixed[[0, 1, 1], [0, 0, 1]], [0.0, 5 / 7, 1.0])
+
     @pytest.mark.parametrize("delta", [1.0, 0.3])
     def test_cdf_of_a_drawn_set_with_ties(self, case1_config, delta):
         drawn = sir_samples(case1_config, 500, SEED)

@@ -229,6 +229,7 @@ class TestKummer:
         assert np.array_equal(got[::-1], _log_kummer(i_cnt, t_max, log_u[::-1]))
         assert np.array_equal(got, [_log_kummer(i_cnt, t_max, v) for v in log_u])
         assert np.array_equal(got.reshape(3, -1)[:, 7], _log_kummer(i_cnt, t_max, log_u.reshape(3, -1)[:, 7]))
+        assert np.array_equal(got.reshape(3, -1), _log_kummer(i_cnt, t_max, log_u.reshape(3, -1)))
 
     @pytest.mark.parametrize("t_max", [1e300, math.inf, math.nan])
     @pytest.mark.filterwarnings("error")
