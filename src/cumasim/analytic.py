@@ -504,11 +504,16 @@ class ExactLaw:
 # ---------------------------------------------------------------------------
 
 
+def _rate(z):
+    """log2(1 + z), elementwise, through log1p: exact to the last bits at small z, where 1 + z rounds."""
+    return np.log1p(z) / _LN2
+
+
 def exact_er(users: int, law: ExactLaw) -> float:
     """Ergodic sum rate U * E[log2(1 + Z)] of the raw SIR, bits per channel use."""
     if users < 2:
         raise DomainError(f"need at least 2 users, got {users}")
-    return users * law.expect(lambda z: np.log1p(z) / _LN2)
+    return users * law.expect(_rate)
 
 
 def exact_op(gamma_th: float, law: ExactLaw) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "grid_from_aperture",
     "offset_correlation",
     "correlation_matrix",
-    "Preset",
     "PRESETS",
     "preset_grid",
 ]
@@ -279,33 +278,26 @@ def correlation_matrix(grid: PortGrid) -> CorrelationMatrix:
     return CorrelationMatrix(factor=factor)
 
 
-@dataclass(frozen=True)
-class Preset:
-    """Carrier frequency and dimension-1 port spacing (wavelengths) of a named layout."""
-
-    freq_hz: float
-    spacing1: float
-
-
-# Named compactness cases on the handset aperture. Dimension 2 keeps the
-# half-wavelength spacing in every case; only dimension 1 is densified.
-PRESETS: dict[str, Preset] = {
-    "6GHz-NC": Preset(6e9, 0.5),
-    "6GHz-C": Preset(6e9, 0.1),
-    "6GHz-VC": Preset(6e9, 0.05),
-    "26GHz-NC": Preset(26e9, 0.5),
-    "26GHz-C": Preset(26e9, 0.1),
-    "26GHz-VC": Preset(26e9, 0.05),
-    "40GHz-NC": Preset(40e9, 0.5),
-    "40GHz-C": Preset(40e9, 0.1),
-    "40GHz-VC": Preset(40e9, 0.05),
+# Named compactness cases on the handset aperture, each (freq_hz, spacing1):
+# carrier frequency in Hz and dimension-1 port spacing in wavelengths. Only
+# dimension 1 is densified; dimension 2 keeps the half-wavelength spacing.
+PRESETS: dict[str, tuple[float, float]] = {
+    "6GHz-NC": (6e9, 0.5),
+    "6GHz-C": (6e9, 0.1),
+    "6GHz-VC": (6e9, 0.05),
+    "26GHz-NC": (26e9, 0.5),
+    "26GHz-C": (26e9, 0.1),
+    "26GHz-VC": (26e9, 0.05),
+    "40GHz-NC": (40e9, 0.5),
+    "40GHz-C": (40e9, 0.1),
+    "40GHz-VC": (40e9, 0.05),
 }
 
 
 def preset_grid(name: str) -> PortGrid:
     """Grid for a named preset on the handset aperture."""
     try:
-        p = PRESETS[name]
+        freq_hz, spacing1 = PRESETS[name]
     except KeyError:
         raise DomainError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}") from None
-    return grid_from_aperture(*HANDSET_APERTURE_M, p.freq_hz, p.spacing1)
+    return grid_from_aperture(*HANDSET_APERTURE_M, freq_hz, spacing1)

@@ -29,7 +29,6 @@ __all__ = [
     "SweepSpec",
     "Row",
     "ComparisonReport",
-    "KSReport",
     "run_sweep",
     "evaluate_point",
     "compare_distributions",
@@ -285,14 +284,8 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return float(max(np.max(np.abs(hi - f)), np.max(np.abs(lo - f))))
 
 
-@dataclass(frozen=True)
-class KSReport:
-    ks_total: float
-    ks_inphase: float
-
-
-def compare_distributions(config: SimConfig, beta: float, trials: int, seed: SeedSpec) -> KSReport:
-    """KS distances between simulated SIR samples and the fitted laws at the raw-SIR scale ``beta``.
+def compare_distributions(config: SimConfig, beta: float, trials: int, seed: SeedSpec) -> tuple[float, float]:
+    """KS distances (total, in-phase) of simulated SIR samples from the fitted laws at the raw-SIR scale ``beta``.
 
     The total SIR is tested against the exponential fit and the in-phase
     branch against the Gamma(1/2) fit. The samples are at delta = 1 and
@@ -302,7 +295,7 @@ def compare_distributions(config: SimConfig, beta: float, trials: int, seed: See
     ks_total = ks_statistic(samples.sir, lambda x: approx.approx_cdf_z(x, beta))
     # the Gamma(1/2, beta) CDF
     ks_i = ks_statistic(samples.sir_i, lambda x: _erf(np.sqrt(np.maximum(x, 0.0) / beta)).astype(float))
-    return KSReport(ks_total=ks_total, ks_inphase=ks_i)
+    return ks_total, ks_i
 
 
 # ---------------------------------------------------------------------------

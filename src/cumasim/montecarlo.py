@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analytic import _rate, exact_op
 from .geometry import CorrelationMatrix
 from .specfun import DomainError, _check_delta, _check_rate, exp2
 
@@ -227,8 +228,8 @@ def mc_stderr(metric: str, bob: SampleSet, eve: SampleSet | None = None, *, user
               rs: float = 1.0) -> float:
     """Standard error of a metric's Monte Carlo value, its exact metric function read on the samples.
 
-    er: the sample standard error of users * log2(1 + sir). op: the
-    binomial standard error of the share of sir <= 2^gamma_th - 1. sop
+    er: the sample standard error of users * log2(1 + sir), `exact_er`'s
+    term. op: the binomial standard error of `exact_op`'s share. sop
     (s = 1) and sop_lower (s = 0) average 1{sir_B <= tau (s + sir_E) - s},
     tau = 2^rs, over every Bob/Eve pair; this U-statistic's variance is
     Hoeffding's var_E[F_B(tau (s + Z_E) - s)] / n_E + var_B[F_E((s + Z_B) / tau - s)] / n_B,
@@ -240,10 +241,9 @@ def mc_stderr(metric: str, bob: SampleSet, eve: SampleSet | None = None, *, user
             raise DomainError(f"a Monte Carlo estimate needs at least 2 samples, got {len(s.sir)}")
     n = len(bob.sir)
     if metric == "er":
-        return users * float(np.log2(1.0 + bob.sir).std(ddof=1)) / math.sqrt(n)
+        return users * float(_rate(bob.sir).std(ddof=1)) / math.sqrt(n)
     if metric == "op":
-        _check_rate("gamma_th", gamma_th)
-        p = float(bob.cdf(exp2(gamma_th) - 1.0))
+        p = exact_op(gamma_th, bob)
         return math.sqrt(p * (1.0 - p) / n)
     if metric not in ("sop", "sop_lower"):
         raise DomainError(f"unknown Monte Carlo metric {metric!r}")

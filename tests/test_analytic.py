@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -21,8 +22,9 @@ from cumasim.analytic import (
     sigma_sums,
     sop_lower_numeric,
 )
-from cumasim.approx import beta_I
+from cumasim.approx import approx_er, beta_I
 from cumasim.geometry import HANDSET_APERTURE_M, PortGrid, grid_from_aperture, preset_grid
+from cumasim.montecarlo import SimConfig
 from cumasim.specfun import DomainError, exp2
 from link_oracle import dense_correlation
 from test_approx import paper_a0
@@ -202,8 +204,6 @@ class TestChannelStats:
         assert math.isfinite(st.sigma2_sq) and st.sigma2_sq > 0.0
 
     def test_mu_follows_nbar(self, case1_stats):
-        import dataclasses
-
         # mu is derived, not stored: nbar E[max(0, X)] with X ~ N(0, 1/2)
         assert dataclasses.replace(case1_stats, nbar=56).mu == 2.0 * case1_stats.mu
         assert "mu" not in {f.name for f in dataclasses.fields(ChannelStats)}
@@ -215,10 +215,19 @@ class TestChannelStats:
         ("sigma2_sq", math.nan),
     ])
     def test_invalid_fields(self, case1_stats, field, value):
-        import dataclasses
-
         with pytest.raises(DomainError):
             dataclasses.replace(case1_stats, **{field: value})
+
+    # every function that takes a user count refuses a single user with one message
+    @pytest.mark.parametrize("call", [
+        lambda grid, stats, corr: ChannelStats.from_grid(grid, 1),
+        lambda grid, stats, corr: exact_er(1, stats.law),
+        lambda grid, stats, corr: approx_er(1, beta_I(stats)),
+        lambda grid, stats, corr: SimConfig(corr, 1),
+    ], ids=["from_grid", "exact_er", "approx_er", "SimConfig"])
+    def test_single_user(self, case1_grid, case1_stats, case1_corr, call):
+        with pytest.raises(DomainError, match="^need at least 2 users, got 1$"):
+            call(case1_grid, case1_stats, case1_corr)
 
     @pytest.mark.parametrize("delta", [0.0, 1.5, math.nan])
     def test_invalid_delta(self, case1_stats, case1_law, delta):
@@ -774,6 +783,14 @@ class TestExactMetrics:
     def test_op_monotone_in_threshold(self, case1_law):
         vals = [exact_op(g, case1_law) for g in (0.25, 0.5, 1.0, 1.5, 2.2)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 22: the far-tail CDF reads 0, 0, 9.37e-55, 0, 0")
+    def test_far_tail_op_grows_with_users(self):
+        # the oracle of ROADMAP item 22 gives 9.96e-69, 6.46e-67, 1.90e-59, 6.60e-44 and 1.48e-37
+        stats = ChannelStats.from_grid(preset_grid("26GHz-C"), 2)
+        ops = [exact_op(1.0, dataclasses.replace(stats, interferers=u - 1).law) for u in (2, 3, 10, 40, 60)]
+        assert all(op > 0.0 for op in ops)
+        assert all(a < b for a, b in zip(ops, ops[1:]))
 
     def test_op_against_mc_ground_truth(self, case1_law):
         # the Gaussian-surrogate model tracks link-level simulation to a

@@ -49,39 +49,46 @@ class TestSweepSpecValidation:
     def test_minimal_valid(self):
         small_spec()
 
-    @pytest.mark.parametrize("kw", [
-        {"metrics": ()},
-        {"values": ()},
-        {"metrics": ("bogus",)},
-        {"axis": "sideways"},
-        {"preset": "5GHz-XX"},
-        {"trials": 10},
-        {"exact": "maybe"},
-        {"values": (4.5, 8.0)},
-        {"exact": "auto"},
-        {"values": (4.0, math.nan)},
-        {"values": (math.inf,)},
-        {"axis": "rs", "values": (math.nan,)},
-        {"axis": "ports", "preset": None, "values": (math.nan,)},
+    # (fields, message): the message names the check that refuses the fields
+    REJECTIONS = [
+        ({"metrics": ()}, "needs at least one metric"),
+        ({"values": ()}, "needs at least one axis value"),
+        ({"metrics": ("bogus",)}, r"unknown metrics \['bogus'\]"),
+        ({"axis": "sideways"}, "axis must be one of"),
+        ({"preset": "5GHz-XX"}, "unknown preset '5GHz-XX'"),
+        ({"trials": 10}, "need at least 1000 trials"),
+        ({"exact": "maybe"}, "exact must be one of"),
+        ({"values": (4.5, 8.0)}, "users-axis values must be integers >= 2"),
+        ({"exact": "auto"}, "exact must be one of"),
+        ({"values": (4.0, math.nan)}, "axis values must be finite"),
+        ({"values": (math.inf,)}, "axis values must be finite"),
+        ({"axis": "rs", "values": (math.nan,)}, "axis values must be finite"),
+        ({"axis": "ports", "preset": None, "values": (math.nan,)}, "axis values must be finite"),
         # users and delta_b are checked even where the axis replaces them
-        {"users": 1},
-        {"axis": "delta_b", "values": (0.5,), "delta_b": 0.0},
+        ({"users": 1}, "need at least 2 users, got 1"),
+        ({"axis": "delta_b", "values": (0.5,), "delta_b": 0.0}, r"^delta_b must lie in \(0, 1\], got 0.0"),
         # a repeated metric would print its rows twice
-        {"metrics": ("er", "op", "er")},
+        ({"metrics": ("er", "op", "er")}, "each metric may appear once"),
         # the fields that only some metrics read are checked for every sweep
-        {"metrics": ("er",), "gamma_th": math.nan},
-        {"gamma_th": -1.0},
-        {"rs": -1.0},
-        {"axis": "rs", "values": (1.0,), "rs": math.inf},
-        {"delta_e": 2.0},
-        {"delta_e": 0.0},
+        ({"metrics": ("er",), "gamma_th": math.nan}, "gamma_th must be nonnegative and finite, got nan"),
+        ({"gamma_th": -1.0}, "gamma_th must be nonnegative and finite, got -1.0"),
+        ({"rs": -1.0}, "secrecy rate must be nonnegative and finite, got -1.0"),
+        ({"axis": "rs", "values": (1.0,), "rs": math.inf}, "secrecy rate must be nonnegative and finite, got inf"),
+        ({"delta_e": 2.0}, "delta_e must lie in"),
+        ({"delta_e": 0.0}, "delta_e must lie in"),
         # a sweep without Monte Carlo still prints its trial count, and a
         # given eve preset is checked whatever the metrics
-        {"trials": -5, "mc": False},
-        {"metrics": ("er",), "eve_preset": "nonsense"},
-    ])
-    def test_rejections(self, kw):
-        with pytest.raises(DomainError):
+        ({"trials": -5, "mc": False}, "trials must be positive, got -5"),
+        ({"metrics": ("er",), "eve_preset": "nonsense"}, "unknown eve preset 'nonsense'"),
+        # only the ports axis builds its own grids
+        ({"preset": None}, "axis 'users' requires a preset"),
+        ({"axis": "delta_b", "values": (0.5, 1.5)}, r"delta_b values must lie in \(0, 1\]"),
+        ({"axis": "rs", "values": (1.0, -1.0)}, "rs values must be nonnegative"),
+    ]
+
+    @pytest.mark.parametrize("kw,match", REJECTIONS, ids=[f"kw{i}" for i in range(len(REJECTIONS))])
+    def test_rejections(self, kw, match):
+        with pytest.raises(DomainError, match=match):
             small_spec(**kw)
 
     @pytest.mark.parametrize("field", ["delta_b", "delta_e"])
@@ -497,11 +504,11 @@ class TestCompareDistributions:
     def test_fit_distance_reported(self, nc_system, nc_samples):
         # the raw samples against the raw-SIR scale beta_I
         beta = beta_I(nc_system[1])
-        report = compare_distributions(nc_system[0], beta, 20_000, SeedSpec(5))
-        assert report.ks_total == ks_statistic(nc_samples.sir, lambda x: approx_cdf_z(x, beta))
-        assert report.ks_inphase == ks_statistic(nc_samples.sir_i, lambda x: erf(np.sqrt(x / beta)))
-        assert 0.0 <= report.ks_total <= 1.0
-        assert 0.0 <= report.ks_inphase <= 1.0
+        ks_total, ks_inphase = compare_distributions(nc_system[0], beta, 20_000, SeedSpec(5))
+        assert ks_total == ks_statistic(nc_samples.sir, lambda x: approx_cdf_z(x, beta))
+        assert ks_inphase == ks_statistic(nc_samples.sir_i, lambda x: erf(np.sqrt(x / beta)))
+        assert 0.0 <= ks_total <= 1.0
+        assert 0.0 <= ks_inphase <= 1.0
 
     def test_negative_control_detects_misfit(self, nc_system, nc_samples):
         beta = 2.0 * beta_I(nc_system[1])

@@ -450,6 +450,13 @@ class TestMcMetrics:
         ratio = se1 / se2
         assert abs(ratio - math.sqrt(2.0)) < 0.2 * math.sqrt(2.0)
 
+    @pytest.mark.parametrize("users", [10**9, 10**18])
+    def test_er_stderr_at_small_sir(self, users):
+        # per-user SIRs near 2e-8 (2e-17): 1 + sir keeps about half their digits (rounds to 1)
+        s = sir_samples(SimConfig(correlation_matrix(preset_grid("6GHz-NC")), users), 2000, SeedSpec(1))
+        want = users * np.std(np.log1p(s.sir) / math.log(2), ddof=1) / math.sqrt(2000)
+        assert mc_stderr("er", s, users=users) == pytest.approx(want, rel=1e-12)
+
     def test_golden_run(self, case1_config):
         # frozen from the first run of the one-generator-per-block stream on
         # the reflection-folded factor at this seed (the link-level sampler gave 22.20694317794273 and 0.3831)
