@@ -170,7 +170,7 @@ def _cmd_sweep(args) -> int:
     text = None
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise DomainError(f"config {args.config} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -37,6 +37,7 @@ as they read an exact law; `mc_stderr` adds each metric's standard error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +72,7 @@ class SeedSpec:
     master_seed: int
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
+        if not (isinstance(self.master_seed, numbers.Integral) and 0 <= self.master_seed < 2**64):
             raise DomainError(f"master seed must be a u64, got {self.master_seed}")
 
     def rng(self, block: int, substream: int = 0) -> np.random.Generator:
@@ -199,11 +200,11 @@ def sir_samples(config: SimConfig, trials: int, seed: SeedSpec, substream: int =
     Block b draws from ``seed.rng(b, substream)`` and a short last block is
     cut to length; `redrawn` counts the discarded draws of the returned
     trials. A sample that is not finite raises FloatingPointError. A
-    trial count whose sample arrays would pass _MAX_SAMPLE_BYTES is
-    refused before anything is allocated.
+    trial count that is not a positive integer, or whose sample arrays
+    would pass _MAX_SAMPLE_BYTES, is refused before anything is allocated.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be positive, got {trials}")
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise DomainError(f"trials must be a positive integer, got {trials}")
     if trials * _TRIAL_BYTES > _MAX_SAMPLE_BYTES:
         raise DomainError(
             f"{trials} trials would need {trials * _TRIAL_BYTES / 2**30:.3g} GiB of samples "

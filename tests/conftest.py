@@ -1,9 +1,13 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from cumasim.analytic import ChannelStats
 from cumasim.geometry import correlation_matrix, preset_grid
 from cumasim.montecarlo import SimConfig
+
+# every mpmath oracle works at 50 digits, whichever test modules are collected
+mp.mp.dps = 50
 
 
 @pytest.fixture(scope="session")

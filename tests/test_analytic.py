@@ -29,8 +29,6 @@ from cumasim.specfun import DomainError, exp2
 from link_oracle import dense_correlation
 from test_approx import paper_a0
 
-mp.mp.dps = 40
-
 
 def positive_part_product_mean(rho, omega):
     """E[max(0,X) max(0,Y)] for bivariate normals, adaptive 2D quadrature."""

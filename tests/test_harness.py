@@ -615,34 +615,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "6GHz-NC" in out and "40GHz-VC" in out
 
-    def test_analyze(self, capsys):
-        rc = main(["analyze", "--preset", "6GHz-NC", "--users", "12"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "beta =" in out and "er_approx =" in out
-
-    def test_analyze_secrecy(self, capsys):
-        rc = main([
-            "analyze", "--preset", "6GHz-VC", "--users", "12",
-            "--rs", "1.0", "--eve-preset", "6GHz-NC",
-        ])
-        assert rc == 0
-        assert "sop_lower_approx =" in capsys.readouterr().out
-
-    def test_simulate(self, capsys):
-        rc = main(["simulate", "--preset", "6GHz-NC", "--users", "8", "--trials", "1500", "--seed", "3"])
-        assert rc == 0
-        assert "er_mc =" in capsys.readouterr().out
-
-    def test_compare(self, capsys):
-        rc = main([
-            "compare", "--preset", "6GHz-NC", "--users", "8",
-            "--trials", "1500", "--seed", "3", "--exact", "off",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "ks_total_vs_fit" in out
-
     GOLDEN_STDOUT = {
         "analyze --preset 6GHz-NC --users 12": (
             "preset = 6GHz-NC\nusers = 12\nnbar = 28\nmu = 7.89865417\nsigma1_sq = 3.82407756\n"
@@ -748,14 +720,20 @@ class TestCli:
         assert capsys.readouterr().out == self.GOLDEN_STDOUT[command]
 
     def test_sweep_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        out = tmp_path / "rows.csv"
-        cfg.write_text(
-            "schema = 1\npreset = 6GHz-NC\naxis = users\nvalues = 4, 6\n"
-            f"metrics = er\ntrials = 1000\nseed = 2\nexact = off\nout = {out}\n"
-        )
-        assert main(["sweep", "--config", str(cfg)]) == 0
-        assert out.read_text().startswith(CSV_HEADER)
+        # a config saved with a UTF-8 byte-order mark is the same config
+        rows = {}
+        for name, bom in (("plain", ""), ("bom", "\ufeff")):
+            cfg = tmp_path / f"{name}.cfg"
+            out = tmp_path / f"{name}.csv"
+            cfg.write_text(
+                f"{bom}schema = 1\npreset = 6GHz-NC\naxis = users\nvalues = 4, 6\n"
+                f"metrics = er\ntrials = 1000\nseed = 2\nexact = off\nout = {out}\n",
+                encoding="utf-8",
+            )
+            assert main(["sweep", "--config", str(cfg)]) == 0
+            rows[name] = out.read_text()
+        assert rows["plain"].startswith(CSV_HEADER)
+        assert rows["bom"] == rows["plain"]
 
     def test_sweep_inline_flags(self, capsys):
         rc = main([

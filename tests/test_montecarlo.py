@@ -23,6 +23,8 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(DomainError):
             SeedSpec(2**64)
+        with pytest.raises(DomainError, match="master seed must be a u64, got 1.5"):
+            SeedSpec(1.5)
 
     def test_streams_differ_by_trial_and_substream(self):
         a = SEED.rng(0).standard_normal(4)
@@ -468,8 +470,10 @@ class TestMcMetrics:
         assert s.redrawn == 0
 
     def test_trial_floor(self, case1_config):
-        with pytest.raises(DomainError):
-            sir_samples(case1_config, 0, SEED)
+        # a float count, integral or not, is refused before np.empty sees it
+        for trials in (0, 100.0, 2.5):
+            with pytest.raises(DomainError, match="trials must be a positive integer"):
+                sir_samples(case1_config, trials, SEED)
 
     def test_trial_cap_refuses_before_allocating(self, case1_config):
         # 2^40 trials would need 48 TiB of sample arrays; np.empty would
