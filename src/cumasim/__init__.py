@@ -8,6 +8,16 @@ The namespace holds the README quick start's names and the two error
 types; every other public name is imported from its module.
 """
 
+import os
+
+# OpenBLAS starts its worker threads when numpy loads, and an idle worker
+# busy-waits 2^28 cycles (about 0.1 s) before it sleeps, at load and after
+# every BLAS call: CPU that a cold run pays for no work. OpenBLAS reads this
+# value once, as numpy loads it, so it must be set before the first import
+# below; 2^24 cycles is a few ms. The thread count and the split of the work
+# are unchanged, so every sample bit is too. A caller's own value wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
+
 from .analytic import ChannelStats, QuadratureError, exact_er, exact_op
 from .approx import approx_er, approx_op, beta_I
 from .geometry import correlation_matrix, preset_grid

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import legint, legvander
 
 from .geometry import PortGrid, offset_correlation
-from .specfun import DomainError, _check_delta, _check_rate, exp2
+from .specfun import DomainError, _check_delta, _check_rate, _check_users, exp2
 
 __all__ = [
     "QuadratureError",
@@ -90,8 +90,7 @@ class ChannelStats:
 
     @classmethod
     def from_grid(cls, grid: PortGrid, users: int) -> "ChannelStats":
-        if users < 2:
-            raise DomainError(f"need at least 2 users, got {users}")
+        _check_users(users)
         sigma1_sq, sigma2_sq = sigma_sums(grid)
         return cls(nbar=grid.total_ports, sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, interferers=users - 1)
 
@@ -511,8 +510,7 @@ def _rate(z):
 
 def exact_er(users: int, law: ExactLaw) -> float:
     """Ergodic sum rate U * E[log2(1 + Z)] of the raw SIR, bits per channel use."""
-    if users < 2:
-        raise DomainError(f"need at least 2 users, got {users}")
+    _check_users(users)
     return users * law.expect(_rate)
 
 

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .analytic import _LN2, _LN_PI, ChannelStats, _log_a0
-from .specfun import DomainError, _check_delta, _check_rate, exp2
+from .specfun import DomainError, _check_delta, _check_rate, _check_users, exp2
 
 __all__ = [
     "beta_I",
@@ -114,8 +114,7 @@ def _exp_e1(x: float) -> float:
 
 def approx_er(users: int, beta: float) -> float:
     """Closed-form ergodic sum rate U * e^x * Gamma(0, x) / ln 2, x = 1/beta."""
-    if users < 2:
-        raise DomainError(f"need at least 2 users, got {users}")
+    _check_users(users)
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     x = 1.0 / beta

@@ -23,7 +23,7 @@ from . import analytic, approx, montecarlo
 from .analytic import ChannelStats
 from .geometry import PRESETS, correlation_matrix, preset_grid
 from .montecarlo import SeedSpec, SimConfig
-from .specfun import DomainError, _check_delta, _check_rate
+from .specfun import DomainError, _check_delta, _check_rate, _check_users
 
 __all__ = [
     "SweepSpec",
@@ -100,8 +100,7 @@ class SweepSpec:
             raise DomainError("delta_b values must lie in (0, 1]")
         if self.axis == "rs" and any(v < 0.0 for v in self.values):
             raise DomainError("rs values must be nonnegative")
-        if self.users < 2:
-            raise DomainError(f"need at least 2 users, got {self.users}")
+        _check_users(self.users)
         _check_delta("delta_b", self.delta_b)
         _check_delta("delta_e", self.delta_e)
         _check_rate("gamma_th", self.gamma_th)

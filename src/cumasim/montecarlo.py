@@ -44,7 +44,7 @@ import numpy as np
 
 from .analytic import _rate, exact_op
 from .geometry import CorrelationMatrix
-from .specfun import DomainError, _check_delta, _check_rate, exp2
+from .specfun import DomainError, _check_delta, _check_rate, _check_users, exp2
 
 __all__ = [
     "SeedSpec",
@@ -89,8 +89,7 @@ class SimConfig:
     users: int
 
     def __post_init__(self):
-        if self.users < 2:
-            raise DomainError(f"need at least 2 users, got {self.users}")
+        _check_users(self.users)
 
     @property
     def interferers(self) -> int:

@@ -7,20 +7,29 @@ is ``approx._exp_e1``; the KS check applies ``math.erf`` elementwise.
 No module loads scipy.
 
 This module keeps the validation error that every module raises and the
-CLI maps to exit code 2, the one check each of a rate argument and of a
-residual interference factor, and the 2^x that turns rate thresholds
-into SIR thresholds.
+CLI maps to exit code 2, the one check each of a user count, of a rate
+argument and of a residual interference factor, and the 2^x that turns
+rate thresholds into SIR thresholds.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 __all__ = ["DomainError", "exp2"]
 
 
 class DomainError(ValueError):
     """Argument outside the supported domain of a function."""
+
+
+def _check_users(users: int) -> None:
+    """Refuse a user count that is not an integer, or that is below 2."""
+    if not isinstance(users, numbers.Integral):
+        raise DomainError(f"the user count must be an integer, got {users!r}")
+    if users < 2:
+        raise DomainError(f"need at least 2 users, got {users}")
 
 
 def _check_rate(name: str, rate: float) -> None:

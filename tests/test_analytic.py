@@ -24,6 +24,7 @@ from cumasim.analytic import (
 )
 from cumasim.approx import approx_er, beta_I
 from cumasim.geometry import HANDSET_APERTURE_M, PortGrid, grid_from_aperture, preset_grid
+from cumasim.harness import SweepSpec
 from cumasim.montecarlo import SimConfig
 from cumasim.specfun import DomainError, exp2
 from link_oracle import dense_correlation
@@ -226,6 +227,23 @@ class TestChannelStats:
     def test_single_user(self, case1_grid, case1_stats, case1_corr, call):
         with pytest.raises(DomainError, match="^need at least 2 users, got 1$"):
             call(case1_grid, case1_stats, case1_corr)
+
+    # a float count would give a fractional interferer count, integral or not
+    @pytest.mark.parametrize("users", [20.5, 2.0])
+    @pytest.mark.parametrize("call", [
+        lambda grid, stats, corr, users: ChannelStats.from_grid(grid, users),
+        lambda grid, stats, corr, users: exact_er(users, stats.law),
+        lambda grid, stats, corr, users: approx_er(users, beta_I(stats)),
+        lambda grid, stats, corr, users: SimConfig(corr, users),
+        lambda grid, stats, corr, users: SweepSpec(
+            axis="rs", values=(1.0,), metrics=("er",), preset="6GHz-NC", users=users, mc=False),
+    ], ids=["from_grid", "exact_er", "approx_er", "SimConfig", "SweepSpec"])
+    def test_non_integer_user_count(self, case1_grid, case1_stats, case1_corr, call, users):
+        with pytest.raises(DomainError, match=f"^the user count must be an integer, got {users!r}$"):
+            call(case1_grid, case1_stats, case1_corr, users)
+
+    def test_numpy_integer_user_count(self, case1_grid):
+        assert ChannelStats.from_grid(case1_grid, np.int64(20)) == ChannelStats.from_grid(case1_grid, 20)
 
     @pytest.mark.parametrize("delta", [0.0, 1.5, math.nan])
     def test_invalid_delta(self, case1_stats, case1_law, delta):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -1035,11 +1036,21 @@ class TestCli:
         assert captured.out == "" and "port-offset table" in captured.err and "GiB budget" in captured.err
 
 
-def run_child(args, code=None):
-    """A fresh interpreter: ``python -m cumasim ARGS``, or ``python -c CODE ARGS``."""
+def child_env(**given):
+    """This process's environment with the package on the path; a variable given as None is unset."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for key, value in given.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def run_child(args, code=None, **env):
+    """A fresh interpreter: ``python -m cumasim ARGS``, or ``python -c CODE ARGS``, in ``child_env(**env)``."""
     head = ["-m", "cumasim"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *head, *args], env=env, capture_output=True, timeout=300)
+    return subprocess.run([sys.executable, *head, *args], env=child_env(**env), capture_output=True, timeout=300)
 
 
 class TestProcessEntry:
@@ -1173,3 +1184,45 @@ class TestProcessEntry:
         child = run_child([], code)
         assert child.returncode == 0, child.stderr
         assert child.stdout.decode() == "script target called\n"
+
+
+def uses_openblas():
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+class TestBlasThreads:
+    """Cold runs under 1 and 2 BLAS threads: what the idle pool costs, and which bytes hold."""
+
+    # importing this package already set the bound in this process, so
+    # each child has it unset and must set it itself
+    @pytest.mark.parametrize("given,want", [(None, "24"), ("28", "28")], ids=["unset", "caller"])
+    def test_import_bounds_the_idle_spin(self, given, want):
+        code = "import os, cumasim\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n"
+        child = run_child([], code, OPENBLAS_THREAD_TIMEOUT=given)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.decode() == f"{want}\n"
+
+    @pytest.mark.skipif(not uses_openblas(), reason="numpy is not built on OpenBLAS")
+    def test_idle_workers_cost_no_cpu(self):
+        # the exact chain makes no BLAS call, so a second thread's CPU is
+        # only its spin: 2^28 cycles (about 0.1 s) unbounded, a few ms bounded
+        argv = ["sweep", "--preset", "6GHz-VC", "--eve-preset", "6GHz-NC", "--axis", "rs", "--values", "1",
+                "--metrics", "er,op,sop", "--users", "20", "--exact", "on", "--no-mc"]
+        env = child_env(OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=None)
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "cumasim", *argv], env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert usage.ru_utime + usage.ru_stime <= wall + 0.05
+
+    @pytest.mark.parametrize("preset,trials,users", [("6GHz-VC", "2000", "5,20"), ("26GHz-C", "1000", "5,10")])
+    def test_csv_bytes_do_not_depend_on_the_thread_count(self, preset, trials, users):
+        # sample bits may differ in the last ulps across thread counts; the
+        # 12 printed digits do not, on these commands
+        argv = ["sweep", "--preset", preset, "--axis", "users", "--values", users, "--metrics", "er,op",
+                "--trials", trials, "--exact", "off"]
+        one, two = (run_child(argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+        assert one.stdout == two.stdout
