@@ -2,7 +2,7 @@
 
 The package takes its special functions from ``math`` and its own numpy
 kernels: ``math.lgamma`` at the half-integers of the density and the
-asymptote coefficient,
+asymptote coefficient (and, as Gamma, on a generic band),
 ``analytic._log_kummer`` (a positive-term series with its own bands) for
 log 1F1 in the density's Whittaker factor, ``approx._exp_e1`` (its own
 power series and continued fraction) for e^x E1(x) in the closed-form
@@ -40,7 +40,16 @@ def many_interferers():
     return ChannelStats(nbar=200, sigma1_sq=2.0, sigma2_sq=1.0, interferers=99)
 
 
+def gamma_fn(x):
+    # Gamma through the log-gamma the package evaluates
+    return math.exp(math.lgamma(x))
+
+
 class TestGamma:
+    @pytest.mark.parametrize("x", np.geomspace(1e-3, 50, 60).tolist())
+    def test_accuracy_band(self, x):
+        assert rel_err(gamma_fn(x), float(mp.gamma(x))) < 1e-12
+
     @pytest.mark.parametrize("x", [1e-3, 0.5, 3.0, 19.5, 120.0, 900.0])
     def test_log_gamma(self, x):
         assert rel_err(math.lgamma(x), float(mp.loggamma(x))) < 1e-12
