@@ -96,17 +96,18 @@ class SimConfig:
         return self.users - 1
 
 
-def select_ports(desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Activated port positions (0-based) for the I and Q branches.
+def select_ports(pair: np.ndarray) -> int:
+    """Turn one trial's (2, N) positive parts into its masks m_I, m_Q, in place; return |K_I|.
 
-    A port joins K_I when the real part of its desired-channel entry is
-    strictly positive (ties at exactly zero stay out); K_Q uses the
-    imaginary part.
+    ``pair`` holds max(Re d, 0) and max(Im d, 0), so a port joins K_I (K_Q)
+    when the real (imaginary) part of its desired-channel entry is strictly
+    positive, ties at exactly zero staying out: the masks are ``pair > 0``.
+    `sir_sample` calls it once per trial, not once per block, only because
+    the benchmark's tracer test (bench/tests/test_bench_tracer.py) counts
+    one call per trial.
     """
-    desired = np.asarray(desired)
-    if desired.size == 0:
-        raise DomainError("select_ports requires a nonempty vector")
-    return np.flatnonzero(desired.real > 0.0), np.flatnonzero(desired.imag > 0.0)
+    np.greater(pair, 0.0, out=pair)
+    return int(np.count_nonzero(pair[0]))
 
 
 def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int):
@@ -136,12 +137,7 @@ def sir_sample(rng: np.random.Generator, factor: np.ndarray, interferers: int):
         # activated sums are the sums of max(d, 0); then d holds the masks
         nu = np.square(np.maximum(d, 0.0, out=d).sum(axis=1)).reshape(n, 2)
         for j, t in enumerate(rows):
-            pair = d[2 * j : 2 * j + 2]
-            on_i, on_q = select_ports(pair[0] + 1j * pair[1])
-            pair.fill(0.0)
-            pair[0, on_i] = 1.0
-            pair[1, on_q] = 1.0
-            k_i[t] = len(on_i)
+            k_i[t] = select_ports(d[2 * j : 2 * j + 2])
         proj = d @ factor
         q = np.square(proj, out=proj).sum(axis=1).reshape(n, 2)
         xi = q * chi
@@ -229,9 +225,10 @@ def mc_stderr(metric: str, bob: SampleSet, eve: SampleSet | None = None, *, user
     """Standard error of a metric's Monte Carlo value, its exact metric function read on the samples.
 
     er: the sample standard error of users * log2(1 + sir), `exact_er`'s
-    term. op: the binomial standard error of `exact_op`'s share. sop
-    (s = 1) and sop_lower (s = 0) average 1{sir_B <= tau (s + sir_E) - s},
-    tau = 2^rs, over every Bob/Eve pair; this U-statistic's variance is
+    term, refusing the user counts `exact_er` refuses. op: the binomial
+    standard error of `exact_op`'s share. sop (s = 1) and sop_lower
+    (s = 0) average 1{sir_B <= tau (s + sir_E) - s}, tau = 2^rs, over
+    every Bob/Eve pair; this U-statistic's variance is
     Hoeffding's var_E[F_B(tau (s + Z_E) - s)] / n_E + var_B[F_E((s + Z_B) / tau - s)] / n_B,
     read on the empirical CDFs. Bob's and Eve's sets come from disjoint
     substreams of one seed, and each holds at least two samples.
@@ -241,6 +238,7 @@ def mc_stderr(metric: str, bob: SampleSet, eve: SampleSet | None = None, *, user
             raise DomainError(f"a Monte Carlo estimate needs at least 2 samples, got {len(s.sir)}")
     n = len(bob.sir)
     if metric == "er":
+        _check_users(users)
         return users * float(_rate(bob.sir).std(ddof=1)) / math.sqrt(n)
     if metric == "op":
         p = exact_op(gamma_th, bob)

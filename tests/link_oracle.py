@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cumasim.montecarlo import select_ports
 from cumasim.specfun import DomainError
 
 _MAX_REDRAWS = 64
@@ -81,7 +80,8 @@ def link_sir_sample(realization: ChannelRealization, delta: float) -> TrialResul
     """SIR of one realization; flagged when a branch has zero interference power."""
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    k_i, k_q = select_ports(realization.desired)
+    # the activation rule, written here so that the oracle shares no code with the kernel
+    k_i, k_q = np.flatnonzero(realization.desired.real > 0.0), np.flatnonzero(realization.desired.imag > 0.0)
     nu_i = realization.desired.real[k_i].sum() ** 2
     nu_q = realization.desired.imag[k_q].sum() ** 2
     per_stream_i = realization.interferers.real[:, k_i].sum(axis=1)

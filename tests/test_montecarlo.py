@@ -72,35 +72,42 @@ class TestDrawRealization:
             draw_realization(case1_corr, math.nan, 2, SEED, trial=0)
 
 
+def positive_parts(desired):
+    """The (2, N) rows max(Re d, 0), max(Im d, 0) that the kernel hands `select_ports`."""
+    return np.maximum(np.stack([desired.real, desired.imag]), 0.0)
+
+
 class TestSelectPorts:
     def test_all_positive(self):
-        k_i, _ = select_ports(np.array([1.0 + 1j, 2.0 + 1j, 0.5 - 1j]))
-        assert list(k_i) == [0, 1, 2]
+        pair = positive_parts(np.array([1.0 + 1j, 2.0 + 1j, 0.5 - 1j]))
+        assert select_ports(pair) == 3
+        assert np.array_equal(pair, [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
 
     def test_mixed_signs(self):
-        k_i, k_q = select_ports(np.array([1.0 + 1j, -1.0 + 1j, 2.0 - 3j]))
-        assert list(k_i) == [0, 2]
-        assert list(k_q) == [0, 1]
+        pair = positive_parts(np.array([1.0 + 1j, -1.0 + 1j, 2.0 - 3j]))
+        assert select_ports(pair) == 2
+        assert np.array_equal(pair, [[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 
     def test_zero_ties_excluded(self):
-        k_i, k_q = select_ports(np.array([0.0 + 0.0j, 1.0 + 0.0j]))
-        assert list(k_i) == [1]
-        assert list(k_q) == []
+        pair = positive_parts(np.array([0.0 + 0.0j, 1.0 + 0.0j, -0.0 - 0.0j]))
+        assert select_ports(pair) == 1
+        assert np.array_equal(pair, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
     def test_negation_swaps_to_complement(self, case1_corr):
         r = draw_realization(case1_corr, 1.0, 2, SEED, trial=11)
-        k_i, _ = select_ports(r.desired)
-        k_i_neg, _ = select_ports(-r.desired)
-        assert set(k_i) | set(k_i_neg) == set(range(28))
-        assert set(k_i) & set(k_i_neg) == set()
+        pair, neg = positive_parts(r.desired), positive_parts(-r.desired)
+        k_i, k_i_neg = select_ports(pair), select_ports(neg)
+        assert k_i + k_i_neg == 28
+        assert np.array_equal(pair[0] + neg[0], np.ones(28))
 
     def test_activation_rate_is_half(self, case1_config):
         samples = sir_samples(case1_config, 4000, SEED)
         assert samples.k_i_sizes.mean() / 28 == pytest.approx(0.5, abs=0.005)
 
     def test_empty_vector(self):
-        with pytest.raises(DomainError):
-            select_ports(np.array([]))
+        # a factor without ports leaves every branch empty, so the kernel runs out of redraws
+        with pytest.raises(DomainError, match="interference power stayed zero after 64 redraws"):
+            sir_sample(SEED.rng(0), np.zeros((0, 1)), 2)
 
 
 class TestSirSample:
@@ -180,7 +187,7 @@ class TestConditionalKernel:
                 chi = rng.chisquare(interferers, (n, 2))
                 masks = np.zeros_like(d)
                 for j, t in enumerate(rows):
-                    on_i, on_q = select_ports(d[2 * j] + 1j * d[2 * j + 1])
+                    on_i, on_q = np.flatnonzero(d[2 * j] > 0.0), np.flatnonzero(d[2 * j + 1] > 0.0)
                     masks[2 * j, on_i] = 1.0
                     masks[2 * j + 1, on_q] = 1.0
                     k_i[t] = len(on_i)
@@ -497,6 +504,11 @@ class TestMcMetrics:
             with pytest.raises(DomainError, match="gamma_th must be nonnegative and finite"):
                 mc_stderr("op", s, gamma_th=gamma_th)
         assert (exact_op(0.0, s), mc_stderr("op", s, gamma_th=0.0)) == (0.0, 0.0)
+        # er refuses the user counts exact_er refuses, the default 1 included; numpy integers pass
+        for kwargs in ({}, {"users": 0}, {"users": 20.5}):
+            with pytest.raises(DomainError, match="user count must be an integer|at least 2 users"):
+                mc_stderr("er", s, **kwargs)
+        assert mc_stderr("er", s, users=np.int64(20)) == mc_stderr("er", s, users=20)
         one = sir_samples(case1_config, 1, SEED)
         for metric, bob, eve in (("er", one, None), ("op", one, None), ("sop", s, one), ("sop_lower", one, s)):
             with pytest.raises(DomainError, match="needs at least 2 samples, got 1"):
